@@ -60,7 +60,9 @@ Config file keys (YAML):
                   default to the phantom's Hölder data; c_env is
                   calibrated when absent)
   kernels:        k_max, grid_n
-  tolerance:      forward-quadrature tolerance
+  tolerance:      forward-quadrature tolerance: each line integral stops
+                  when its embedded error estimate is at most
+                  max(tolerance, tolerance*|value|)
   out_dir:        artifact directory (overridable with --out)
 """
 

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# x-rows of the profile evaluated together; bounds the size of the
+# (row, panel, node) arrays, and with them the weighted profile's memory
+_ROW_BLOCK = 16
+
+
 def chebyshev_grid(n: int = 257) -> np.ndarray:
     """Chebyshev-distributed points on [-1, 1], endpoints included, increasing."""
     x = -np.cos(np.pi * np.arange(n) / (n - 1))
@@ -106,25 +111,31 @@ def mean_profile(
     else:
         u_edges = np.linspace(-1.0, 1.0, n_panels + 1)
     values = np.empty(x_grid.size)
-    for i, x in enumerate(x_grid):
-        if abs(x) < 1e-13:
-            v = float(f(0.0, gamma))
-            if mg is not None:
-                v *= mg(0.0, gamma)
-            values[i] = v
-            continue
-        half_width = eps * abs(x)
+    at_zero = np.abs(x_grid) < 1e-13
+    if np.any(at_zero):
+        v = float(f(0.0, gamma))
+        if mg is not None:
+            v *= mg(0.0, gamma)
+        values[at_zero] = v
+    rows = np.flatnonzero(~at_zero)
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        x = x_grid[block][:, None]
+        half_width = eps * np.abs(x)
         edges = gamma + half_width * u_edges
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            ys = mid + half * t
-            fy = np.asarray(f(np.full_like(ys, x), ys), dtype=float)
-            if mg is not None:
-                fy = fy * mg(np.full_like(ys, x), ys)
-            phy = phi((gamma - ys) / half_width) / half_width
-            total += half * np.sum(w * fy * phy)
-        values[i] = total
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ys = mid[..., None] + half[..., None] * t
+        xs = np.broadcast_to(x[..., None], ys.shape)
+        fy = np.asarray(f(xs, ys), dtype=float)
+        if mg is not None:
+            fy = fy * mg(xs, ys)
+        hw = half_width[..., None]
+        phy = phi((gamma - ys) / hw) / hw
+        panels = half * np.sum(w * fy * phy, axis=-1)
+        # cumsum adds the panels left to right, one at a time: the
+        # summation order the frozen profile values were computed in
+        values[block] = np.cumsum(panels, axis=1)[:, -1]
     prof = MeanProfile(
         x=x_grid, values=values, eps=eps, gamma=gamma,
         weighted=m is not None,

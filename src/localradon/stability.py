@@ -429,7 +429,8 @@ def with_noise(g: Sinogram, sigma: float, seed: int) -> Sinogram:
     values = g.values + rng.normal(0.0, sigma, g.values.shape) \
         if sigma > 0 else g.values.copy()
     return Sinogram(xi=g.xi, eta=g.eta, values=values, noise_sigma=sigma,
-                    provenance=dict(g.provenance, noise_seed=seed))
+                    provenance=dict(g.provenance, noise_seed=seed),
+                    failed=g.failed)
 
 
 def profile_errors(est: MeanProfile, ref: MeanProfile):

@@ -43,13 +43,6 @@ def gauss_nodes(n: int):
     return _GAUSS_CACHE[n]
 
 
-def gauss_panel(fn, lo: float, hi: float, n: int = 24):
-    """Fixed Gauss-Legendre quadrature of a vectorized callable on [lo, hi]."""
-    t, w = gauss_nodes(n)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return half * np.sum(w * fn(mid + half * t), axis=-1)
-
-
 @dataclass
 class AnalyticField:
     """A closed-form field ``(xi, eta) -> real`` with exact xi-jets.

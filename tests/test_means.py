@@ -10,6 +10,7 @@ from localradon.means import (
     mean_profile,
     support_halfwidth,
 )
+from localradon.weights import corrected_weight, gauss_nodes
 
 EPS = 0.1
 GAMMA = 0.3
@@ -37,6 +38,41 @@ def test_mean_frozen_values(f_main, phi12):
     assert prof.values[2] == pytest.approx(0.11796797792060691, rel=1e-10)
     assert prof.values[0] == pytest.approx(6.817436383014705e-08,
                                            rel=1e-8)
+
+
+def _scalar_loop_profile(f, m, phi, eps, gamma, xs, nodes_per_panel=14):
+    """Reference: the profile one x-point and one panel at a time."""
+    mg = corrected_weight(m, gamma) if m is not None else None
+    t, w = gauss_nodes(nodes_per_panel)
+    bp = phi.breakpoints
+    u_edges = np.append(
+        np.concatenate([np.linspace(lo, hi, 3)[:-1]
+                        for lo, hi in zip(bp[:-1], bp[1:])]), bp[-1])
+    out = []
+    for x in xs:
+        half_width = eps * abs(x)
+        edges = gamma + half_width * u_edges
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            ys = mid + half * t
+            fy = np.asarray(f(np.full_like(ys, x), ys), dtype=float)
+            if mg is not None:
+                fy = fy * mg(np.full_like(ys, x), ys)
+            phy = phi((gamma - ys) / half_width) / half_width
+            total += half * np.sum(w * fy * phy)
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mean_profile_matches_scalar_loop(f_main, m_exp, phi12, weighted):
+    m = m_exp if weighted else None
+    xs = chebyshev_grid(41)
+    xs = xs[xs != 0.0]
+    prof = mean_profile(f_main, m, phi12, EPS, GAMMA, x_grid=xs)
+    assert np.array_equal(
+        prof.values, _scalar_loop_profile(f_main, m, phi12, EPS, GAMMA, xs))
 
 
 def test_mean_point_value_at_origin(f_main, phi12):

@@ -194,6 +194,15 @@ def test_with_noise_deterministic(sino_clean):
                           sino_clean.values)
 
 
+def test_with_noise_keeps_failed_cells():
+    g = flat_sinogram(0.0)
+    g.failed = np.zeros(g.values.shape, dtype=bool)
+    g.failed[3, 5] = True
+    noisy = with_noise(g, 1e-5, 7)
+    assert np.array_equal(noisy.failed, g.failed)
+    assert with_noise(flat_sinogram(0.0), 1e-5, 7).failed is None
+
+
 def test_profile_errors_known_difference(f_main, phi12):
     prof = mean_profile(f_main, None, phi12, EPS, GAMMA)
     shifted = mean_profile(f_main, None, phi12, EPS, GAMMA)

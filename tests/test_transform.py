@@ -1,8 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from localradon.bumps import hormander_sequence
+from localradon.phantoms import oscillatory_phantom, smooth_bump
 from localradon.transform import (
+    QuadratureError,
     Sinogram,
     check_adjoint,
     check_moment_identity,
@@ -14,7 +20,12 @@ from localradon.transform import (
     radon_moment,
     synthesize_sinogram,
 )
-from localradon.weights import field_from_spec, zero_field
+from localradon.weights import (
+    constant_weight,
+    field_from_spec,
+    weight_from_ab,
+    zero_field,
+)
 
 # Frozen line-integral values for the reference phantom under m = 1,
 # computed independently with dense composite Simpson quadrature along
@@ -50,7 +61,6 @@ def test_radon_vanishes_off_support(f_main, m_const):
 
 
 def test_radon_weight_scaling(f_main, m_const):
-    from localradon.weights import constant_weight
     v1 = radon(f_main, m_const, 0.05, 0.3, tol=1e-11)
     v3 = radon(f_main, constant_weight(3.0), 0.05, 0.3, tol=1e-11)
     assert v3 == pytest.approx(3.0 * v1, rel=1e-10)
@@ -61,6 +71,78 @@ def test_radon_input_validation(f_main, m_const):
         radon_moment(f_main, m_const, -1, 0.0, 0.3)
     with pytest.raises(ValueError):
         radon(f_main, m_const, 0.0, 0.3, tol=0.0)
+
+
+def _quad_line(f, m, xi, eta, tol):
+    """Reference line integral by scipy ``quad`` over the line's crossing
+    of the phantom's bump disk, outside which the integrand vanishes."""
+    cx, cy = f.center
+    a = 1.0 + xi * xi
+    b = 2.0 * (xi * (eta - cy) - cx)
+    c = cx * cx + (eta - cy) ** 2 - f.width ** 2
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        val, _ = integrate.quad(
+            lambda x: float(f(x, xi * x + eta)) * float(m(x, xi, eta)),
+            (-b - root) / (2 * a), (-b + root) / (2 * a),
+            epsabs=tol, epsrel=tol, limit=1000)
+    return val
+
+
+def _oracle_cases():
+    main = smooth_bump(center=(0.0, 0.45), width=0.3)
+    q = smooth_bump(center=(0.0, 0.5), width=0.4)
+    generic = weight_from_ab(field_from_spec("0.5*sin_xi"),
+                             field_from_spec("0.5*cos_eta"))
+    # (phantom, weight, xi grid, eta grid, tol, extra cells); on the extra
+    # lambda = 10 line (xi 0.25, eta 0.35) scipy quad asked for 1e-9
+    # errs by 9e-9
+    return {
+        "constant": (main, constant_weight(), np.linspace(-0.13, 0.13, 15),
+                     np.linspace(-0.35, 0.35, 15), 1e-10, []),
+        "from_ab": (main, generic, np.linspace(-0.13, 0.13, 11),
+                    np.linspace(-0.35, 0.35, 9), 1e-8, []),
+        "oscillatory": (oscillatory_phantom(q, 10.0), constant_weight(),
+                        np.linspace(-0.5, 0.5, 21),
+                        np.linspace(-0.1, 1.2, 27), 1e-9, [(15, 9)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant", "from_ab", "oscillatory"])
+def test_sinogram_matches_quad_oracle(case):
+    f, m, xi, eta, tol, extra = _oracle_cases()[case]
+    g = synthesize_sinogram(f, m, xi, eta, tol=tol)
+    assert g.failed is None
+    rng = np.random.default_rng(2014)
+    cells = [(i, j) for i in range(xi.size) for j in range(eta.size)]
+    picks = [cells[p] for p in rng.choice(len(cells), 40, replace=False)]
+    checked = 0
+    for i, j in picks + extra:
+        ref = _quad_line(f, m, xi[i], eta[j], tol / 100)
+        if ref is None:
+            continue
+        checked += 1
+        assert abs(g.values[i, j] - ref) <= tol * max(1.0, abs(ref)), \
+            (xi[i], eta[j])
+    assert checked >= 5
+
+
+def test_refinement_budget_failure_is_flagged(f_main):
+    # a weight that is pure noise never converges, so the line exhausts
+    # the refinement budget
+    rng = np.random.default_rng(0)
+    noisy = weight_from_ab(zero_field(), zero_field(),
+                           m0=lambda x, y: 1.0 + rng.random())
+    with pytest.raises(QuadratureError):
+        radon(f_main, noisy, 0.0, 0.45, tol=1e-10)
+    g = synthesize_sinogram(f_main, noisy, [0.0], [-0.2, 0.45], tol=1e-10)
+    assert g.failed is not None
+    assert g.failed.tolist() == [[False, True]]
+    assert g.values[0, 1] == 0.0
 
 
 def test_sinogram_validation():
