@@ -31,6 +31,7 @@ from .stability import (
     calibrate_constants,
     counterexample_experiment,
     data_norm,
+    order_cap,
     reconstruct_mean,
     reconstruct_slice,
     stability_curve,
@@ -59,7 +60,8 @@ Config file keys (YAML):
   constants:      alpha, c0, a0, c_env, sigma, rho (all optional; c0/alpha
                   default to the phantom's Hölder data; c_env is
                   calibrated when absent)
-  kernels:        k_max, grid_n
+  kernels:        k_max, grid_n (number of Chebyshev-Lobatto points of
+                  the kernel eta grid)
   tolerance:      forward-quadrature tolerance: each line integral stops
                   when its embedded error estimate is at most
                   max(tolerance, tolerance*|value|)
@@ -278,7 +280,7 @@ def cmd_sinogram(cfg, out, seed, quiet):
 def _calibrated(cfg, g, f, phi, eps, gamma, fam, mode):
     consts = build_constants(cfg, f)
     if "c_env" not in cfg.get("constants", {}):
-        n_cal = min(8, phi.derivative_order_max)
+        n_cal = min(8, order_cap(phi, weighted=fam is not None))
         consts = calibrate_constants(g, phi, eps, gamma, n_cal, consts,
                                      fam=fam, mode=mode)
     return consts

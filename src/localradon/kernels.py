@@ -18,25 +18,34 @@ where products are operator compositions, so on kernels
 
     (s t)(eta, eta') = int_{eta'}^eta s(eta, v) t(v, eta') dv.
 
-Kernels are stored as Taylor jets in xi about 0 on a shared eta grid:
-``coeffs[d, i, j]`` is the d-th Taylor coefficient of
-``s(xi, eta_i, eta'_j)``.  Compositions use bivariate quintic spline
-interpolation plus fixed Gauss quadrature; xi-differentiation is an
+Kernels are stored as Taylor jets in xi about 0 on a shared eta grid of
+Chebyshev--Lobatto points: ``coeffs[d, i, j]`` is the d-th Taylor
+coefficient of ``s(xi, eta_i, eta'_j)``.  One cumulative-integration
+matrix ``C`` of the grid, ``(C g)_i = int_{-gamma}^{eta_i} g``, exact for
+polynomials of degree below the grid size, turns composition into matrix
+algebra,
+
+    (s t) = (C o s) t - s (C^T o t)        (o: entrywise product),
+
+Cauchy-multiplied over the xi-jet coefficients; xi-differentiation is an
 exact coefficient shift.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .jets import Jet
-from .weights import AnalyticField, antiderivative_jet, gauss_nodes
+from .weights import AnalyticField
 
 __all__ = [
+    "lobatto_grid",
+    "interpolation_matrix",
     "KernelJet",
     "KernelFamily",
     "base_kernels",
@@ -50,6 +59,37 @@ __all__ = [
 ]
 
 BETA = 1.0 + math.sqrt(3.0)
+
+
+@functools.lru_cache(maxsize=None)
+def lobatto_grid(n: int, gamma: float):
+    """``(eta, C, vinv)``: ``n`` Chebyshev--Lobatto points on
+    ``[-gamma, gamma]`` (increasing, endpoints included), the
+    cumulative-integration matrix, ``(C g)_i = int_{-gamma}^{eta_i} g``
+    exactly for polynomials of degree below ``n``, and the inverse
+    Chebyshev Vandermonde matrix of the points."""
+    x = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / (n - 1))
+    vinv = np.linalg.inv(chebvander(x, n - 1))
+    # chebint: Chebyshev coefficients -> those of the antiderivative from -1
+    C = gamma * chebvander(x, n) @ chebint(np.eye(n), lbnd=-1) @ vinv
+    eta = gamma * x
+    for arr in (eta, C, vinv):      # shared by every caller through the cache
+        arr.flags.writeable = False
+    return eta, C, vinv
+
+
+def _grid(eta: np.ndarray):
+    grid = lobatto_grid(eta.size, float(eta[-1]))
+    if not np.array_equal(grid[0], eta):
+        raise ValueError("kernel grid is not Chebyshev-Lobatto")
+    return grid
+
+
+def interpolation_matrix(eta: np.ndarray, points) -> np.ndarray:
+    """Matrix taking values on the kernel grid ``eta`` to the values of
+    their interpolating polynomial at ``points``."""
+    x = np.asarray(points, dtype=float) / eta[-1]
+    return chebvander(x, eta.size - 1) @ _grid(eta)[2]
 
 
 @dataclass
@@ -113,61 +153,39 @@ def _zero_like(k: KernelJet, order: int) -> KernelJet:
     return KernelJet(k.eta, np.zeros((order + 1, n, n)), label="0")
 
 
-def compose(S: KernelJet, T: KernelJet, n_nodes: int = 16) -> KernelJet:
+def compose(S: KernelJet, T: KernelJet) -> KernelJet:
     """Kernel of the operator composition ``S T``:
 
     ``(s t)(xi, eta, eta') = int_{eta'}^eta s(xi, eta, v) t(xi, v, eta') dv``
 
     applied coefficient-wise to the xi-jets (Cauchy product under the
-    integral).  Quadrature is fixed Gauss on the mapped interval; each
-    coefficient slice is interpolated by a quintic bivariate spline.
+    integral).  Splitting the integral at ``-gamma`` gives
+    ``(C o s) t - s (C^T o t)`` on the grid.
     """
     if not np.allclose(S.eta, T.eta):
         raise ValueError("kernel grids differ")
     order = min(S.order, T.order)
-    eta = S.eta
-    n = eta.size
     if S.is_zero() or T.is_zero():
         return _zero_like(S, order)
-    t, w = gauss_nodes(n_nodes)
-    H = eta[:, None, None]                       # eta_i
-    Hp = eta[None, :, None]                      # eta'_j
-    V = 0.5 * (H + Hp) + 0.5 * (H - Hp) * t[None, None, :]
-    half = 0.5 * (H - Hp)
-    s_nonzero = [d for d in range(S.order + 1)
-                 if np.any(np.abs(S.coeffs[d]) > 0)]
-    t_nonzero = [d for d in range(T.order + 1)
-                 if np.any(np.abs(T.coeffs[d]) > 0)]
-    # s_l(eta_i, v) and t_l(v, eta'_j) sampled on the quadrature lattice
-    Hi = np.broadcast_to(H, V.shape)
-    Hj = np.broadcast_to(Hp, V.shape)
-    s_vals = {}
-    for d in s_nonzero:
-        sp = RectBivariateSpline(eta, eta, S.coeffs[d], kx=5, ky=5)
-        s_vals[d] = sp.ev(Hi.ravel(), V.ravel()).reshape(V.shape)
-    t_vals = {}
-    for d in t_nonzero:
-        sp = RectBivariateSpline(eta, eta, T.coeffs[d], kx=5, ky=5)
-        t_vals[d] = sp.ev(V.ravel(), Hj.ravel()).reshape(V.shape)
-    out = np.zeros((order + 1, n, n))
-    for ds in s_nonzero:
-        for dt in t_nonzero:
-            d = ds + dt
-            if d > order:
-                continue
-            out[d] += np.sum(w * s_vals[ds] * t_vals[dt], axis=-1) * half[..., 0]
+    C = _grid(S.eta)[1]
+    ts = T.coeffs[: order + 1]
+    ct = C.T * ts
+    out = np.zeros((order + 1,) + C.shape)
+    for ds, s in enumerate(S.coeffs[: order + 1]):
+        out[ds:] += (C * s) @ ts[: order + 1 - ds] - s @ ct[: order + 1 - ds]
     label = f"({S.label})({T.label})" if S.label and T.label else ""
-    return KernelJet(eta, out, label=label)
+    return KernelJet(S.eta, out, label=label)
 
 
 def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
                  order: int = 12, n: int = 96):
-    """Jets of the P and Q kernels on a uniform grid over [-gamma, gamma]."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    eta = np.linspace(-gamma, gamma, n)
-    A = antiderivative_jet(a, 0.0, eta, gamma, order)      # (order+1, n)
-    expo = Jet(A.c[:, None, :] - A.c[:, :, None])          # A(eta'_j) - A(eta_i)
+    """Jets of the P and Q kernels on ``n`` Chebyshev--Lobatto points over
+    [-gamma, gamma]."""
+    if gamma <= 0 or n < 2:
+        raise ValueError("need gamma > 0 and at least two grid points")
+    eta, C, _ = lobatto_grid(n, float(gamma))
+    A = a.jet(0.0, eta, order).c @ C.T                     # (order+1, n)
+    expo = Jet(A[:, None, :] - A[:, :, None])              # A(eta'_j) - A(eta_i)
     psi = expo.exp()
     p = KernelJet(eta, psi.c, label="P")
     bj = b.jet(0.0, eta, order)
@@ -235,8 +253,7 @@ def sjk_family(a: AnalyticField, b: AnalyticField, gamma: float,
     return fam
 
 
-def apply_kernel(S: KernelJet, g, xi: float, eta_val: float,
-                 nodes_per_panel: int = 10) -> float:
+def apply_kernel(S: KernelJet, g, xi: float, eta_val: float) -> float:
     """``int_{-gamma}^eta s(xi, eta, eta') g(eta') deta'`` on the grid.
 
     ``g`` is a callable of eta' (typically a sinogram row at this xi).
@@ -244,18 +261,10 @@ def apply_kernel(S: KernelJet, g, xi: float, eta_val: float,
     eta = S.eta
     if eta_val < eta[0] - 1e-12 or eta_val > eta[-1] + 1e-12:
         raise ValueError("eta outside the kernel grid")
-    mat = S.values(xi)
-    row = CubicSpline(eta, mat, axis=0)(eta_val)      # s(xi, eta_val, .)
-    row_sp = CubicSpline(eta, row)
-    t, w = gauss_nodes(nodes_per_panel)
-    total = 0.0
-    edges = np.append(eta[eta < eta_val], eta_val)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s = mid + half * t
-        gv = np.asarray([float(g(v)) for v in s])
-        total += half * np.sum(w * row_sp(s) * gv)
-    return float(total)
+    at = interpolation_matrix(eta, [eta_val])
+    row = (at @ S.values(xi))[0]                       # s(xi, eta_val, .)
+    gv = np.array([float(g(v)) for v in eta])
+    return float((at @ _grid(eta)[1] @ (row * gv))[0])
 
 
 @dataclass

@@ -19,7 +19,6 @@ __all__ = [
     "polynomial_times_bump",
     "tabulated_phantom",
     "oscillatory_phantom",
-    "eval_phantom",
     "holder_seminorm_estimate",
     "lipschitz_bound",
 ]
@@ -81,7 +80,8 @@ class PhantomSpec:
         gap = y - self.support_constant * x * x
         out = np.zeros_like(gap, dtype=float)
         pos = gap > 0
-        out[pos] = np.exp(-1.0 / gap[pos])
+        with np.errstate(over="ignore"):        # subnormal gaps: exp(-inf) = 0
+            out[pos] = np.exp(-1.0 / gap[pos])
         return out
 
     def _bump(self, x, y):
@@ -118,7 +118,8 @@ class PhantomSpec:
             base = replace(self, kind="smooth-bump", oscillation=0.0)
             out = base(x, y) * np.cos(lam * x) / lam
         else:  # tabulated
-            out = np.asarray(self._interp(np.stack([x, y], axis=-1)), dtype=float)
+            out = np.asarray(self._interp(np.stack([x, y], axis=-1)),
+                             dtype=float).reshape(x.shape)
             out = np.where(y >= self.support_constant * x * x, out, 0.0)
         return out if out.shape else float(out)
 
@@ -211,11 +212,6 @@ def tabulated_phantom(
         holder_bound=holder_bound,
         grid=(xs, ys, values),
     )
-
-
-def eval_phantom(p: PhantomSpec, x, y):
-    """Evaluate ``p`` at ``(x, y)``; exactly zero outside ``{y >= c*x**2}``."""
-    return p(x, y)
 
 
 def oscillatory_phantom(q: PhantomSpec, lam: float) -> PhantomSpec:

@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 from scipy.stats import linregress
 
 from .bumps import TestFunction
-from .kernels import BETA, KernelFamily
+from .kernels import BETA, KernelFamily, interpolation_matrix
 from .legendre import LegendreSeries, MomentVector, moments_to_coefficients
 from .means import MeanProfile, chebyshev_grid, support_halfwidth
 from .phantoms import PhantomSpec
@@ -35,6 +35,7 @@ __all__ = [
     "moments_from_sinogram_unweighted",
     "moments_from_sinogram_weighted",
     "truncation_order",
+    "order_cap",
     "reconstruct_mean",
     "reconstruct_slice",
     "mean_bound",
@@ -200,6 +201,7 @@ def moments_from_sinogram_weighted(
     xi_n, xi_w = _xi_quadrature(phi, eps)
     eta = fam.p.eta
     eta_n, eta_w = _eta_quadrature(eta[0], eta[-1])
+    to_nodes = interpolation_matrix(eta, eta_n).T
     gvals = sp(xi_n, eta_n)                         # (n_xi, n_eta)
     moments = np.empty(N + 1)
     row_g = sp(xi_n, [gamma])[:, 0]
@@ -215,8 +217,7 @@ def moments_from_sinogram_weighted(
             rows = np.zeros((xi_n.size, eta.size))
             for cd in top[::-1]:
                 rows = rows * xi_n[:, None] + cd[None, :]
-            rows_at_nodes = CubicSpline(eta, rows, axis=1)(eta_n)
-            sg = (rows_at_nodes * gvals) @ eta_w    # (n_xi,)
+            sg = ((rows @ to_nodes) * gvals) @ eta_w  # (n_xi,)
             phij = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
             acc += (-1) ** j * float(np.sum(xi_w * phij * sg))
         moments[k] = acc
@@ -278,6 +279,14 @@ def slice_bound(H: float, consts: BoundConstants, mode: str = "analytic") -> flo
     ) ** consts.alpha + 2.0 * M / t ** consts.alpha
 
 
+def order_cap(phi: TestFunction, weighted: bool) -> int:
+    """Largest moment order the pipeline may use: ``N_CEILING``, the test
+    function's derivative order and, with a kernel family,
+    ``WEIGHTED_K_MAX``."""
+    cap = min(N_CEILING, phi.derivative_order_max)
+    return min(cap, WEIGHTED_K_MAX) if weighted else cap
+
+
 def _zero_profile(eps: float, gamma: float, weighted: bool, x_grid):
     return MeanProfile(x=x_grid, values=np.zeros(x_grid.size), eps=eps,
                        gamma=gamma, weighted=weighted)
@@ -307,10 +316,7 @@ def reconstruct_mean(
     if H_raw == 0.0:
         return _zero_profile(eps, gamma, weighted, x_grid), 0
     H = max(H_raw, H_FLOOR)
-    N = truncation_order(H, consts, eps, mode)
-    N = min(N, N_CEILING, phi.derivative_order_max)
-    if weighted:
-        N = min(N, WEIGHTED_K_MAX)
+    N = min(truncation_order(H, consts, eps, mode), order_cap(phi, weighted))
     if phi.kind == "hormander" and phi.param != N:
         # the mollified-hat index is tied to the truncation order
         from .bumps import hormander_sequence

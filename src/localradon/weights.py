@@ -24,7 +24,6 @@ from .jets import Jet
 __all__ = [
     "AnalyticField",
     "Weight",
-    "field_antiderivative_eta",
     "weight_from_ab",
     "attenuation_weight",
     "constant_weight",
@@ -152,35 +151,6 @@ def field_from_spec(spec: str, eta_min: Optional[float] = None) -> AnalyticField
         plain=lambda xi, eta: coef * plain_fn(np.asarray(xi, dtype=float),
                                               np.asarray(eta, dtype=float)),
     )
-
-
-def field_antiderivative_eta(
-    a: AnalyticField, xi: float, eta: float, gamma: float, n: int = 0,
-    tol: float = 1e-11,
-) -> float:
-    """``d_xi^n A(xi, eta)`` where ``A(xi, eta) = int_{-gamma}^eta a(xi, s) ds``."""
-    if eta > gamma + 1e-12:
-        raise ValueError("antiderivative requested above eta = gamma")
-    val, err = quad(
-        lambda s: float(a.dxi(xi, s, n)), -gamma, eta,
-        epsabs=tol, epsrel=tol, limit=200,
-    )
-    if err > 100 * max(tol, tol * abs(val)) + 1e-9:
-        raise RuntimeError(f"antiderivative quadrature error {err:.2e} too large")
-    return val
-
-
-def antiderivative_jet(a: AnalyticField, xi: float, eta, gamma: float,
-                       order: int, n_nodes: int = 32) -> Jet:
-    """Jet in xi of ``A(xi, eta)`` for an array of eta values (fixed Gauss)."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    t, w = gauss_nodes(n_nodes)
-    out = np.zeros((order + 1, eta.size))
-    for i, e in enumerate(eta):
-        mid, half = 0.5 * (e - gamma), 0.5 * (e + gamma)
-        nodes = mid + half * t
-        out[:, i] = half * (a.jet(xi, nodes, order).c * w).sum(axis=-1)
-    return Jet(out)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from localradon.transform import (
     Sinogram,
     check_moment_identity,
     check_transport_identity,
+    synthesize_sinogram,
 )
 from localradon.weights import (
     constant_weight,
@@ -270,3 +271,19 @@ def test_10_zero_data_soundness(phi12):
     prof, N = reconstruct_mean(g, phi12, EPS, GAMMA, consts)
     assert N == 0
     assert np.all(prof.values == 0.0)
+
+
+def test_11_end_to_end_generic_weight(f_main, phi12, fam_generic):
+    """Reconstruction under its bound with xi-dependent fields, where no
+    composition of the kernel recursion vanishes."""
+    a = field_from_spec("0.5*sin_xi")
+    b = field_from_spec("0.5*cos_eta")
+    m = weight_from_ab(a, b)
+    clean = synthesize_sinogram(f_main, m, np.linspace(-0.13, 0.13, 41),
+                                np.linspace(-0.35, 0.35, 57), tol=1e-10)
+    assert clean.failed is None
+    base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
+    cal = calibrate_constants(clean, phi12, EPS, GAMMA, 4, base,
+                              fam=fam_generic)
+    report = _sweep(clean, f_main, m, phi12, cal, "analytic", fam=fam_generic)
+    assert len(report.rows) == len(NOISE_LEVELS)

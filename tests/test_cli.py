@@ -6,6 +6,7 @@ import yaml
 
 from localradon.cli import (
     ConfigError,
+    _calibrated,
     _config_hash,
     build_constants,
     build_phantom,
@@ -16,7 +17,10 @@ from localradon.cli import (
     read_sinogram_csv,
     write_sinogram_csv,
 )
+from localradon.kernels import sjk_family
+from localradon.stability import WEIGHTED_K_MAX
 from localradon.transform import Sinogram
+from localradon.weights import field_from_spec, zero_field
 
 BASE_CONFIG = {
     "phantom": {"kind": "smooth_bump", "center": [0.0, 0.45], "width": 0.3},
@@ -122,6 +126,14 @@ def test_cli_reconstruct(tmp_path):
     res = manifest["results"]
     assert res["l2_error"] <= res["bound"]
     assert (out / "reconstruction.csv").exists()
+
+
+def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
+    # phi12 allows N = 12, but a weighted run may not pass WEIGHTED_K_MAX,
+    # so calibration may not extend the family beyond it either
+    fam = sjk_family(field_from_spec("one"), zero_field(), 0.3, 2, grid_n=24)
+    _calibrated({}, sino_weighted, f_main, phi12, 0.1, 0.3, fam, "analytic")
+    assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
 
 
 def test_cli_verify(tmp_path):

@@ -10,6 +10,8 @@ from localradon.kernels import (
     certified_constant,
     commutator_check,
     compose,
+    interpolation_matrix,
+    lobatto_grid,
     sjk_family,
     verify_kernel_bounds,
 )
@@ -62,6 +64,39 @@ def test_xi_field_family_closed_form():
     assert np.abs(fam[(2, 2)].values(xi)[tri]
                   - gap[tri] * base).max() < 1e-9
     assert np.abs(fam[(0, 2)].values(xi)).max() < 1e-11
+
+
+def test_families_exact_on_small_grid():
+    # the spectral composition is exact to rounding already at 24 points
+    fam = sjk_family(field_from_spec("xi"), zero_field(), GAMMA, 2,
+                     grid_n=24)
+    eta, gap, tri = lower_triangle(fam)
+    xi = 0.12
+    base = np.exp(-xi * gap[tri])
+    assert np.abs(fam[(1, 2)].values(xi)[tri]
+                  - 0.5 * gap[tri] ** 2 * base).max() < 1e-13
+    assert np.abs(fam[(2, 2)].values(xi)[tri]
+                  - gap[tri] * base).max() < 1e-13
+    # a = 2 sin(eta): A = 2 cos(gamma) - 2 cos(eta), so
+    # psi = exp(2 cos(eta) - 2 cos(eta')) and S_{k,k} = gap^(k-1)/(k-1)! psi
+    fam = sjk_family(field_from_spec("2*sin_eta"), zero_field(), GAMMA, 4,
+                     grid_n=24)
+    psi = np.exp(2 * np.cos(eta)[:, None] - 2 * np.cos(eta)[None, :])[tri]
+    for k in range(1, 5):
+        ref = gap[tri] ** (k - 1) / math.factorial(k - 1) * psi
+        assert np.abs(fam[(k, k)].values(xi)[tri] - ref).max() < 1e-13
+
+
+def test_lobatto_integration_matrix_exact_on_polynomials():
+    eta, C, _ = lobatto_grid(12, GAMMA)
+    assert eta[0] == -GAMMA and eta[-1] == GAMMA and np.all(np.diff(eta) > 0)
+    for d in range(12):
+        got = C @ eta ** d
+        ref = (eta ** (d + 1) - (-GAMMA) ** (d + 1)) / (d + 1)
+        assert np.abs(got - ref).max() < 1e-15
+    pts = np.array([-0.21, 0.0, 0.17])
+    assert np.abs(interpolation_matrix(eta, pts) @ eta ** 11
+                  - pts ** 11).max() < 1e-15
 
 
 def test_constant_b_family_closed_form():

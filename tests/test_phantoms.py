@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localradon.bumps import hormander_sequence
+from localradon.means import mean_profile
 from localradon.phantoms import (
     PhantomSpec,
     holder_seminorm_estimate,
@@ -78,6 +82,28 @@ def test_tabulated_roundtrip(f_main):
     dev = np.abs(np.asarray(tab(pts_x, pts_y))
                  - np.asarray(f_main(pts_x, pts_y))).max()
     assert dev < 2e-3
+
+
+def test_tabulated_scalar_call_and_mean_profile(f_main):
+    xs = np.linspace(-0.5, 0.7, 61)
+    ys = np.linspace(0.0, 1.0, 61)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    tab = tabulated_phantom(xs, ys, np.asarray(f_main(X, Y)),
+                            holder_bound=f_main.holder_bound)
+    v = tab(0.0, 0.5)
+    assert isinstance(v, float)
+    assert v == pytest.approx(float(f_main(0.0, 0.5)), abs=2e-2)
+    prof = mean_profile(tab, None, hormander_sequence(4), 0.1, 0.3,
+                        x_grid=np.linspace(-0.3, 0.3, 7))
+    assert np.all(np.isfinite(prof.values))
+    assert prof.values[3] == pytest.approx(float(tab(0.0, 0.3)), rel=1e-12)
+
+
+def test_cutoff_subnormal_gap_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = smooth_bump()(np.array([0.0]), np.array([5e-324]))
+    assert v.tolist() == [0.0]
 
 
 def test_oscillatory_scaling():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from localradon.weights import (
-    antiderivative_jet,
     attenuation_weight,
     constant_weight,
     corrected_weight,
@@ -82,17 +81,6 @@ def test_attenuation_weight_monotone(f_main):
     assert 0.0 < v1 <= v2 <= 1.0
     # no absorber left of the ray exit: weight is one
     assert m(5.0, 0.0, 0.45) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_antiderivative_jet_closed_form():
-    # A(xi, eta) = int_{-gamma}^eta xi ds = xi (eta + gamma)
-    a = field_from_spec("xi")
-    gamma = 0.3
-    eta = np.array([-0.1, 0.0, 0.2])
-    j = antiderivative_jet(a, 0.4, eta, gamma, order=3)
-    assert np.allclose(j.c[0], 0.4 * (eta + gamma), atol=1e-13)
-    assert np.allclose(j.c[1], eta + gamma, atol=1e-13)
-    assert np.allclose(j.c[2], 0.0, atol=1e-13)
 
 
 def test_corrected_weight(m_exp):
