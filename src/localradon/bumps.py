@@ -38,7 +38,7 @@ __all__ = [
     "verify_derivative_bounds",
 ]
 
-N_MAX_DEFAULT = 24
+N_MAX = 24
 
 
 def _cardinal_bspline(m: int) -> BSpline:
@@ -71,11 +71,21 @@ class TestFunction:
         v = self._eval(np.atleast_1d(x), k)
         return float(v[0]) if scalar else v
 
+    def panel_edges(self, scale: float = 1.0) -> np.ndarray:
+        """Quadrature panel edges on ``[-scale, scale]``: every knot
+        interval halved, or 32 equal panels for a bump without knots."""
+        if self.breakpoints is None:
+            return np.linspace(-scale, scale, 33)
+        bp = self.breakpoints
+        halves = [np.linspace(lo, hi, 3)[:-1]
+                  for lo, hi in zip(bp[:-1], bp[1:])]
+        return scale * np.append(np.concatenate(halves), bp[-1])
 
-def hormander_sequence(N: int, n_max: int = N_MAX_DEFAULT) -> TestFunction:
+
+def hormander_sequence(N: int) -> TestFunction:
     """Bump number N of the mollified-hat sequence, |d^k phi_N| <= C^(k+1) N^k."""
-    if not (1 <= N <= n_max):
-        raise ValueError(f"N must lie in [1, {n_max}]")
+    if not (1 <= N <= N_MAX):
+        raise ValueError(f"N must lie in [1, {N_MAX}]")
     m = N + 2
     a = 2.0 / m                     # box width; support = [-1, 1] exactly
     splines = {k: _cardinal_bspline(m - k) for k in range(N + 1)}
@@ -96,8 +106,7 @@ def hormander_sequence(N: int, n_max: int = N_MAX_DEFAULT) -> TestFunction:
     )
 
 
-def gevrey_bump(sigma: float, derivative_order_max: int = 20,
-                cauchy_nodes: int = 128) -> TestFunction:
+def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
     """Unit-mass Gevrey-sigma bump on [-1, 1]."""
     if sigma <= 1:
         raise ValueError("sigma must exceed 1")
@@ -110,7 +119,7 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20,
 
     mass, _ = quad(lambda x: float(raw(x).real), -1.0, 1.0,
                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    theta = 2 * np.pi * np.arange(cauchy_nodes) / cauchy_nodes
+    theta = 2 * np.pi * np.arange(128) / 128
     ring = np.exp(1j * theta)
 
     def evaluate(x, k):

@@ -41,6 +41,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .jets import Jet
+from .means import chebyshev_grid
 from .weights import AnalyticField
 
 __all__ = [
@@ -68,7 +69,7 @@ def lobatto_grid(n: int, gamma: float):
     cumulative-integration matrix, ``(C g)_i = int_{-gamma}^{eta_i} g``
     exactly for polynomials of degree below ``n``, and the inverse
     Chebyshev Vandermonde matrix of the points."""
-    x = np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / (n - 1))
+    x = chebyshev_grid(n)
     vinv = np.linalg.inv(chebvander(x, n - 1))
     # chebint: Chebyshev coefficients -> those of the antiderivative from -1
     C = gamma * chebvander(x, n) @ chebint(np.eye(n), lbnd=-1) @ vinv

@@ -20,6 +20,7 @@ __all__ = [
     "LegendreSeries",
     "legendre_poly",
     "legendre_poly_explicit",
+    "legendre_vandermonde",
     "normalized_legendre",
     "fl_coefficients",
     "moments_to_coefficients",
@@ -70,17 +71,29 @@ class LegendreSeries:
         return float(np.linalg.norm(self.coeffs))
 
 
+def legendre_vandermonde(N: int, x) -> np.ndarray:
+    """``V[..., n] = P_n(x)`` for n = 0..N by the three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    V = np.empty(x.shape + (N + 1,))
+    V[..., 0] = 1.0
+    if N >= 1:
+        V[..., 1] = x
+    for k in range(1, N):
+        V[..., k + 1] = ((2 * k + 1) * x * V[..., k] - k * V[..., k - 1]) \
+            / (k + 1)
+    return V
+
+
+def _norms(N: int) -> np.ndarray:
+    """``1/||P_n||_2 = sqrt((2n+1)/2)`` for n = 0..N."""
+    return np.sqrt((2 * np.arange(N + 1) + 1) / 2.0)
+
+
 def legendre_poly(n: int, x):
-    """``P_n(x)`` by the three-term recurrence."""
+    """``P_n(x)``."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.shape else float(p_prev)
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    p = legendre_vandermonde(n, x)[..., n]
     return p if p.shape else float(p)
 
 
@@ -99,29 +112,15 @@ def normalized_legendre(n: int, x):
     return legendre_poly(n, x) * math.sqrt((2 * n + 1) / 2.0)
 
 
-def fl_coefficients(g, N: int, n_nodes: int = 0) -> LegendreSeries:
+def fl_coefficients(g, N: int) -> LegendreSeries:
     """Fourier-Legendre coefficients of a callable by Gauss quadrature."""
-    if n_nodes == 0:
-        n_nodes = max(4 * N + 40, 160)
-    t, w = gauss_nodes(n_nodes)
+    t, w = gauss_nodes(max(4 * N + 40, 160))
     gv = np.asarray(g(t), dtype=float)
-    coeffs = np.empty(N + 1)
-    p_prev = np.ones_like(t)
-    p = t.copy()
-    for n in range(N + 1):
-        if n == 0:
-            pn = p_prev
-        elif n == 1:
-            pn = p
-        else:
-            p, p_prev = ((2 * (n - 1) + 1) * t * p - (n - 1) * p_prev) / n, p
-            pn = p
-        coeffs[n] = math.sqrt((2 * n + 1) / 2.0) * np.sum(w * gv * pn)
-    return LegendreSeries(coeffs)
+    return LegendreSeries(_norms(N) * ((w * gv) @ legendre_vandermonde(N, t)))
 
 
-def parseval_defect(g, series: LegendreSeries, n_nodes: int = 400) -> float:
-    t, w = gauss_nodes(n_nodes)
+def parseval_defect(g, series: LegendreSeries) -> float:
+    t, w = gauss_nodes(400)
     gv = np.asarray(g(t), dtype=float)
     return abs(float(np.sum(w * gv * gv)) - float(np.sum(series.coeffs**2)))
 
@@ -147,21 +146,10 @@ def moments_to_coefficients(m: MomentVector) -> LegendreSeries:
 
 
 def series_eval(coeffs, x):
-    """Evaluate ``sum_n a_n Pt_n(x)`` by the recurrence."""
+    """Evaluate ``sum_n a_n Pt_n(x)``."""
     coeffs = np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x, dtype=float)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for n in range(coeffs.size):
-        if n == 0:
-            pn = p_prev
-        elif n == 1:
-            pn = p
-        else:
-            p, p_prev = ((2 * (n - 1) + 1) * x * p - (n - 1) * p_prev) / n, p
-            pn = p
-        out += coeffs[n] * math.sqrt((2 * n + 1) / 2.0) * pn
+    N = coeffs.size - 1
+    out = legendre_vandermonde(N, x) @ (_norms(N) * coeffs)
     return out if out.shape else float(out)
 
 

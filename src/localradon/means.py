@@ -31,10 +31,9 @@ _ROW_BLOCK = 16
 
 
 def chebyshev_grid(n: int = 257) -> np.ndarray:
-    """Chebyshev-distributed points on [-1, 1], endpoints included, increasing."""
-    x = -np.cos(np.pi * np.arange(n) / (n - 1))
-    x[np.abs(x) < 1e-14] = 0.0
-    return x
+    """Chebyshev--Lobatto points on [-1, 1], increasing; the sine form is
+    exactly symmetric, with exact endpoints and an exact 0 for odd ``n``."""
+    return np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / (n - 1))
 
 
 def support_halfwidth(eps: float, gamma: float, c: float = 1.0) -> float:
@@ -67,8 +66,8 @@ class MeanProfile:
     def interpolant(self) -> CubicSpline:
         return CubicSpline(self.x, self.values)
 
-    def l2_norm(self, n_nodes: int = 200) -> float:
-        t, w = gauss_nodes(n_nodes)
+    def l2_norm(self) -> float:
+        t, w = gauss_nodes(200)
         sp = self.interpolant()
         return float(np.sqrt(np.sum(w * sp(t) ** 2)))
 
@@ -80,17 +79,12 @@ def mean_profile(
     eps: float,
     gamma: float,
     x_grid=None,
-    n_panels: int = 32,
-    nodes_per_panel: int = 14,
-    enforce_support: bool = True,
 ) -> MeanProfile:
     """Compute ``M_{eps,gamma}[f]`` (or ``M_{eps,gamma}[f m_gamma]``).
 
     For ``x != 0`` this is the y-integral of
     ``f(x, y) [m_gamma(x, y)] phi_{eps|x|}(gamma - y)`` over
     ``|y - gamma| <= eps|x|``; at ``x = 0`` the defining point value.
-    ``enforce_support=False`` skips the parabola precondition (useful for
-    contract tests on functions that ignore the support hypothesis).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -99,17 +93,8 @@ def mean_profile(
         x_grid = chebyshev_grid()
     x_grid = np.asarray(x_grid, dtype=float)
     mg = corrected_weight(m, gamma) if m is not None else None
-    t, w = gauss_nodes(nodes_per_panel)
-    # panel edges in test-function units; align with piecewise-poly knots
-    if phi.breakpoints is not None:
-        u_edges = []
-        bp = phi.breakpoints
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            u_edges.extend(np.linspace(lo, hi, 3)[:-1])
-        u_edges.append(bp[-1])
-        u_edges = np.asarray(u_edges)
-    else:
-        u_edges = np.linspace(-1.0, 1.0, n_panels + 1)
+    t, w = gauss_nodes(14)
+    u_edges = phi.panel_edges()
     values = np.empty(x_grid.size)
     at_zero = np.abs(x_grid) < 1e-13
     if np.any(at_zero):
@@ -141,11 +126,10 @@ def mean_profile(
         weighted=m is not None,
         test_function=f"{phi.kind}:{phi.param}",
     )
-    if enforce_support:
-        xmax = support_halfwidth(eps, gamma, f.support_constant)
-        outside = np.abs(x_grid) > xmax + 1e-12
-        if np.any(np.abs(values[outside]) > 1e-10):
-            raise AssertionError("mean leaks outside its support interval")
+    xmax = support_halfwidth(eps, gamma, f.support_constant)
+    outside = np.abs(x_grid) > xmax + 1e-12
+    if np.any(np.abs(values[outside]) > 1e-10):
+        raise AssertionError("mean leaks outside its support interval")
     return prof
 
 

@@ -19,11 +19,11 @@ from scipy.stats import linregress
 
 from .bumps import TestFunction
 from .kernels import BETA, KernelFamily, interpolation_matrix
-from .legendre import LegendreSeries, MomentVector, moments_to_coefficients
+from .legendre import MOMENT_MAP_N_CAP, MomentVector, moments_to_coefficients
 from .means import MeanProfile, chebyshev_grid, support_halfwidth
 from .phantoms import PhantomSpec
 from .transform import Sinogram, synthesize_sinogram
-from .weights import Weight, constant_weight, gauss_nodes
+from .weights import Weight, constant_weight, gauss_nodes, panel_rule
 
 __all__ = [
     "BoundConstants",
@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 H_FLOOR = 1e-14
-N_CEILING = 40
 WEIGHTED_K_MAX = 6
 
 
@@ -94,6 +93,10 @@ def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
     (trapezoid on the grid, endpoints interpolated)."""
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
+    if g.failed is not None and g.failed.any():
+        raise ValueError(
+            f"sinogram has {int(g.failed.sum())} failed quadrature cells"
+        )
     if g.xi[0] > -eps or g.xi[-1] < eps or g.eta[0] > -gamma or \
             g.eta[-1] < gamma:
         raise ValueError("rectangle [-eps,eps] x [-gamma,gamma] exceeds grid")
@@ -107,27 +110,15 @@ def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
     return best
 
 
-def _xi_quadrature(phi: TestFunction, eps: float, nodes_per_panel: int = 10):
-    """Gauss nodes/weights on [-eps, eps] aligned with phi's knots."""
-    t, w = gauss_nodes(nodes_per_panel)
-    if phi.breakpoints is not None:
-        edges = []
-        bp = phi.breakpoints
-        for lo, hi in zip(bp[:-1], bp[1:]):
-            edges.extend(np.linspace(lo, hi, 3)[:-1])
-        edges.append(bp[-1])
-        edges = eps * np.asarray(edges)
-    else:
-        edges = np.linspace(-eps, eps, 33)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * t)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _guard_xi_grid(g: Sinogram, phi: TestFunction, eps: float, N: int):
+def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
+                         gamma: float, N: int):
+    """The preconditions shared by both moment extractions."""
+    if N > phi.derivative_order_max:
+        raise ValueError("derivative order of the test function exceeded")
+    if gamma < eps * eps / 4.0 - 1e-12:
+        raise ValueError("gamma must be at least eps^2/4")
+    if g.eta[0] > -gamma or g.eta[-1] < gamma:
+        raise ValueError("sinogram eta grid does not cover [-gamma, gamma]")
     inside = np.abs(g.xi) <= eps + 1e-12
     if inside.sum() < 2:
         raise ValueError("sinogram xi grid does not resolve [-eps, eps]")
@@ -141,18 +132,6 @@ def _guard_xi_grid(g: Sinogram, phi: TestFunction, eps: float, N: int):
         )
 
 
-def _eta_quadrature(eta_lo: float, eta_hi: float, n_panels: int = 12,
-                    nodes_per_panel: int = 8):
-    t, w = gauss_nodes(nodes_per_panel)
-    edges = np.linspace(eta_lo, eta_hi, n_panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * t)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def moments_from_sinogram_unweighted(
     g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
 ) -> MomentVector:
@@ -163,16 +142,11 @@ def moments_from_sinogram_unweighted(
     ``m_k = (-1)^k iint (gamma - eta)^(k-1)/(k-1)! g(xi, eta)
     phi_eps^(k)(xi) deta dxi``.
     """
-    if N > phi.derivative_order_max:
-        raise ValueError("derivative order of the test function exceeded")
-    if gamma < eps * eps / 4.0 - 1e-12:
-        raise ValueError("gamma must be at least eps^2/4")
-    if g.eta[0] > -gamma or g.eta[-1] < gamma:
-        raise ValueError("sinogram eta grid does not cover [-gamma, gamma]")
-    _guard_xi_grid(g, phi, eps, N)
+    _check_moment_inputs(g, phi, eps, gamma, N)
     sp = g.interpolant()
-    xi_n, xi_w = _xi_quadrature(phi, eps)
-    eta_n, eta_w = _eta_quadrature(-gamma, gamma)
+    xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
+    eta_n, eta_w = (a.ravel()
+                    for a in panel_rule(np.linspace(-gamma, gamma, 13), 8))
     lattice = sp(xi_n, eta_n)                       # (n_xi, n_eta)
     moments = np.empty(N + 1)
     row_g = sp(xi_n, [gamma])[:, 0]
@@ -192,15 +166,14 @@ def moments_from_sinogram_weighted(
     """Weighted moments ``m_k = sum_j (-1)^j int (S_{j,k} g)(xi, gamma)
     d_xi^j phi_eps(xi) dxi``; degenerates to the unweighted formula when
     a = b = 0."""
-    if N > phi.derivative_order_max:
-        raise ValueError("derivative order of the test function exceeded")
+    _check_moment_inputs(g, phi, eps, gamma, N)
     if abs(fam.gamma - gamma) > 1e-12:
         raise ValueError("kernel family built for a different gamma")
-    _guard_xi_grid(g, phi, eps, N)
     sp = g.interpolant()
-    xi_n, xi_w = _xi_quadrature(phi, eps)
     eta = fam.p.eta
-    eta_n, eta_w = _eta_quadrature(eta[0], eta[-1])
+    xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
+    eta_n, eta_w = (a.ravel()
+                    for a in panel_rule(np.linspace(eta[0], eta[-1], 13), 8))
     to_nodes = interpolation_matrix(eta, eta_n).T
     gvals = sp(xi_n, eta_n)                         # (n_xi, n_eta)
     moments = np.empty(N + 1)
@@ -280,10 +253,10 @@ def slice_bound(H: float, consts: BoundConstants, mode: str = "analytic") -> flo
 
 
 def order_cap(phi: TestFunction, weighted: bool) -> int:
-    """Largest moment order the pipeline may use: ``N_CEILING``, the test
-    function's derivative order and, with a kernel family,
-    ``WEIGHTED_K_MAX``."""
-    cap = min(N_CEILING, phi.derivative_order_max)
+    """Largest moment order the pipeline may use: the moment map's
+    ``MOMENT_MAP_N_CAP``, the test function's derivative order and, with a
+    kernel family, ``WEIGHTED_K_MAX``."""
+    cap = min(MOMENT_MAP_N_CAP, phi.derivative_order_max)
     return min(cap, WEIGHTED_K_MAX) if weighted else cap
 
 
@@ -384,11 +357,11 @@ def moment_bound_audit(
     """Audit ``|m_k| <= (C/eps)^(k+1) env_k H`` with ``env_k = e^N``
     (analytic) or ``k!^s`` (gevrey); C is fitted as the smallest constant
     making every ratio at most one, and reported for reuse."""
+    H = max(data_norm(g, eps, gamma), H_FLOOR)
     if fam is not None:
         moments = moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N)
     else:
         moments = moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
-    H = max(data_norm(g, eps, gamma), H_FLOOR)
     ks = np.arange(N + 1)
     if mode == "analytic":
         env = np.full(N + 1, math.exp(N))

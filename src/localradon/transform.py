@@ -14,7 +14,13 @@ from scipy import integrate
 from scipy.interpolate import RectBivariateSpline
 
 from .phantoms import PhantomSpec
-from .weights import Weight, AnalyticField, constant_weight, gauss_nodes
+from .weights import (
+    AnalyticField,
+    Weight,
+    constant_weight,
+    gauss_nodes,
+    panel_rule,
+)
 
 __all__ = [
     "QuadratureError",
@@ -59,10 +65,11 @@ class Sinogram:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sinogram contains non-finite values")
 
-    def interpolant(self, kx: int = 3, ky: int = 3) -> RectBivariateSpline:
-        kx = min(kx, len(self.xi) - 1)
-        ky = min(ky, len(self.eta) - 1)
-        return RectBivariateSpline(self.xi, self.eta, self.values, kx=kx, ky=ky)
+    def interpolant(self) -> RectBivariateSpline:
+        """Bicubic spline (lower degree along an axis of fewer points)."""
+        return RectBivariateSpline(self.xi, self.eta, self.values,
+                                   kx=min(3, len(self.xi) - 1),
+                                   ky=min(3, len(self.eta) - 1))
 
     def row(self, eta_value: float) -> np.ndarray:
         """Values ``g(xi_grid, eta_value)`` by spline interpolation."""
@@ -94,7 +101,7 @@ def _chords(f: PhantomSpec, xi, eta):
             np.minimum((xi + root) / (2.0 * c), ext))
 
 
-def _panel_rule(integrand, a, b, line):
+def _embedded_panels(integrand, a, b, line):
     """Values and error estimates of the panels ``[a, b]`` of lines
     ``line``, evaluating ``integrand`` on the nodes of _PANEL_BLOCK panels
     at a time to bound the memory of the weight's own quadrature."""
@@ -146,7 +153,7 @@ def _line_integrals(f: PhantomSpec, m: Weight, k: int, xi, eta, tol: float):
     length = (hi - lo)[line]
     a = lo[line] + length * j / _START_PANELS
     b = lo[line] + length * (j + 1) / _START_PANELS
-    val, est = _panel_rule(integrand, a, b, line)
+    val, est = _embedded_panels(integrand, a, b, line)
     while True:
         total = np.bincount(line, val, n)
         error = np.bincount(line, est, n)
@@ -170,7 +177,8 @@ def _line_integrals(f: PhantomSpec, m: Weight, k: int, xi, eta, tol: float):
         new_a = np.concatenate([a[split], mid[split]])
         new_b = np.concatenate([mid[split], b[split]])
         new_line = np.tile(line[split], 2)
-        new_val, new_est = _panel_rule(integrand, new_a, new_b, new_line)
+        new_val, new_est = _embedded_panels(integrand, new_a, new_b,
+                                            new_line)
         line = np.concatenate([line[rest], new_line])
         a = np.concatenate([a[rest], new_a])
         b = np.concatenate([b[rest], new_b])
@@ -231,8 +239,7 @@ def synthesize_sinogram(
     )
 
 
-def dual_radon(g: Sinogram, m: Weight, x: float, y: float,
-               n_nodes: int = 64) -> float:
+def dual_radon(g: Sinogram, m: Weight, x: float, y: float) -> float:
     """``int g(xi, y - xi x) m(x, xi, y - xi x) dxi`` over the grid's xi window."""
     xi_lo, xi_hi = g.xi[0], g.xi[-1]
     eta_need_lo = min(y - xi_lo * x, y - xi_hi * x)
@@ -240,22 +247,20 @@ def dual_radon(g: Sinogram, m: Weight, x: float, y: float,
     if eta_need_lo < g.eta[0] - 1e-12 or eta_need_hi > g.eta[-1] + 1e-12:
         raise ValueError("integration window leaves the sinogram grid")
     sp = g.interpolant()
-    t, w = gauss_nodes(n_nodes)
-    mid, half = 0.5 * (xi_lo + xi_hi), 0.5 * (xi_hi - xi_lo)
-    xis = mid + half * t
+    xis, w = panel_rule([xi_lo, xi_hi], 64)
     etas = y - xis * x
     gv = sp(xis, etas, grid=False)
     mv = m(x, xis, etas)
-    return float(half * np.sum(w * gv * mv))
+    return float(np.sum(w * gv * mv))
 
 
 def check_adjoint(f: PhantomSpec, m: Weight, phi_xi, phi_eta,
                   xi_window, eta_window, n_nodes: int = 48) -> float:
     """Residual ``|<R_m f, phi> - <f, R_m* phi>|`` for separable phi."""
-    t, w = gauss_nodes(n_nodes)
 
     def window(lo, hi):
-        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
+        nodes, weights = panel_rule([lo, hi], n_nodes)
+        return nodes[0], weights[0]
 
     xis, wx = window(*xi_window)
     etas, we = window(*eta_window)
@@ -280,24 +285,17 @@ def check_adjoint(f: PhantomSpec, m: Weight, phi_xi, phi_eta,
     return abs(lhs - rhs)
 
 
-def heaviside_convolution(g: Sinogram, k: int, xi: float, eta: float,
-                          nodes_per_panel: int = 6) -> float:
+def heaviside_convolution(g: Sinogram, k: int, xi: float, eta: float) -> float:
     """``int_{eta_min}^{eta} (eta - s)^(k-1)/(k-1)! * g(xi, s) ds`` on the grid."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if eta < g.eta[0] - 1e-12 or eta > g.eta[-1] + 1e-12:
         raise ValueError("eta outside the sinogram grid")
     sp = g.interpolant()
-    t, w = gauss_nodes(nodes_per_panel)
+    s, w = panel_rule(np.append(g.eta[g.eta < eta], eta), 6)
+    gv = sp(np.full_like(s, xi), s, grid=False)
     fact = math.factorial(k - 1)
-    total = 0.0
-    edges = np.append(g.eta[g.eta < eta], eta)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s = mid + half * t
-        gv = sp(np.full_like(s, xi), s, grid=False)
-        total += half * np.sum(w * (eta - s) ** (k - 1) / fact * gv)
-    return float(total)
+    return float(np.sum(w * (eta - s) ** (k - 1) / fact * gv))
 
 
 def fd_weights(k: int, n_points: int, h: float):

@@ -31,6 +31,7 @@ __all__ = [
     "corrected_weight",
     "field_from_spec",
     "zero_field",
+    "panel_rule",
 ]
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -40,6 +41,17 @@ def gauss_nodes(n: int):
     if n not in _GAUSS_CACHE:
         _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GAUSS_CACHE[n]
+
+
+def panel_rule(edges, n: int):
+    """``(nodes, weights)`` of the ``n``-point Gauss rule on every panel
+    between consecutive ``edges`` (along the last axis); both have shape
+    ``(..., panels, n)``."""
+    t, w = gauss_nodes(n)
+    edges = np.asarray(edges, dtype=float)[..., None]
+    lo, hi = edges[..., :-1, :], edges[..., 1:, :]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * t, half * w
 
 
 @dataclass
@@ -163,7 +175,6 @@ class Weight:
     m0: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
     mu: object = None
     level: float = 1.0
-    quad_nodes: int = 24
     label: str = field(default="")
 
     def __call__(self, x, xi, eta):
@@ -184,7 +195,7 @@ class Weight:
     def _from_ab(self, x, xi, eta):
         # m = m0(x, eta + x xi) * exp(int_0^xi [x a(s, eta + x(xi - s))
         #                                        + b(s, eta + x(xi - s))] ds)
-        t, w = gauss_nodes(self.quad_nodes)
+        t, w = gauss_nodes(24)
         flat_x, flat_xi, flat_eta = (v.ravel() for v in (x, xi, eta))
         # nodes s along [0, xi] for every point at once
         s = 0.5 * flat_xi[:, None] * (1.0 + t[None, :])

@@ -113,3 +113,13 @@ def test_dilated_derivative_scaling(phi12):
     x = 0.07
     assert float(g1(x)) == pytest.approx(
         float(phi12.derivative_values(x / s, 1)) / s**2, rel=1e-12)
+
+
+def test_panel_edges_contain_every_knot():
+    phi = hormander_sequence(8)
+    edges = phi.panel_edges()
+    assert np.all(np.isin(phi.breakpoints, edges))
+    assert edges.size == 2 * phi.breakpoints.size - 1
+    assert np.all(np.diff(edges) > 0)
+    assert np.array_equal(gevrey_bump(2.0).panel_edges(0.1),
+                          np.linspace(-0.1, 0.1, 33))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legvander
 from scipy.integrate import quad
 
 from localradon.legendre import (
@@ -14,6 +15,7 @@ from localradon.legendre import (
     fl_coefficients,
     legendre_poly,
     legendre_poly_explicit,
+    legendre_vandermonde,
     moments_to_coefficients,
     normalized_legendre,
     normalized_sup_bound,
@@ -140,3 +142,12 @@ def test_moment_vector_validation():
 @settings(max_examples=60, deadline=None)
 def test_legendre_bounded_by_one(n, x):
     assert abs(legendre_poly(n, x)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 40])
+def test_legendre_vandermonde_matches_numpy(N):
+    x = np.linspace(-1.0, 1.0, 201)
+    V = legendre_vandermonde(N, x)
+    assert np.allclose(V, legvander(x, N), rtol=0.0, atol=1e-13)
+    assert np.array_equal(legendre_vandermonde(N, x.reshape(3, 67)),
+                          V.reshape(3, 67, N + 1))

@@ -23,6 +23,12 @@ def test_chebyshev_grid_shape():
     assert 0.0 in x
 
 
+@pytest.mark.parametrize("n", [24, 41, 96, 257])
+def test_chebyshev_grid_exactly_symmetric(n):
+    x = chebyshev_grid(n)
+    assert np.array_equal(x, -x[::-1])
+
+
 def test_support_halfwidth_solves_quadratic():
     x = support_halfwidth(EPS, GAMMA, 1.0)
     assert x * x == pytest.approx(EPS * x + GAMMA, rel=1e-13)

@@ -232,3 +232,24 @@ def test_counterexample_decay(f_main):
     # function norm halves, data norm collapses much faster
     assert rows[1]["f_norm"] == pytest.approx(rows[0]["f_norm"] / 2, rel=0.1)
     assert slopes[0] < -2.0
+
+
+def test_weighted_moments_check_eta_coverage_and_gamma(sino_weighted,
+                                                       fam_exp, phi8):
+    keep = sino_weighted.eta >= -0.10 - 1e-12
+    cut = Sinogram(xi=sino_weighted.xi, eta=sino_weighted.eta[keep],
+                   values=sino_weighted.values[:, keep])
+    with pytest.raises(ValueError, match="eta grid does not cover"):
+        moments_from_sinogram_weighted(cut, fam_exp, phi8, EPS, GAMMA, 4)
+    with pytest.raises(ValueError, match="eps\\^2/4"):
+        moments_from_sinogram_weighted(sino_weighted, fam_exp, phi8, EPS,
+                                       0.001, 4)
+
+
+def test_reconstruct_refuses_failed_cells(sino_clean, phi12):
+    g = with_noise(sino_clean, 0.0, 0)
+    g.failed = np.zeros(g.values.shape, dtype=bool)
+    g.failed[3, 5] = True
+    consts = BoundConstants(c0=16.0, alpha=1.0)
+    with pytest.raises(ValueError, match="1 failed"):
+        reconstruct_mean(g, phi12, EPS, GAMMA, consts)

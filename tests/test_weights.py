@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from localradon.weights import (
     attenuation_weight,
     constant_weight,
     corrected_weight,
     field_from_spec,
+    panel_rule,
     pde_residual,
     weight_from_ab,
     zero_field,
@@ -97,3 +101,30 @@ def test_weight_broadcasts(m_exp):
     out = m_exp(x, 0.1, 0.2)
     assert out.shape == (7,)
     assert np.allclose(out, np.exp(0.1 * x), rtol=1e-12)
+
+
+@st.composite
+def edge_rows(draw):
+    """1 to 3 rows of 2 to 6 strictly increasing edges in [-1, 1]."""
+    n_edges = draw(st.integers(min_value=2, max_value=6))
+    point = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    rows = draw(st.lists(
+        st.lists(point, min_size=n_edges, max_size=n_edges, unique=True),
+        min_size=1, max_size=3))
+    return np.sort(np.array(rows), axis=1)
+
+
+@given(edges=edge_rows(), n=st.integers(min_value=1, max_value=10),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_panel_rule_exact_on_polynomials(edges, n, seed):
+    # degree 2n - 1: the highest an n-point Gauss rule integrates exactly
+    p = Polynomial(np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * n))
+    P = p.integ()
+    exact = P(edges[:, -1]) - P(edges[:, 0])
+    for e, want in ((edges[0], exact[0]), (edges, exact)):
+        nodes, weights = panel_rule(e, n)
+        shape = e.shape[:-1] + (e.shape[-1] - 1, n)
+        assert nodes.shape == weights.shape == shape
+        got = np.sum(weights * p(nodes), axis=(-2, -1))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
