@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ Config file keys (YAML):
   eps, gamma, eps0, mode (analytic | gevrey)
   noise_levels:   list of Gaussian sigmas
   seed:           integer (overridable with --seed)
-  constants:      alpha, c0, a0, c_env, sigma, rho (all optional; c0/alpha
+  constants:      alpha, c0, a0, c_env, sigma (all optional; c0/alpha
                   default to the phantom's Hölder data; c_env is
                   calibrated when absent)
   kernels:        k_max, grid_n (number of Chebyshev-Lobatto points of
@@ -79,6 +79,16 @@ def _need(cfg: dict, key: str, ctx: str = ""):
     return cfg[key]
 
 
+@contextmanager
+def _config_key(key: str):
+    """Report a builder's ValueError or TypeError as a config error that
+    names ``key``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -95,22 +105,23 @@ def load_config(path: str) -> dict:
 def build_phantom(cfg: dict):
     spec = _need(cfg, "phantom")
     kind = _need(spec, "kind", "phantom.")
-    common = dict(
-        center=tuple(spec.get("center", (0.0, 0.5))),
-        width=spec.get("width", 0.3),
-        amplitude=spec.get("amplitude", 1.0),
-        support_constant=spec.get("support_constant", 1.0),
-    )
-    if kind == "smooth_bump":
-        return smooth_bump(**common)
-    if kind == "polynomial_times_bump":
-        coeffs = np.asarray(_need(spec, "poly_coeffs", "phantom."))
-        return polynomial_times_bump(coeffs, **common)
-    if kind == "tabulated":
-        xs, ys, vals, _ = read_grid_csv(_need(spec, "path", "phantom."))
-        return tabulated_phantom(
-            xs, ys, vals, support_constant=common["support_constant"]
+    with _config_key("phantom"):
+        common = dict(
+            center=tuple(spec.get("center", (0.0, 0.5))),
+            width=spec.get("width", 0.3),
+            amplitude=spec.get("amplitude", 1.0),
+            support_constant=spec.get("support_constant", 1.0),
         )
+        if kind == "smooth_bump":
+            return smooth_bump(**common)
+        if kind == "polynomial_times_bump":
+            coeffs = np.asarray(_need(spec, "poly_coeffs", "phantom."))
+            return polynomial_times_bump(coeffs, **common)
+        if kind == "tabulated":
+            xs, ys, vals, _ = read_grid_csv(_need(spec, "path", "phantom."))
+            return tabulated_phantom(
+                xs, ys, vals, support_constant=common["support_constant"]
+            )
     raise ConfigError(f"unknown phantom.kind: {kind}")
 
 
@@ -118,49 +129,65 @@ def build_weight(cfg: dict):
     spec = cfg.get("weight", {"kind": "constant"})
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return constant_weight(spec.get("level", 1.0)), None, None
+        with _config_key("weight.level"):
+            return constant_weight(spec.get("level", 1.0))
     if kind == "from_ab":
-        a = field_from_spec(spec.get("a", "zero"))
-        b = field_from_spec(spec.get("b", "zero"))
-        return weight_from_ab(a, b), a, b
+        with _config_key("weight.a"):
+            a = field_from_spec(spec.get("a", "zero"))
+        with _config_key("weight.b"):
+            b = field_from_spec(spec.get("b", "zero"))
+        return weight_from_ab(a, b)
     if kind == "attenuation":
         mu_cfg = dict(cfg)
         mu_cfg["phantom"] = _need(spec, "mu", "weight.")
-        return attenuation_weight(build_phantom(mu_cfg)), None, None
+        return attenuation_weight(build_phantom(mu_cfg))
     raise ConfigError(f"unknown weight.kind: {kind}")
 
 
 def build_test_function(cfg: dict):
     spec = cfg.get("test_function", {"kind": "hormander", "param": 12})
     kind = spec.get("kind", "hormander")
-    if kind == "hormander":
-        return hormander_sequence(int(spec.get("param", 12)))
-    if kind == "gevrey":
-        return gevrey_bump(float(spec.get("param", 2.0)),
-                           derivative_order_max=int(spec.get("k_max", 14)))
+    with _config_key("test_function.param"):
+        if kind == "hormander":
+            return hormander_sequence(int(spec.get("param", 12)))
+        if kind == "gevrey":
+            return gevrey_bump(float(spec.get("param", 2.0)),
+                               derivative_order_max=int(spec.get("k_max", 14)))
     raise ConfigError(f"unknown test_function.kind: {kind}")
 
 
 def build_grids(cfg: dict):
     grid = _need(cfg, "grid")
-    try:
-        xlo, xhi, xn = _need(grid, "xi", "grid.")
-        elo, ehi, en = _need(grid, "eta", "grid.")
-    except (TypeError, ValueError):
-        raise ConfigError("grid.xi / grid.eta must be [min, max, n]")
-    return np.linspace(xlo, xhi, int(xn)), np.linspace(elo, ehi, int(en))
+    axes = []
+    for name in ("xi", "eta"):
+        try:
+            lo, hi, n = _need(grid, name, "grid.")
+            if not float(n).is_integer():
+                raise ValueError
+            axes.append(np.linspace(lo, hi, int(n)))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"grid.{name} must be [min, max, n] with an integer n")
+    return tuple(axes)
+
+
+def build_mode(cfg: dict) -> str:
+    mode = cfg.get("mode", "analytic")
+    if mode not in ("analytic", "gevrey"):
+        raise ConfigError(f"mode must be analytic or gevrey, not {mode!r}")
+    return mode
 
 
 def build_constants(cfg: dict, phantom) -> BoundConstants:
     spec = cfg.get("constants", {})
-    return BoundConstants(
-        c0=spec.get("c0", phantom.holder_bound),
-        alpha=spec.get("alpha", phantom.holder_alpha),
-        a0=spec.get("a0", 3.0),
-        c_env=spec.get("c_env", 2.0),
-        sigma=spec.get("sigma"),
-        rho=spec.get("rho"),
-    )
+    with _config_key("constants"):
+        return BoundConstants(
+            c0=spec.get("c0", phantom.holder_bound),
+            alpha=spec.get("alpha", phantom.holder_alpha),
+            a0=spec.get("a0", 3.0),
+            c_env=spec.get("c_env", 2.0),
+            sigma=spec.get("sigma"),
+        )
 
 
 def write_sinogram_csv(path, g: Sinogram):
@@ -169,6 +196,9 @@ def write_sinogram_csv(path, g: Sinogram):
         fh.write(f"# eta: {g.eta[0]:.17g} {g.eta[-1]:.17g} {g.eta.size}\n")
         fh.write(f"# noise_sigma: {g.noise_sigma:.17g}\n")
         fh.write(f"# seed: {g.provenance.get('seed', 0)}\n")
+        if g.failed is not None and g.failed.any():
+            cells = " ".join(f"{i},{j}" for i, j in np.argwhere(g.failed))
+            fh.write(f"# failed: {cells}\n")
         for row in g.values:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -208,8 +238,14 @@ def read_sinogram_csv(path) -> Sinogram:
     xi, eta, values, header = read_grid_csv(path)
     sigma = float(header.get("noise_sigma", ["0"])[0])
     seed = int(header.get("seed", ["0"])[0])
+    failed = None
+    if "failed" in header:
+        cells = np.array([c.split(",") for c in header["failed"]], dtype=int)
+        failed = np.zeros(values.shape, dtype=bool)
+        failed[cells[:, 0], cells[:, 1]] = True
     return Sinogram(xi=xi, eta=eta, values=values, noise_sigma=sigma,
-                    provenance={"seed": seed, "source": str(path)})
+                    provenance={"seed": seed, "source": str(path)},
+                    failed=failed)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -251,25 +287,26 @@ def _write_rows_csv(path, fieldnames, rows):
 
 def _sinogram_from_config(cfg, seed):
     f = build_phantom(cfg)
-    m, a, b = build_weight(cfg)
+    m = build_weight(cfg)
     xi, eta = build_grids(cfg)
     sigma = cfg.get("noise_sigma", 0.0)
     tol = cfg.get("tolerance", 1e-9)
     g = synthesize_sinogram(f, m, xi, eta, noise_sigma=sigma, seed=seed,
                             tol=tol)
-    return f, m, a, b, g
+    return f, m, g
 
 
-def _family_from_config(cfg, a, b, gamma):
-    if a is None:
+def _family_from_config(cfg, m, gamma):
+    """The ``S_{j,k}`` family of a ``from_ab`` weight; None for the others."""
+    if m.a is None:
         return None
     kspec = cfg.get("kernels", {})
-    return sjk_family(a, b, gamma, int(kspec.get("k_max", 4)),
+    return sjk_family(m.a, m.b, gamma, int(kspec.get("k_max", 4)),
                       grid_n=int(kspec.get("grid_n", 96)))
 
 
 def cmd_sinogram(cfg, out, seed, quiet):
-    _, _, _, _, g = _sinogram_from_config(cfg, seed)
+    _, _, g = _sinogram_from_config(cfg, seed)
     path = out / "sinogram.csv"
     write_sinogram_csv(path, g)
     if not quiet:
@@ -287,12 +324,12 @@ def _calibrated(cfg, g, f, phi, eps, gamma, fam, mode):
 
 
 def cmd_reconstruct(cfg, out, seed, quiet):
-    f, m, a, b, g = _sinogram_from_config(cfg, seed)
+    f, m, g = _sinogram_from_config(cfg, seed)
     eps = _need(cfg, "eps")
     gamma = _need(cfg, "gamma")
-    mode = cfg.get("mode", "analytic")
+    mode = build_mode(cfg)
     phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, a, b, gamma)
+    fam = _family_from_config(cfg, m, gamma)
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
     prof, N = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode, fam=fam)
     true = mean_profile(f, m if fam is not None else None, phi, eps, gamma,
@@ -315,12 +352,12 @@ def cmd_reconstruct(cfg, out, seed, quiet):
 
 
 def cmd_slice(cfg, out, seed, quiet):
-    f, m, a, b, g = _sinogram_from_config(cfg, seed)
+    f, m, g = _sinogram_from_config(cfg, seed)
     gamma = _need(cfg, "gamma")
     eps0 = _need(cfg, "eps0")
-    mode = cfg.get("mode", "analytic")
+    mode = build_mode(cfg)
     phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, a, b, gamma)
+    fam = _family_from_config(cfg, m, gamma)
     consts = _calibrated(cfg, g, f, phi, min(eps0, 0.5 * eps0 + 0.05),
                          gamma, fam, mode)
     res = reconstruct_slice(g, phi, gamma, consts, eps0, mode=mode, fam=fam)
@@ -336,13 +373,13 @@ def cmd_slice(cfg, out, seed, quiet):
 
 
 def cmd_sweep(cfg, out, seed, quiet):
-    f, m, a, b, g = _sinogram_from_config(cfg, seed)
+    f, m, g = _sinogram_from_config(cfg, seed)
     eps = _need(cfg, "eps")
     gamma = _need(cfg, "gamma")
-    mode = cfg.get("mode", "analytic")
+    mode = build_mode(cfg)
     levels = _need(cfg, "noise_levels")
     phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, a, b, gamma)
+    fam = _family_from_config(cfg, m, gamma)
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
     true = mean_profile(f, m if fam is not None else None, phi, eps, gamma)
     report = stability_curve(g, true, phi, levels, eps, gamma, consts,
@@ -381,13 +418,11 @@ def cmd_counterexample(cfg, out, seed, quiet):
 
 
 def cmd_kernels(cfg, out, seed, quiet):
-    m, a, b = build_weight(cfg)
-    if a is None:
-        a, b = zero_field(), zero_field()
-    gamma = _need(cfg, "gamma")
-    kspec = cfg.get("kernels", {})
-    k_max = int(kspec.get("k_max", 4))
-    fam = sjk_family(a, b, gamma, k_max, grid_n=int(kspec.get("grid_n", 96)))
+    m = build_weight(cfg)
+    if m.a is None:
+        m = weight_from_ab(zero_field(), zero_field())
+    fam = _family_from_config(cfg, m, _need(cfg, "gamma"))
+    k_max = int(cfg.get("kernels", {}).get("k_max", 4))
     rep = verify_kernel_bounds(fam, cfg.get("eps", 0.1) / 2.0, k_max)
     path = out / "kernels.csv"
     rows = [{"j": j, "k": k, "ratio": r} for (j, k), r in
@@ -403,7 +438,7 @@ def cmd_kernels(cfg, out, seed, quiet):
 def cmd_verify(cfg, out, seed, quiet):
     """Small invariant suite over the configured corpus."""
     results = {}
-    f, m, a, b, g = _sinogram_from_config(cfg, seed)
+    f, m, g = _sinogram_from_config(cfg, seed)
     eps = cfg.get("eps", 0.1)
     gamma = cfg.get("gamma", 0.3)
     phi = build_test_function(cfg)
@@ -413,15 +448,15 @@ def cmd_verify(cfg, out, seed, quiet):
     results["bump_ratio_max"] = float(rep.ratios.max())
 
     # transport identity (weighted case only)
-    if a is not None:
+    if m.a is not None:
         pts = [(0.02, 0.1), (-0.03, 0.2), (0.0, 0.25)]
         results["transport_residual"] = check_transport_identity(
-            f, m, a, b, pts)
+            f, m, m.a, m.b, pts)
 
     # moment oracle at k = 0..2
     from .stability import moments_from_sinogram_unweighted
     from .weights import gauss_nodes
-    if a is None:
+    if m.a is None:
         mom = moments_from_sinogram_unweighted(g, phi, eps, gamma, 2)
         prof = mean_profile(f, None, phi, eps, gamma)
         sp = prof.interpolant()

@@ -99,7 +99,6 @@ class KernelJet:
 
     eta: np.ndarray                 # shape (n,)
     coeffs: np.ndarray              # shape (order + 1, n, n)
-    label: str = ""
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
@@ -111,8 +110,8 @@ class KernelJet:
     def order(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
     def deriv_xi(self) -> "KernelJet":
         """Exact xi-derivative; the truncation order drops by one."""
@@ -121,7 +120,7 @@ class KernelJet:
         else:
             n = np.arange(1, self.order + 1)[:, None, None]
             c = self.coeffs[1:] * n
-        return KernelJet(self.eta, c, label=f"d_xi {self.label}")
+        return KernelJet(self.eta, c)
 
     def values(self, xi: float) -> np.ndarray:
         """Kernel matrix ``s(xi, eta_i, eta'_j)`` by Horner evaluation."""
@@ -145,13 +144,10 @@ class KernelJet:
     def __sub__(self, other):
         return self._binary(other, -1.0)
 
-    def __neg__(self):
-        return KernelJet(self.eta, -self.coeffs, label=self.label)
-
 
 def _zero_like(k: KernelJet, order: int) -> KernelJet:
     n = k.eta.size
-    return KernelJet(k.eta, np.zeros((order + 1, n, n)), label="0")
+    return KernelJet(k.eta, np.zeros((order + 1, n, n)))
 
 
 def compose(S: KernelJet, T: KernelJet) -> KernelJet:
@@ -174,8 +170,7 @@ def compose(S: KernelJet, T: KernelJet) -> KernelJet:
     out = np.zeros((order + 1,) + C.shape)
     for ds, s in enumerate(S.coeffs[: order + 1]):
         out[ds:] += (C * s) @ ts[: order + 1 - ds] - s @ ct[: order + 1 - ds]
-    label = f"({S.label})({T.label})" if S.label and T.label else ""
-    return KernelJet(S.eta, out, label=label)
+    return KernelJet(S.eta, out)
 
 
 def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
@@ -188,9 +183,9 @@ def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
     A = a.jet(0.0, eta, order).c @ C.T                     # (order+1, n)
     expo = Jet(A[:, None, :] - A[:, :, None])              # A(eta'_j) - A(eta_i)
     psi = expo.exp()
-    p = KernelJet(eta, psi.c, label="P")
+    p = KernelJet(eta, psi.c)
     bj = b.jet(0.0, eta, order)
-    q = KernelJet(eta, (psi * Jet(-bj.c[:, None, :])).c, label="Q")
+    q = KernelJet(eta, (psi * Jet(-bj.c[:, None, :])).c)
     return p, q
 
 
@@ -231,24 +226,20 @@ class KernelFamily:
                 new = compose(s, self.q) - compose(s.deriv_xi(), self.p)
                 if j >= 1:
                     new = new + compose(self.kernels[(j - 1, k)], self.p)
-                new.label = f"S({j},{k + 1})"
                 self.kernels[(j, k + 1)] = new
-            top = compose(self.kernels[(k, k)], self.p)
-            top.label = f"S({k + 1},{k + 1})"
-            self.kernels[(k + 1, k + 1)] = top
+            self.kernels[(k + 1, k + 1)] = compose(self.kernels[(k, k)],
+                                                   self.p)
             k += 1
 
 
 def sjk_family(a: AnalyticField, b: AnalyticField, gamma: float,
-               k_max: int, base_order: int = 0, grid_n: int = 96) -> KernelFamily:
+               k_max: int, grid_n: int = 96) -> KernelFamily:
     """Build all ``S_{j,k}`` with ``k <= k_max``.
 
-    The base jet order leaves at least eight usable Taylor terms after
-    the recursion spends one order per level.
+    The base jet order ``k_max + 8`` leaves at least eight usable Taylor
+    terms after the recursion spends one order per level.
     """
-    if base_order == 0:
-        base_order = k_max + 8
-    fam = KernelFamily(a=a, b=b, gamma=gamma, base_order=base_order,
+    fam = KernelFamily(a=a, b=b, gamma=gamma, base_order=k_max + 8,
                        grid_n=grid_n)
     fam._extend_to(max(k_max, 1))
     return fam
@@ -286,12 +277,12 @@ def certified_constant(p: KernelJet, q: KernelJet) -> float:
     return C
 
 
-def verify_kernel_bounds(fam: KernelFamily, xi: float, k_max: int,
-                         C: float = 0.0, beta: float = BETA) -> KernelBoundReport:
+def verify_kernel_bounds(fam: KernelFamily, xi: float,
+                         k_max: int) -> KernelBoundReport:
     """Check ``|s_{j,k}| <= (beta C)^(2k-j) (k-j)! (eta-eta')^(k-1)/(k-1)!``
-    on the strict lower triangle of the grid at one xi."""
-    if C <= 0:
-        C = certified_constant(fam.p, fam.q)
+    on the strict lower triangle of the grid at one xi, with ``beta = BETA``
+    and C the certified constant of the base kernels."""
+    C = certified_constant(fam.p, fam.q)
     eta = fam.p.eta
     gap = eta[:, None] - eta[None, :]
     tri = gap > 0
@@ -300,12 +291,12 @@ def verify_kernel_bounds(fam: KernelFamily, xi: float, k_max: int,
     for k in range(1, k_max + 1):
         for j in range(k + 1):
             vals = np.abs(fam[(j, k)].values(xi))
-            den = (beta * C) ** (2 * k - j) * math.factorial(k - j) \
+            den = (BETA * C) ** (2 * k - j) * math.factorial(k - j) \
                 * gap[tri] ** (k - 1) / math.factorial(k - 1)
             r = float((vals[tri] / den).max())
             ratios[(j, k)] = r
             worst = max(worst, r)
-    return KernelBoundReport(constant=C, beta=beta, ratios=ratios, worst=worst)
+    return KernelBoundReport(constant=C, beta=BETA, ratios=ratios, worst=worst)
 
 
 def commutator_check(a: AnalyticField, b: AnalyticField, g, points,

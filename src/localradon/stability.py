@@ -10,20 +10,19 @@ functions (unweighted case) or are traded for Volterra kernel applications
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.stats import linregress
 
 from .bumps import TestFunction
-from .kernels import BETA, KernelFamily, interpolation_matrix
+from .kernels import KernelFamily, interpolation_matrix
 from .legendre import MOMENT_MAP_N_CAP, MomentVector, moments_to_coefficients
 from .means import MeanProfile, chebyshev_grid, support_halfwidth
 from .phantoms import PhantomSpec
 from .transform import Sinogram, synthesize_sinogram
-from .weights import Weight, constant_weight, gauss_nodes, panel_rule
+from .weights import constant_weight, panel_rule
 
 __all__ = [
     "BoundConstants",
@@ -58,24 +57,19 @@ class BoundConstants:
 
     ``c0``/``alpha`` are the phantom's Hölder data, ``a0`` the Jackson
     constant, ``c_env`` the envelope constant C in the moment bound
-    (fitted on calibration runs, then frozen), ``sigma`` the Gevrey index
-    of the weight fields when applicable, ``rho`` the sup-estimate
-    exponent (must stay below ``alpha - 1/2``).
+    (fitted on calibration runs, then frozen), and ``sigma`` the Gevrey
+    index of the weight fields when applicable.
     """
 
     c0: float
     alpha: float
     a0: float = 3.0
     c_env: float = 2.0
-    beta: float = BETA
     sigma: Optional[float] = None
-    rho: Optional[float] = None
 
     def __post_init__(self):
         if min(self.c0, self.alpha, self.a0, self.c_env) <= 0:
             raise ValueError("constants must be positive")
-        if self.rho is not None and not (0 < self.rho < self.alpha - 0.5):
-            raise ValueError("rho must lie in (0, alpha - 1/2)")
 
     @property
     def M(self) -> float:
@@ -132,31 +126,40 @@ def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
         )
 
 
-def moments_from_sinogram_unweighted(
-    g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
-) -> MomentVector:
-    """Moments of the mean profile directly from data:
-
-    ``m_0 = int g(xi, gamma) phi_eps(xi) dxi`` and for k >= 1
-
-    ``m_k = (-1)^k iint (gamma - eta)^(k-1)/(k-1)! g(xi, eta)
-    phi_eps^(k)(xi) deta dxi``.
-    """
+def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
+             N: int, top_rows) -> MomentVector:
+    """``m_0 = int g(xi, gamma) phi_eps(xi) dxi`` and ``m_k = sum_j (-1)^j
+    iint s_{j,k}(xi, gamma, eta) g(xi, eta) phi_eps^(j)(xi) deta dxi``,
+    summed over the ``(j, k, s)`` that ``top_rows(xi_n, eta_n)`` yields:
+    the top row ``s`` of each nonzero ``S_{j,k}``, k <= N, on the nodes."""
     _check_moment_inputs(g, phi, eps, gamma, N)
     sp = g.interpolant()
     xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
     eta_n, eta_w = (a.ravel()
                     for a in panel_rule(np.linspace(-gamma, gamma, 13), 8))
-    lattice = sp(xi_n, eta_n)                       # (n_xi, n_eta)
-    moments = np.empty(N + 1)
+    gvals = sp(xi_n, eta_n)                         # (n_xi, n_eta)
+    moments = np.zeros(N + 1)
     row_g = sp(xi_n, [gamma])[:, 0]
     moments[0] = float(np.sum(xi_w * phi(xi_n / eps) / eps * row_g))
-    for k in range(1, N + 1):
-        kernel = (gamma - eta_n) ** (k - 1) / math.factorial(k - 1)
-        inner = lattice @ (eta_w * kernel)
-        phik = phi.derivative_values(xi_n / eps, k) / eps ** (k + 1)
-        moments[k] = (-1) ** k * float(np.sum(xi_w * phik * inner))
+    for j, k, s in top_rows(xi_n, eta_n):
+        sg = (s * gvals) @ eta_w                    # (n_xi,)
+        phij = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
+        moments[k] += (-1) ** j * float(np.sum(xi_w * phij * sg))
     return MomentVector(moments)
+
+
+def moments_from_sinogram_unweighted(
+    g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
+) -> MomentVector:
+    """Moments of the mean profile directly from data: the a = b = 0 case,
+    ``m_k = (-1)^k iint (gamma - eta)^(k-1)/(k-1)! g(xi, eta)
+    phi_eps^(k)(xi) deta dxi``, since only ``S_{k,k}`` is nonzero."""
+
+    def closed_form(xi_n, eta_n):
+        for k in range(1, N + 1):
+            yield k, k, (gamma - eta_n) ** (k - 1) / math.factorial(k - 1)
+
+    return _moments(g, phi, eps, gamma, N, closed_form)
 
 
 def moments_from_sinogram_weighted(
@@ -166,35 +169,22 @@ def moments_from_sinogram_weighted(
     """Weighted moments ``m_k = sum_j (-1)^j int (S_{j,k} g)(xi, gamma)
     d_xi^j phi_eps(xi) dxi``; degenerates to the unweighted formula when
     a = b = 0."""
-    _check_moment_inputs(g, phi, eps, gamma, N)
-    if abs(fam.gamma - gamma) > 1e-12:
-        raise ValueError("kernel family built for a different gamma")
-    sp = g.interpolant()
-    eta = fam.p.eta
-    xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
-    eta_n, eta_w = (a.ravel()
-                    for a in panel_rule(np.linspace(eta[0], eta[-1], 13), 8))
-    to_nodes = interpolation_matrix(eta, eta_n).T
-    gvals = sp(xi_n, eta_n)                         # (n_xi, n_eta)
-    moments = np.empty(N + 1)
-    row_g = sp(xi_n, [gamma])[:, 0]
-    moments[0] = float(np.sum(xi_w * phi(xi_n / eps) / eps * row_g))
-    for k in range(1, N + 1):
-        acc = 0.0
-        for j in range(k + 1):
-            S = fam[(j, k)]
-            if S.is_zero():
-                continue
-            # top-row kernel jets s(xi, gamma, .) evaluated at all xi nodes
-            top = S.coeffs[:, -1, :]                # (order+1, n)
-            rows = np.zeros((xi_n.size, eta.size))
-            for cd in top[::-1]:
-                rows = rows * xi_n[:, None] + cd[None, :]
-            sg = ((rows @ to_nodes) * gvals) @ eta_w  # (n_xi,)
-            phij = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
-            acc += (-1) ** j * float(np.sum(xi_w * phij * sg))
-        moments[k] = acc
-    return MomentVector(moments)
+
+    def family_rows(xi_n, eta_n):
+        # runs after the shared input checks, which take precedence
+        if abs(fam.gamma - gamma) > 1e-12:
+            raise ValueError("kernel family built for a different gamma")
+        to_nodes = interpolation_matrix(fam.p.eta, eta_n).T
+        for k in range(1, N + 1):
+            for j in range(k + 1):
+                S = fam[(j, k)]
+                if not S.is_zero():     # Horner in xi, then interpolate
+                    rows = np.zeros((xi_n.size, fam.p.eta.size))
+                    for cd in S.coeffs[::-1, -1, :]:
+                        rows = rows * xi_n[:, None] + cd[None, :]
+                    yield j, k, rows @ to_nodes
+
+    return _moments(g, phi, eps, gamma, N, family_rows)
 
 
 def truncation_order(H: float, consts: BoundConstants, eps: float,
@@ -260,11 +250,6 @@ def order_cap(phi: TestFunction, weighted: bool) -> int:
     return min(cap, WEIGHTED_K_MAX) if weighted else cap
 
 
-def _zero_profile(eps: float, gamma: float, weighted: bool, x_grid):
-    return MeanProfile(x=x_grid, values=np.zeros(x_grid.size), eps=eps,
-                       gamma=gamma, weighted=weighted)
-
-
 def reconstruct_mean(
     g: Sinogram,
     phi: TestFunction,
@@ -287,7 +272,8 @@ def reconstruct_mean(
     weighted = fam is not None
     H_raw = data_norm(g, eps, gamma)
     if H_raw == 0.0:
-        return _zero_profile(eps, gamma, weighted, x_grid), 0
+        return MeanProfile(x=x_grid, values=np.zeros(x_grid.size), eps=eps,
+                           gamma=gamma, weighted=weighted), 0
     H = max(H_raw, H_FLOOR)
     N = min(truncation_order(H, consts, eps, mode), order_cap(phi, weighted))
     if phi.kind == "hormander" and phi.param != N:
@@ -391,8 +377,6 @@ def calibrate_constants(
     calibration run.  A second floor ``e * eps`` keeps the truncation
     rule's ``log(C/eps)`` positive.
     """
-    from dataclasses import replace
-
     from .bumps import verify_derivative_bounds
 
     rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam, mode=mode)
@@ -417,9 +401,7 @@ def profile_errors(est: MeanProfile, ref: MeanProfile):
     if est.x.shape != ref.x.shape or not np.allclose(est.x, ref.x):
         raise ValueError("profiles live on different grids")
     diff = est.values - ref.values
-    sp = CubicSpline(est.x, diff)
-    t, w = gauss_nodes(200)
-    l2 = float(np.sqrt(np.sum(w * sp(t) ** 2)))
+    l2 = replace(est, values=diff).l2_norm()
     half = np.abs(est.x) <= 0.5
     sup = float(np.abs(diff[half]).max())
     return l2, sup

@@ -40,10 +40,6 @@ __all__ = [
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 @dataclass
 class Sinogram:
@@ -70,11 +66,6 @@ class Sinogram:
         return RectBivariateSpline(self.xi, self.eta, self.values,
                                    kx=min(3, len(self.xi) - 1),
                                    ky=min(3, len(self.eta) - 1))
-
-    def row(self, eta_value: float) -> np.ndarray:
-        """Values ``g(xi_grid, eta_value)`` by spline interpolation."""
-        sp = self.interpolant()
-        return sp(self.xi, [eta_value])[:, 0]
 
 
 # The line-integral engine: every chord starts as _START_PANELS equal
@@ -193,9 +184,7 @@ def _checked_line_integrals(f, m, k, xi, eta, tol):
     if np.any(failed):
         worst = float(np.max(errors[failed]))
         raise QuadratureError(
-            f"line quadrature reached error {worst:.2e} > tol {tol:.1e}",
-            achieved=worst,
-        )
+            f"line quadrature reached error {worst:.2e} > tol {tol:.1e}")
     return values
 
 

@@ -60,58 +60,28 @@ class AnalyticField:
 
     ``fn`` receives a :class:`Jet` in xi together with a scalar or array
     ``eta`` and must return a jet built with jet arithmetic, so
-    derivatives of any order in xi come out exact.  An optional support
-    window ``eta > eta_min`` is enforced by a smooth cutoff of width
-    ``window_width``.
+    derivatives of any order in xi come out exact.  ``plain`` is the same
+    function on plain float arrays.
     """
 
     fn: Callable[[Jet, np.ndarray], Jet]
+    plain: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "field"
-    eta_min: Optional[float] = None
-    window_width: float = 0.05
-    plain: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def _window(self, eta):
-        if self.eta_min is None:
-            return 1.0
-        t = (np.asarray(eta, dtype=float) - self.eta_min) / self.window_width
-        out = np.zeros_like(t, dtype=float)
-        pos = t > 0
-        hi = t >= 1
-        mid = pos & ~hi
-        out[hi] = 1.0
-        # smooth step exp(-1/t) / (exp(-1/t) + exp(-1/(1-t)))
-        a = np.exp(-1.0 / t[mid])
-        b = np.exp(-1.0 / (1.0 - t[mid]))
-        out[mid] = a / (a + b)
-        return out
 
     def jet(self, xi: float, eta, order: int) -> Jet:
-        j = self.fn(Jet.variable(xi, order), np.asarray(eta, dtype=float))
-        return j * self._window(eta)
+        return self.fn(Jet.variable(xi, order), np.asarray(eta, dtype=float))
 
     def value(self, xi: float, eta):
         return self.jet(xi, eta, 0).value()
 
     def value_vec(self, xi, eta):
         """Vectorized order-0 evaluation over paired (xi, eta) arrays."""
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if self.plain is not None:
-            return self.plain(xi, eta) * self._window(eta)
-        flat = np.array(
-            [float(self.value(u, e)) for u, e in zip(xi.ravel(), eta.ravel())]
-        )
-        return flat.reshape(xi.shape)
+        return self.plain(np.asarray(xi, dtype=float),
+                          np.asarray(eta, dtype=float))
 
     def dxi(self, xi: float, eta, n: int):
         """Exact n-th xi-derivative."""
         return self.jet(xi, eta, n).derivative(n)
-
-
-def zero_field() -> AnalyticField:
-    return AnalyticField(lambda xi, eta: Jet.constant(np.zeros_like(eta), xi.order),
-                         name="zero", plain=lambda xi, eta: np.zeros_like(eta))
 
 
 _FIELD_REGISTRY: dict[str, tuple[Callable, Callable]] = {
@@ -139,7 +109,7 @@ _FIELD_REGISTRY: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def field_from_spec(spec: str, eta_min: Optional[float] = None) -> AnalyticField:
+def field_from_spec(spec: str) -> AnalyticField:
     """Parse a field descriptor of the form ``"name"`` or ``"coef*name"``.
 
     Known names: zero, one, xi, eta, xi_eta, eta2, sin_xi, cos_xi,
@@ -158,11 +128,14 @@ def field_from_spec(spec: str, eta_min: Optional[float] = None) -> AnalyticField
     jet_fn, plain_fn = _FIELD_REGISTRY[text]
     return AnalyticField(
         lambda xi, eta: jet_fn(xi, eta) * coef,
-        name=spec,
-        eta_min=eta_min,
         plain=lambda xi, eta: coef * plain_fn(np.asarray(xi, dtype=float),
                                               np.asarray(eta, dtype=float)),
+        name=spec,
     )
+
+
+def zero_field() -> AnalyticField:
+    return field_from_spec("zero")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from localradon.cli import (
     write_sinogram_csv,
 )
 from localradon.kernels import sjk_family
-from localradon.stability import WEIGHTED_K_MAX
+from localradon.stability import WEIGHTED_K_MAX, data_norm
 from localradon.transform import Sinogram
 from localradon.weights import field_from_spec, zero_field
 
@@ -55,11 +55,10 @@ def test_load_config_errors(tmp_path):
 def test_builders():
     f = build_phantom(BASE_CONFIG)
     assert f.kind == "smooth-bump"
-    m, a, b = build_weight(BASE_CONFIG)
-    assert m.kind == "constant" and a is None
-    m2, a2, b2 = build_weight(
-        {"weight": {"kind": "from_ab", "a": "one", "b": "zero"}})
-    assert m2.kind == "from_ab" and a2 is not None
+    m = build_weight(BASE_CONFIG)
+    assert m.kind == "constant" and m.a is None
+    m2 = build_weight({"weight": {"kind": "from_ab", "a": "one", "b": "zero"}})
+    assert m2.kind == "from_ab" and m2.a is not None
     phi = build_test_function(BASE_CONFIG)
     assert phi.kind == "hormander" and phi.param == 8
     consts = build_constants(BASE_CONFIG, f)
@@ -83,6 +82,23 @@ def test_sinogram_csv_roundtrip(tmp_path):
     assert np.allclose(back.xi, xi) and np.allclose(back.eta, eta)
     assert back.noise_sigma == 1e-3
     assert back.provenance["seed"] == 11
+    assert back.failed is None
+    assert "failed" not in path.read_text()
+
+
+def test_sinogram_csv_keeps_failed_cells(tmp_path):
+    xi = np.linspace(-0.2, 0.2, 3)
+    eta = np.linspace(0.0, 0.5, 4)
+    failed = np.zeros((3, 4), dtype=bool)
+    failed[1, 2] = failed[2, 0] = True
+    g = Sinogram(xi=xi, eta=eta, values=np.where(failed, 0.0, 1.0),
+                 failed=failed)
+    path = tmp_path / "g.csv"
+    write_sinogram_csv(path, g)
+    back = read_sinogram_csv(path)
+    assert np.array_equal(back.failed, failed)
+    with pytest.raises(ValueError, match="2 failed"):
+        data_norm(back, 0.1, 0.2)
 
 
 def test_config_hash_stable():
@@ -171,6 +187,28 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     assert main(["sinogram", "--config", str(path), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"weight": {"kind": "from_ab", "a": "bogus"}}, "weight.a"),
+    ({"weight": {"kind": "from_ab", "a": "x*one"}}, "weight.a"),
+    ({"weight": {"kind": "constant", "level": 0}}, "weight.level"),
+    ({"test_function": {"kind": "hormander", "param": 30}},
+     "test_function.param"),
+    ({"test_function": {"kind": "gevrey", "param": 1.0}},
+     "test_function.param"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], width=-1)}, "phantom: width"),
+    ({"grid": {"xi": [-0.13, 0.13, 20.5], "eta": [-0.35, 0.35, 29]}},
+     "grid.xi"),
+    ({"mode": "bogus"}, "mode"),
+], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
+        "mode"])
+def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, overrides)
+    assert main(["reconstruct", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 def test_cli_runtime_failure_exits_1(tmp_path):

@@ -73,8 +73,6 @@ def test_bound_constants_validation():
     with pytest.raises(ValueError):
         BoundConstants(c0=-1.0, alpha=1.0)
     with pytest.raises(ValueError):
-        BoundConstants(c0=1.0, alpha=1.0, rho=0.9)
-    with pytest.raises(ValueError):
         _ = BoundConstants(c0=1.0, alpha=1.0).s
     assert BoundConstants(c0=1.0, alpha=1.0, sigma=2.0).s == 1.0
 
@@ -139,14 +137,32 @@ def test_weighted_degenerates_to_unweighted(sino_clean, fam_zero, phi12):
     assert np.abs(mw.values - mu.values).max() < 1e-10
 
 
-def test_moment_input_guards(sino_clean, phi12, fam_exp):
-    with pytest.raises(ValueError):
-        moments_from_sinogram_unweighted(sino_clean, phi12, EPS, GAMMA, 13)
-    with pytest.raises(ValueError):
-        moments_from_sinogram_unweighted(sino_clean, phi12, 2.0, 0.1, 2)
-    with pytest.raises(ValueError):
-        moments_from_sinogram_weighted(sino_clean, fam_exp, phi12,
-                                       EPS, 0.25, 2)
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+def test_moment_input_guards(sino_clean, phi12, fam_exp, weighted):
+    def moments(g, eps, gamma, N):
+        if weighted:
+            return moments_from_sinogram_weighted(g, fam_exp, phi12, eps,
+                                                  gamma, N)
+        return moments_from_sinogram_unweighted(g, phi12, eps, gamma, N)
+
+    keep = sino_clean.eta >= -0.10 - 1e-12
+    cut = Sinogram(xi=sino_clean.xi, eta=sino_clean.eta[keep],
+                   values=sino_clean.values[:, keep])
+    # xi step 0.0195 against the 2 eps / 14 = 0.0143 that phi12 needs
+    coarse = Sinogram(xi=sino_clean.xi[::3], eta=sino_clean.eta,
+                      values=sino_clean.values[::3])
+    with pytest.raises(ValueError, match="derivative order"):
+        moments(sino_clean, EPS, GAMMA, 13)
+    with pytest.raises(ValueError, match="eps\\^2/4"):
+        moments(sino_clean, 2.0, 0.1, 2)
+    with pytest.raises(ValueError, match="eta grid does not cover"):
+        moments(cut, EPS, GAMMA, 2)
+    with pytest.raises(ValueError, match="too coarse"):
+        moments(coarse, EPS, GAMMA, 2)
+    if weighted:
+        with pytest.raises(ValueError, match="different gamma"):
+            moments(sino_clean, EPS, 0.25, 2)
 
 
 def test_reconstruct_mean_zero_data(phi12):

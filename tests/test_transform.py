@@ -154,9 +154,9 @@ def test_sinogram_validation():
                  values=np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
-def test_sinogram_row_matches_samples(sino_clean):
+def test_sinogram_interpolant_matches_samples(sino_clean):
     j = 30
-    row = sino_clean.row(sino_clean.eta[j])
+    row = sino_clean.interpolant()(sino_clean.xi, [sino_clean.eta[j]])[:, 0]
     assert np.allclose(row, sino_clean.values[:, j], atol=1e-12)
 
 
