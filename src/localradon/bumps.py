@@ -32,9 +32,6 @@ __all__ = [
     "BoundReport",
     "hormander_sequence",
     "gevrey_bump",
-    "derivative",
-    "dilate",
-    "dilated_derivative",
     "verify_derivative_bounds",
 ]
 
@@ -145,30 +142,6 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
         kind="gevrey", param=sigma,
         derivative_order_max=derivative_order_max, _eval=evaluate,
     )
-
-
-def derivative(tf: TestFunction, k: int):
-    """Return ``d^k phi`` as an evaluable function."""
-    if k > tf.derivative_order_max:
-        raise ValueError(
-            f"derivative order {k} exceeds maximum {tf.derivative_order_max}"
-        )
-    return lambda x: tf.derivative_values(x, k)
-
-
-def dilate(tf: TestFunction, s: float):
-    """``x -> phi(x/s)/s``; mass-preserving dilation."""
-    if s <= 0:
-        raise ValueError("dilation scale must be positive")
-    return lambda x: tf.derivative_values(np.asarray(x, dtype=float) / s, 0) / s
-
-
-def dilated_derivative(tf: TestFunction, s: float, k: int):
-    """k-th derivative of the dilation: ``s**(-k-1) * phi^(k)(x/s)``."""
-    if s <= 0:
-        raise ValueError("dilation scale must be positive")
-    fk = derivative(tf, k)
-    return lambda x: fk(np.asarray(x, dtype=float) / s) / s ** (k + 1)
 
 
 @dataclass

@@ -38,7 +38,6 @@ from .stability import (
 )
 from .transform import Sinogram, check_transport_identity, synthesize_sinogram
 from .weights import (
-    attenuation_weight,
     constant_weight,
     field_from_spec,
     weight_from_ab,
@@ -50,19 +49,21 @@ Config file keys (YAML):
   phantom:        kind (smooth_bump | polynomial_times_bump | tabulated),
                   center [x, y], width, amplitude, support_constant,
                   poly_coeffs (matrix, polynomial kind), path (tabulated)
-  weight:         kind (constant | from_ab | attenuation), level,
-                  a / b (field spec strings, e.g. "one", "0.5*sin_xi")
+  weight:         kind (constant | from_ab); level (constant kind, > 0),
+                  a / b (from_ab kind: field spec strings, e.g. "one",
+                  "0.5*sin_xi"; the weight is 1 on xi = 0)
   grid:           xi [min, max, n], eta [min, max, n]
-  test_function:  kind (hormander | gevrey), param (N or sigma)
-  eps, gamma, eps0, mode (analytic | gevrey)
+  test_function:  kind (hormander | gevrey), param (integer N or sigma),
+                  k_max (gevrey: highest derivative order, integer)
+  eps, gamma, eps0: positive numbers; mode (analytic | gevrey)
   noise_levels:   list of Gaussian sigmas
   seed:           integer (overridable with --seed)
   constants:      alpha, c0, a0, c_env, sigma (all optional; c0/alpha
                   default to the phantom's Hölder data; c_env is
                   calibrated when absent)
-  kernels:        k_max, grid_n (number of Chebyshev-Lobatto points of
-                  the kernel eta grid)
-  tolerance:      forward-quadrature tolerance: each line integral stops
+  kernels:        k_max (integer >= 1), grid_n (integer >= 2: number of
+                  Chebyshev-Lobatto points of the kernel eta grid)
+  tolerance:      forward-quadrature tolerance (> 0): each line integral stops
                   when its embedded error estimate is at most
                   max(tolerance, tolerance*|value|)
   out_dir:        artifact directory (overridable with --out)
@@ -77,6 +78,20 @@ def _need(cfg: dict, key: str, ctx: str = ""):
     if key not in cfg:
         raise ConfigError(f"missing config key: {ctx}{key}")
     return cfg[key]
+
+
+def _integer(spec: dict, key: str, default: int, ctx: str, low: int) -> int:
+    """``spec[key]`` (or ``default``) as an int of at least ``low``; a
+    fractional or smaller value is a config error, never truncated."""
+    value = spec.get(key, default)
+    try:
+        ok = float(value).is_integer() and value >= low
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"{ctx}{key} must be an integer >= {low}, not {value!r}")
+    return int(value)
 
 
 @contextmanager
@@ -99,6 +114,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    for key in ("eps", "gamma", "eps0", "tolerance"):
+        value = cfg.get(key)
+        if key in cfg and (isinstance(value, bool)
+                           or not isinstance(value, (int, float))
+                           or not value > 0):
+            raise ConfigError(
+                f"{key} must be a positive number, not {value!r}")
     return cfg
 
 
@@ -137,10 +159,6 @@ def build_weight(cfg: dict):
         with _config_key("weight.b"):
             b = field_from_spec(spec.get("b", "zero"))
         return weight_from_ab(a, b)
-    if kind == "attenuation":
-        mu_cfg = dict(cfg)
-        mu_cfg["phantom"] = _need(spec, "mu", "weight.")
-        return attenuation_weight(build_phantom(mu_cfg))
     raise ConfigError(f"unknown weight.kind: {kind}")
 
 
@@ -149,10 +167,13 @@ def build_test_function(cfg: dict):
     kind = spec.get("kind", "hormander")
     with _config_key("test_function.param"):
         if kind == "hormander":
-            return hormander_sequence(int(spec.get("param", 12)))
+            return hormander_sequence(
+                _integer(spec, "param", 12, "test_function.", 1))
         if kind == "gevrey":
-            return gevrey_bump(float(spec.get("param", 2.0)),
-                               derivative_order_max=int(spec.get("k_max", 14)))
+            return gevrey_bump(
+                float(spec.get("param", 2.0)),
+                derivative_order_max=_integer(spec, "k_max", 14,
+                                              "test_function.", 0))
     raise ConfigError(f"unknown test_function.kind: {kind}")
 
 
@@ -297,12 +318,13 @@ def _sinogram_from_config(cfg, seed):
 
 
 def _family_from_config(cfg, m, gamma):
-    """The ``S_{j,k}`` family of a ``from_ab`` weight; None for the others."""
+    """The ``S_{j,k}`` family of a ``from_ab`` weight; None for a constant."""
     if m.a is None:
         return None
     kspec = cfg.get("kernels", {})
-    return sjk_family(m.a, m.b, gamma, int(kspec.get("k_max", 4)),
-                      grid_n=int(kspec.get("grid_n", 96)))
+    return sjk_family(m.a, m.b, gamma,
+                      _integer(kspec, "k_max", 4, "kernels.", 1),
+                      grid_n=_integer(kspec, "grid_n", 96, "kernels.", 2))
 
 
 def cmd_sinogram(cfg, out, seed, quiet):
@@ -332,8 +354,7 @@ def cmd_reconstruct(cfg, out, seed, quiet):
     fam = _family_from_config(cfg, m, gamma)
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
     prof, N = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode, fam=fam)
-    true = mean_profile(f, m if fam is not None else None, phi, eps, gamma,
-                        x_grid=prof.x)
+    true = mean_profile(f, m, phi, eps, gamma, x_grid=prof.x)
     from .stability import H_FLOOR, mean_bound, profile_errors
     H = max(data_norm(g, eps, gamma), H_FLOOR)
     l2, sup = profile_errors(prof, true)
@@ -381,7 +402,7 @@ def cmd_sweep(cfg, out, seed, quiet):
     phi = build_test_function(cfg)
     fam = _family_from_config(cfg, m, gamma)
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
-    true = mean_profile(f, m if fam is not None else None, phi, eps, gamma)
+    true = mean_profile(f, m, phi, eps, gamma)
     report = stability_curve(g, true, phi, levels, eps, gamma, consts,
                              mode=mode, fam=fam, seed=seed)
     path = out / "sweep.csv"
@@ -422,7 +443,7 @@ def cmd_kernels(cfg, out, seed, quiet):
     if m.a is None:
         m = weight_from_ab(zero_field(), zero_field())
     fam = _family_from_config(cfg, m, _need(cfg, "gamma"))
-    k_max = int(cfg.get("kernels", {}).get("k_max", 4))
+    k_max = _integer(cfg.get("kernels", {}), "k_max", 4, "kernels.", 1)
     rep = verify_kernel_bounds(fam, cfg.get("eps", 0.1) / 2.0, k_max)
     path = out / "kernels.csv"
     rows = [{"j": j, "k": k, "ratio": r} for (j, k), r in
@@ -458,7 +479,7 @@ def cmd_verify(cfg, out, seed, quiet):
     from .weights import gauss_nodes
     if m.a is None:
         mom = moments_from_sinogram_unweighted(g, phi, eps, gamma, 2)
-        prof = mean_profile(f, None, phi, eps, gamma)
+        prof = mean_profile(f, m, phi, eps, gamma)
         sp = prof.interpolant()
         t, w = gauss_nodes(200)
         oracle = [float(np.sum(w * t**k * sp(t))) for k in range(3)]
@@ -527,7 +548,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out or cfg.get("out_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None \
+            else _integer(cfg, "seed", 0, "", 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

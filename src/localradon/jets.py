@@ -86,21 +86,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.c / np.asarray(other, dtype=float))
-        n = min(self.order, other.order)
-        a, b = self.c, other.c
-        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        out = np.zeros((n + 1,) + shape)
-        out[0] = a[0] / b[0]
-        for k in range(1, n + 1):
-            acc = a[k].astype(float, copy=True) * np.ones(shape)
-            for i in range(1, k + 1):
-                acc = acc - b[i] * out[k - i]
-            out[k] = acc / b[0]
-        return Jet(out)
-
     def __pow__(self, p: int):
         if p < 0:
             raise ValueError("only nonnegative integer powers")
@@ -148,13 +133,6 @@ class Jet:
     def cos(self) -> "Jet":
         return self.sin_cos()[1]
 
-    def deriv(self) -> "Jet":
-        """Jet of the derivative; truncation order drops by one."""
-        if self.order == 0:
-            return Jet(np.zeros((1,) + self.c.shape[1:]))
-        n = np.arange(1, self.order + 1).reshape((-1,) + (1,) * (self.c.ndim - 1))
-        return Jet(self.c[1:] * n)
-
     def value(self):
         return self.c[0]
 
@@ -163,11 +141,3 @@ class Jet:
         if n > self.order:
             raise ValueError(f"jet order {self.order} < requested derivative {n}")
         return self.c[n] * math.factorial(n)
-
-    def eval(self, dx):
-        """Evaluate the truncated series at displacement ``dx`` from the base."""
-        dx = np.asarray(dx, dtype=float)
-        out = np.zeros(np.broadcast_shapes(dx.shape, self.c.shape[1:]))
-        for ck in self.c[::-1]:
-            out = out * dx + ck
-        return out

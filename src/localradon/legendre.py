@@ -67,9 +67,6 @@ class LegendreSeries:
     def __call__(self, x):
         return series_eval(self.coeffs, x)
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 def legendre_vandermonde(N: int, x) -> np.ndarray:
     """``V[..., n] = P_n(x)`` for n = 0..N by the three-term recurrence."""

@@ -19,7 +19,7 @@ from scipy.stats import linregress
 from .bumps import TestFunction
 from .kernels import KernelFamily, interpolation_matrix
 from .legendre import MOMENT_MAP_N_CAP, MomentVector, moments_to_coefficients
-from .means import MeanProfile, chebyshev_grid, support_halfwidth
+from .means import MeanProfile, chebyshev_grid
 from .phantoms import PhantomSpec
 from .transform import Sinogram, synthesize_sinogram
 from .weights import constant_weight, panel_rule

@@ -1,7 +1,7 @@
 """Weight functions for the weighted Radon transform.
 
-Three kinds are supported: constant weights, attenuation weights
-``m = exp(-int_x^inf mu)``, and weights synthesized from a field pair
+Two kinds are supported, both in the class the inversion covers: a
+positive constant, and the weight synthesized from a field pair
 ``(a, b)`` so that the transport equation
 
     d_xi m - x d_eta m = (x*a(xi, eta) + b(xi, eta)) * m
@@ -12,12 +12,10 @@ holds by construction (solved along the characteristics
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .jets import Jet
 
@@ -25,7 +23,6 @@ __all__ = [
     "AnalyticField",
     "Weight",
     "weight_from_ab",
-    "attenuation_weight",
     "constant_weight",
     "pde_residual",
     "corrected_weight",
@@ -140,34 +137,30 @@ def zero_field() -> AnalyticField:
 
 @dataclass
 class Weight:
-    """Positive weight ``m(x, xi, eta)``."""
+    """Positive weight ``m(x, xi, eta)``: the constant ``level`` when ``a``
+    is None, otherwise the transport solution for ``(a, b)`` that equals 1
+    on ``xi = 0``."""
 
-    kind: str
     a: Optional[AnalyticField] = None
     b: Optional[AnalyticField] = None
-    m0: Callable[[np.ndarray, np.ndarray], np.ndarray] = None
-    mu: object = None
     level: float = 1.0
-    label: str = field(default="")
+
+    @property
+    def label(self) -> str:
+        if self.a is None:
+            return f"const({self.level})"
+        return f"from_ab({self.a.name},{self.b.name})"
 
     def __call__(self, x, xi, eta):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        x, xi, eta = np.broadcast_arrays(x, xi, eta)
-        if self.kind == "constant":
-            out = np.full(x.shape, self.level)
-        elif self.kind == "from_ab":
-            out = self._from_ab(x, xi, eta)
-        elif self.kind == "attenuation":
-            out = self._attenuation(x, xi, eta)
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+        x, xi, eta = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x, xi, eta)))
+        out = np.full(x.shape, self.level) if self.a is None \
+            else self._from_ab(x, xi, eta)
         return out if out.shape else float(out)
 
     def _from_ab(self, x, xi, eta):
-        # m = m0(x, eta + x xi) * exp(int_0^xi [x a(s, eta + x(xi - s))
-        #                                        + b(s, eta + x(xi - s))] ds)
+        # m = exp(int_0^xi [x a(s, eta + x(xi - s))
+        #                   + b(s, eta + x(xi - s))] ds)
         t, w = gauss_nodes(24)
         flat_x, flat_xi, flat_eta = (v.ravel() for v in (x, xi, eta))
         # nodes s along [0, xi] for every point at once
@@ -176,46 +169,18 @@ class Weight:
         vals = flat_x[:, None] * self.a.value_vec(s, etas) \
             + self.b.value_vec(s, etas)
         expo = 0.5 * flat_xi * (w[None, :] * vals).sum(axis=1)
-        if self.m0 is not None:
-            base = np.array(
-                [self.m0(xv, ev + xv * xiv)
-                 for xv, xiv, ev in zip(flat_x, flat_xi, flat_eta)]
-            )
-        else:
-            base = 1.0
-        return (base * np.exp(expo)).reshape(x.shape)
-
-    def _attenuation(self, x, xi, eta):
-        x_hi = self.mu.x_extent() + 1e-9
-        flat = [v.ravel() for v in (x, xi, eta)]
-        out = np.empty(flat[0].size)
-        for i, (xv, xiv, ev) in enumerate(zip(*flat)):
-            if xv >= x_hi:
-                out[i] = 1.0
-                continue
-            val, err = quad(
-                lambda t: float(self.mu(t, xiv * t + ev)),
-                xv, x_hi, epsabs=1e-10, epsrel=1e-10, limit=200,
-            )
-            out[i] = math.exp(-val)
-        return out.reshape(x.shape)
+        return np.exp(expo).reshape(x.shape)
 
 
 def constant_weight(level: float = 1.0) -> Weight:
     if level <= 0:
         raise ValueError("weight must be positive")
-    return Weight(kind="constant", level=level, label=f"const({level})")
+    return Weight(level=level)
 
 
-def weight_from_ab(a: AnalyticField, b: AnalyticField, m0=None) -> Weight:
-    """Weight solving the transport PDE with Cauchy data ``m0`` on ``xi = 0``."""
-    return Weight(kind="from_ab", a=a, b=b, m0=m0,
-                  label=f"from_ab({a.name},{b.name})")
-
-
-def attenuation_weight(mu) -> Weight:
-    """``m(x, xi, eta) = exp(-int_x^inf mu(t, xi t + eta) dt)``."""
-    return Weight(kind="attenuation", mu=mu, label="attenuation")
+def weight_from_ab(a: AnalyticField, b: AnalyticField) -> Weight:
+    """Weight solving the transport PDE, equal to 1 on ``xi = 0``."""
+    return Weight(a=a, b=b)
 
 
 def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField, points,

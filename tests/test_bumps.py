@@ -3,9 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from localradon.bumps import (
-    derivative,
-    dilate,
-    dilated_derivative,
     gevrey_bump,
     hormander_sequence,
     verify_derivative_bounds,
@@ -95,24 +92,7 @@ def test_gevrey_certification(phi_gevrey2):
 
 def test_derivative_order_guard(phi12):
     with pytest.raises(ValueError):
-        derivative(phi12, 13)
-
-
-def test_dilate_preserves_mass(phi12):
-    d = dilate(phi12, 0.1)
-    val, _ = quad(lambda x: float(d(x)), -0.1, 0.1,
-                  epsabs=1e-12, epsrel=1e-12, limit=300)
-    assert val == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        dilate(phi12, 0.0)
-
-
-def test_dilated_derivative_scaling(phi12):
-    s = 0.2
-    g1 = dilated_derivative(phi12, s, 1)
-    x = 0.07
-    assert float(g1(x)) == pytest.approx(
-        float(phi12.derivative_values(x / s, 1)) / s**2, rel=1e-12)
+        phi12.derivative_values(0.0, 13)
 
 
 def test_panel_edges_contain_every_knot():

@@ -22,6 +22,7 @@ from localradon.stability import WEIGHTED_K_MAX, data_norm
 from localradon.transform import Sinogram
 from localradon.weights import field_from_spec, zero_field
 
+FROM_AB = {"kind": "from_ab", "a": "one", "b": "zero"}
 BASE_CONFIG = {
     "phantom": {"kind": "smooth_bump", "center": [0.0, 0.45], "width": 0.3},
     "weight": {"kind": "constant"},
@@ -56,9 +57,9 @@ def test_builders():
     f = build_phantom(BASE_CONFIG)
     assert f.kind == "smooth-bump"
     m = build_weight(BASE_CONFIG)
-    assert m.kind == "constant" and m.a is None
-    m2 = build_weight({"weight": {"kind": "from_ab", "a": "one", "b": "zero"}})
-    assert m2.kind == "from_ab" and m2.a is not None
+    assert m.a is None and m.label == "const(1.0)"
+    m2 = build_weight({"weight": FROM_AB})
+    assert m2.a is not None and m2.label == "from_ab(one,zero)"
     phi = build_test_function(BASE_CONFIG)
     assert phi.kind == "hormander" and phi.param == 8
     consts = build_constants(BASE_CONFIG, f)
@@ -162,9 +163,27 @@ def test_cli_verify(tmp_path):
     assert report["results"]["zero_data"] == 0.0
 
 
+def test_constant_level_scored_against_its_truth(tmp_path):
+    # data of the weight 2 are 2 R[f], so both columns must double
+    columns = {}
+    for level in (1, 2):
+        cfg = write_config(tmp_path, {"weight": {"kind": "constant",
+                                                 "level": level}},
+                           name=f"level{level}.yaml")
+        out = tmp_path / f"rec{level}"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        rows = np.loadtxt(out / "reconstruction.csv", delimiter=",",
+                          skiprows=1)
+        columns[level] = rows[:, 1:]
+        assert main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / f"ver{level}"), "--quiet"]) == 0
+    assert np.array_equal(columns[2], 2.0 * columns[1])
+
+
 def test_cli_kernels(tmp_path):
     cfg = write_config(tmp_path, {
-        "weight": {"kind": "from_ab", "a": "one", "b": "zero"},
+        "weight": FROM_AB,
         "kernels": {"k_max": 3, "grid_n": 64},
     })
     out = tmp_path / "ker"
@@ -201,8 +220,23 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     ({"grid": {"xi": [-0.13, 0.13, 20.5], "eta": [-0.35, 0.35, 29]}},
      "grid.xi"),
     ({"mode": "bogus"}, "mode"),
+    ({"eps": -0.1}, "eps"),
+    ({"gamma": -0.3}, "gamma"),
+    ({"eps0": 0.0}, "eps0"),
+    ({"tolerance": 0.0}, "tolerance"),
+    ({"tolerance": -1e-8}, "tolerance"),
+    ({"test_function": {"kind": "hormander", "param": 4.9}},
+     "test_function.param"),
+    ({"test_function": {"kind": "gevrey", "param": 2.0, "k_max": 8.5}},
+     "test_function.k_max"),
+    ({"weight": FROM_AB, "kernels": {"grid_n": 1}}, "kernels.grid_n"),
+    ({"weight": FROM_AB, "kernels": {"k_max": 2.7}}, "kernels.k_max"),
+    ({"weight": {"kind": "attenuation"}}, "weight.kind"),
+    ({"seed": 2.5}, "seed"),
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
-        "mode"])
+        "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
+        "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
+        "attenuation", "seed"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, overrides)
     assert main(["reconstruct", "--config", str(cfg), "--out",

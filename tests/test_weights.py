@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from localradon.weights import (
-    attenuation_weight,
     constant_weight,
     corrected_weight,
     field_from_spec,
@@ -76,15 +75,6 @@ def test_from_ab_b_only_closed_form():
     x, xi, eta = 0.25, 0.15, 0.3
     expo = (math.sin(eta + x * xi) - math.sin(eta)) / x
     assert m(x, xi, eta) == pytest.approx(math.exp(expo), rel=1e-11)
-
-
-def test_attenuation_weight_monotone(f_main):
-    m = attenuation_weight(f_main)
-    v1 = m(-0.2, 0.0, 0.45)
-    v2 = m(0.2, 0.0, 0.45)
-    assert 0.0 < v1 <= v2 <= 1.0
-    # no absorber left of the ray exit: weight is one
-    assert m(5.0, 0.0, 0.45) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_corrected_weight(m_exp):
