@@ -51,7 +51,6 @@ class TestFunction:
     kind: str                       # "hormander" | "gevrey"
     param: float                    # N or sigma
     derivative_order_max: int
-    certified_constant: Optional[float] = None
     breakpoints: Optional[np.ndarray] = None   # piecewise-poly knots, if any
     _eval: Callable = field(default=None, repr=False)
 
@@ -163,7 +162,7 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int,
     """Certify C with ``sup|phi^(k)| <= C^(k+1) * rate(k)`` for k <= k_max.
 
     C is the smallest constant making every per-k ratio at most one on a
-    dense evaluation grid; it is recorded on the instance.
+    dense evaluation grid.
     """
     if k_max > tf.derivative_order_max:
         raise ValueError("k_max exceeds the derivative order limit")
@@ -175,6 +174,5 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int,
         rates[k] = _rate(tf, k)
     C = max((sups[k] / rates[k]) ** (1.0 / (k + 1)) for k in range(k_max + 1))
     ratios = sups / (C ** (np.arange(k_max + 1) + 1) * rates)
-    tf.certified_constant = float(C)
     return BoundReport(certified_constant=float(C), sups=sups, rates=rates,
                        ratios=ratios)

@@ -25,7 +25,7 @@ from .bumps import gevrey_bump, hormander_sequence, verify_derivative_bounds
 from .kernels import sjk_family, verify_kernel_bounds
 from .legendre import MomentVector, fl_coefficients, moments_to_coefficients
 from .means import mean_profile
-from .phantoms import polynomial_times_bump, smooth_bump, tabulated_phantom
+from .phantoms import smooth_bump, tabulated_phantom
 from .stability import (
     BoundConstants,
     calibrate_constants,
@@ -48,7 +48,8 @@ CONFIG_KEYS = """\
 Config file keys (YAML):
   phantom:        kind (smooth_bump | polynomial_times_bump | tabulated),
                   center [x, y], width, amplitude, support_constant,
-                  poly_coeffs (matrix, polynomial kind), path (tabulated)
+                  poly_coeffs (polynomial kind: [i, j, c] rows, terms
+                  c (x-cx)^i (y-cy)^j), path (tabulated)
   weight:         kind (constant | from_ab); level (constant kind, > 0),
                   a / b (from_ab kind: field spec strings, e.g. "one",
                   "0.5*sin_xi"; the weight is 1 on xi = 0)
@@ -56,13 +57,16 @@ Config file keys (YAML):
   test_function:  kind (hormander | gevrey), param (integer N or sigma),
                   k_max (gevrey: highest derivative order, integer)
   eps, gamma, eps0: positive numbers; mode (analytic | gevrey)
-  noise_levels:   list of Gaussian sigmas
+  noise_sigma:    Gaussian noise sigma of the data (>= 0, default 0)
+  noise_levels:   list of Gaussian sigmas (each >= 0; sweep)
   seed:           integer (overridable with --seed)
   constants:      alpha, c0, a0, c_env, sigma (all optional; c0/alpha
                   default to the phantom's Hölder data; c_env is
                   calibrated when absent)
-  kernels:        k_max (integer >= 1), grid_n (integer >= 2: number of
-                  Chebyshev-Lobatto points of the kernel eta grid)
+  kernels:        k_max (integer >= 1; read only by the kernels subcommand,
+                  the pipeline builds the family to its weighted order
+                  cap), grid_n (integer >= 2: number of Chebyshev-Lobatto
+                  points of the kernel eta grid)
   tolerance:      forward-quadrature tolerance (> 0): each line integral stops
                   when its embedded error estimate is at most
                   max(tolerance, tolerance*|value|)
@@ -115,13 +119,23 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     for key in ("eps", "gamma", "eps0", "tolerance"):
-        value = cfg.get(key)
-        if key in cfg and (isinstance(value, bool)
-                           or not isinstance(value, (int, float))
-                           or not value > 0):
+        if key in cfg and not _number(cfg[key], positive=True):
             raise ConfigError(
-                f"{key} must be a positive number, not {value!r}")
+                f"{key} must be a positive number, not {cfg[key]!r}")
+    if "noise_sigma" in cfg and not _number(cfg["noise_sigma"]):
+        raise ConfigError(f"noise_sigma must be a number >= 0, "
+                          f"not {cfg['noise_sigma']!r}")
+    levels = cfg.get("noise_levels", [])
+    if not (isinstance(levels, list) and all(map(_number, levels))):
+        raise ConfigError(
+            f"noise_levels must be a list of numbers >= 0, not {levels!r}")
     return cfg
+
+
+def _number(value, positive=False) -> bool:
+    """``value`` is a real number (not a bool), > 0 or >= 0."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and (value > 0 if positive else value >= 0))
 
 
 def build_phantom(cfg: dict):
@@ -137,8 +151,8 @@ def build_phantom(cfg: dict):
         if kind == "smooth_bump":
             return smooth_bump(**common)
         if kind == "polynomial_times_bump":
-            coeffs = np.asarray(_need(spec, "poly_coeffs", "phantom."))
-            return polynomial_times_bump(coeffs, **common)
+            return smooth_bump(
+                poly_coeffs=_need(spec, "poly_coeffs", "phantom."), **common)
         if kind == "tabulated":
             xs, ys, vals, _ = read_grid_csv(_need(spec, "path", "phantom."))
             return tabulated_phantom(
@@ -317,14 +331,14 @@ def _sinogram_from_config(cfg, seed):
     return f, m, g
 
 
-def _family_from_config(cfg, m, gamma):
-    """The ``S_{j,k}`` family of a ``from_ab`` weight; None for a constant."""
+def _family_from_config(cfg, m, gamma, k_max):
+    """The ``S_{j,k}`` family (``k <= k_max``) of a ``from_ab`` weight; None
+    for a constant.  A pipeline run passes the weighted order cap, the
+    deepest level that calibration and reconstruction read."""
     if m.a is None:
         return None
-    kspec = cfg.get("kernels", {})
-    return sjk_family(m.a, m.b, gamma,
-                      _integer(kspec, "k_max", 4, "kernels.", 1),
-                      grid_n=_integer(kspec, "grid_n", 96, "kernels.", 2))
+    return sjk_family(m.a, m.b, gamma, k_max, grid_n=_integer(
+        cfg.get("kernels", {}), "grid_n", 96, "kernels.", 2))
 
 
 def cmd_sinogram(cfg, out, seed, quiet):
@@ -351,7 +365,7 @@ def cmd_reconstruct(cfg, out, seed, quiet):
     gamma = _need(cfg, "gamma")
     mode = build_mode(cfg)
     phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, m, gamma)
+    fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
     prof, N = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode, fam=fam)
     true = mean_profile(f, m, phi, eps, gamma, x_grid=prof.x)
@@ -378,7 +392,7 @@ def cmd_slice(cfg, out, seed, quiet):
     eps0 = _need(cfg, "eps0")
     mode = build_mode(cfg)
     phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, m, gamma)
+    fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
     consts = _calibrated(cfg, g, f, phi, min(eps0, 0.5 * eps0 + 0.05),
                          gamma, fam, mode)
     res = reconstruct_slice(g, phi, gamma, consts, eps0, mode=mode, fam=fam)
@@ -400,7 +414,7 @@ def cmd_sweep(cfg, out, seed, quiet):
     mode = build_mode(cfg)
     levels = _need(cfg, "noise_levels")
     phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, m, gamma)
+    fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
     true = mean_profile(f, m, phi, eps, gamma)
     report = stability_curve(g, true, phi, levels, eps, gamma, consts,
@@ -442,8 +456,8 @@ def cmd_kernels(cfg, out, seed, quiet):
     m = build_weight(cfg)
     if m.a is None:
         m = weight_from_ab(zero_field(), zero_field())
-    fam = _family_from_config(cfg, m, _need(cfg, "gamma"))
     k_max = _integer(cfg.get("kernels", {}), "k_max", 4, "kernels.", 1)
+    fam = _family_from_config(cfg, m, _need(cfg, "gamma"), k_max)
     rep = verify_kernel_bounds(fam, cfg.get("eps", 0.1) / 2.0, k_max)
     path = out / "kernels.csv"
     rows = [{"j": j, "k": k, "ratio": r} for (j, k), r in

@@ -6,12 +6,15 @@ The two base operators act on functions of ``eta`` at fixed ``xi``:
     (Q g)(xi, eta) = int_{-gamma}^eta -b(xi, s) psi(xi, eta, s) g(xi, s) ds
 
 with ``psi(xi, eta, s) = exp(A(xi, s) - A(xi, eta))`` and
-``A(xi, eta) = int_{-gamma}^eta a(xi, s) ds``.  The operator family
-``S_{j,k}`` is generated by
+``A(xi, eta) = int_{-gamma}^eta a(xi, s) ds``.  From
+``D_b g_k = D_a g_(k+1)``, with ``D_a = d_eta + a`` and ``D_b = d_xi - b``,
+follows ``g_1 = d_xi(P g_0) - (d_xi P) g_0 + Q g_0``, where ``d_xi P`` is
+the operator with kernel ``d_xi psi``.  So the recursion's base is
+``Q' = Q - d_xi P``, and the operator family ``S_{j,k}`` is generated by
 
-    S_{0,1} = Q,  S_{1,1} = P,
-    S_{0,k+1} = S_{0,k} Q - (d_xi S_{0,k}) P,
-    S_{j,k+1} = S_{j,k} Q - (d_xi S_{j,k}) P + S_{j-1,k} P   (1 <= j <= k),
+    S_{0,1} = Q',  S_{1,1} = P,
+    S_{0,k+1} = S_{0,k} Q' - (d_xi S_{0,k}) P,
+    S_{j,k+1} = S_{j,k} Q' - (d_xi S_{j,k}) P + S_{j-1,k} P   (1 <= j <= k),
     S_{k+1,k+1} = S_{k,k} P,
 
 where products are operator compositions, so on kernels
@@ -28,7 +31,9 @@ algebra,
     (s t) = (C o s) t - s (C^T o t)        (o: entrywise product),
 
 Cauchy-multiplied over the xi-jet coefficients; xi-differentiation is an
-exact coefficient shift.
+exact coefficient shift.  A family that serves levels up to ``k_max``
+builds the base jets to order ``k_max + 8``, which leaves at least eight
+usable Taylor terms after the recursion spends one order per level.
 """
 
 from __future__ import annotations
@@ -174,9 +179,10 @@ def compose(S: KernelJet, T: KernelJet) -> KernelJet:
 
 
 def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
-                 order: int = 12, n: int = 96):
-    """Jets of the P and Q kernels on ``n`` Chebyshev--Lobatto points over
-    [-gamma, gamma]."""
+                 order: int, n: int):
+    """Jets of the P and ``Q' = Q - d_xi P`` kernels on ``n``
+    Chebyshev--Lobatto points over [-gamma, gamma]; the jet of ``Q'`` is one
+    order shorter than that of P."""
     if gamma <= 0 or n < 2:
         raise ValueError("need gamma > 0 and at least two grid points")
     eta, C, _ = lobatto_grid(n, float(gamma))
@@ -186,34 +192,37 @@ def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
     p = KernelJet(eta, psi.c)
     bj = b.jet(0.0, eta, order)
     q = KernelJet(eta, (psi * Jet(-bj.c[:, None, :])).c)
-    return p, q
+    return p, q - p.deriv_xi()
 
 
 @dataclass
 class KernelFamily:
-    """Memoized ``S_{j,k}`` kernels for one field pair."""
+    """Memoized ``S_{j,k}`` kernels for one field pair, for ``k <= k_max``;
+    each level is composed on first use.  ``q`` holds ``Q'``."""
 
     a: AnalyticField
     b: AnalyticField
     gamma: float
-    base_order: int = 12
+    k_max: int
     grid_n: int = 96
-    kernels: dict = field(default_factory=dict)
-    p: KernelJet = None
-    q: KernelJet = None
+    p: KernelJet = field(init=False)
+    q: KernelJet = field(init=False)
+    kernels: dict = field(init=False)
 
     def __post_init__(self):
-        if self.p is None:
-            self.p, self.q = base_kernels(
-                self.a, self.b, self.gamma, self.base_order, self.grid_n
-            )
-        self.kernels.setdefault((0, 1), self.q)
-        self.kernels.setdefault((1, 1), self.p)
+        if self.k_max < 1:
+            raise ValueError("k_max must be at least 1")
+        self.p, self.q = base_kernels(self.a, self.b, self.gamma,
+                                      self.k_max + 8, self.grid_n)
+        self.kernels = {(0, 1): self.q, (1, 1): self.p}
 
     def __getitem__(self, jk) -> KernelJet:
         j, k = jk
         if not (0 <= j <= k and k >= 1):
             raise KeyError(f"S_({j},{k}) is not defined")
+        if k > self.k_max:
+            raise KeyError(f"S_({j},{k}) lies beyond the family's "
+                           f"k_max = {self.k_max}")
         if (j, k) not in self.kernels:
             self._extend_to(k)
         return self.kernels[(j, k)]
@@ -234,15 +243,9 @@ class KernelFamily:
 
 def sjk_family(a: AnalyticField, b: AnalyticField, gamma: float,
                k_max: int, grid_n: int = 96) -> KernelFamily:
-    """Build all ``S_{j,k}`` with ``k <= k_max``.
-
-    The base jet order ``k_max + 8`` leaves at least eight usable Taylor
-    terms after the recursion spends one order per level.
-    """
-    fam = KernelFamily(a=a, b=b, gamma=gamma, base_order=k_max + 8,
-                       grid_n=grid_n)
-    fam._extend_to(max(k_max, 1))
-    return fam
+    """The ``S_{j,k}`` family with ``k <= k_max``; levels above one are
+    composed when first read."""
+    return KernelFamily(a=a, b=b, gamma=gamma, k_max=k_max, grid_n=grid_n)
 
 
 def apply_kernel(S: KernelJet, g, xi: float, eta_val: float) -> float:

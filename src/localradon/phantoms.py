@@ -1,7 +1,10 @@
 """Phantoms supported inside the parabola ``{y >= c*x**2}``.
 
-Every phantom vanishes identically below the parabola; the smooth kinds
-use an exponential cutoff so that the support constraint holds exactly
+A phantom is one smooth bump, ``amplitude * bump * cutoff / center_norm``,
+optionally times a polynomial in ``(x - cx, y - cy)`` and times
+``cos(oscillation*x)/oscillation``, or bilinear interpolation of tabulated
+samples.  Every phantom vanishes identically below the parabola; the bump
+uses an exponential cutoff so that the support constraint holds exactly
 while staying C-infinity.
 """
 
@@ -16,7 +19,6 @@ from scipy.interpolate import RegularGridInterpolator
 __all__ = [
     "PhantomSpec",
     "smooth_bump",
-    "polynomial_times_bump",
     "tabulated_phantom",
     "oscillatory_phantom",
     "holder_seminorm_estimate",
@@ -28,12 +30,15 @@ __all__ = [
 class PhantomSpec:
     """An evaluable function ``f(x, y)`` supported in ``{y >= c*x**2}``.
 
+    With ``grid`` set the phantom interpolates the samples ``(xs, ys,
+    values)``; otherwise it is the bump, times the polynomial with flat
+    ``(i, j, c)`` triples ``poly_coeffs`` when these are given, times
+    ``cos(oscillation*x)/oscillation`` when ``oscillation > 0``.
     ``holder_alpha`` and ``holder_bound`` declare the a priori regularity
     ``|f(p) - f(q)| <= holder_bound * |p - q|**holder_alpha`` that the
     stability bounds consume.
     """
 
-    kind: str
     center: tuple[float, float] = (0.0, 0.5)
     width: float = 0.3
     amplitude: float = 1.0
@@ -43,16 +48,10 @@ class PhantomSpec:
     oscillation: float = 0.0
     poly_coeffs: tuple[float, ...] = ()
     grid: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    _interp: object = field(default=None, repr=False, compare=False)
+    _interp: object = field(init=False, default=None, repr=False,
+                            compare=False)
 
     def __post_init__(self):
-        if self.kind not in (
-            "smooth-bump",
-            "polynomial-times-bump",
-            "oscillatory",
-            "tabulated",
-        ):
-            raise ValueError(f"unknown phantom kind {self.kind!r}")
         if self.width <= 0:
             raise ValueError("width must be positive")
         if not (0.0 < self.holder_alpha <= 1.0):
@@ -61,17 +60,22 @@ class PhantomSpec:
             raise ValueError("holder_bound must be positive")
         if self.support_constant < 1.0:
             raise ValueError("support_constant must be >= 1")
-        if self.kind == "tabulated":
-            if self.grid is None:
-                raise ValueError("tabulated phantom needs grid data")
+        if self.oscillation < 0:
+            raise ValueError("oscillation must be >= 0")
+        if self.grid is not None:
             xs, ys, vals = self.grid
-            object.__setattr__(
-                self,
-                "_interp",
-                RegularGridInterpolator(
-                    (xs, ys), vals, bounds_error=False, fill_value=0.0
-                ),
+            self._interp = RegularGridInterpolator(
+                (xs, ys), vals, bounds_error=False, fill_value=0.0
             )
+
+    @property
+    def kind(self) -> str:
+        """The label of the first factor set: grid, oscillation, polynomial."""
+        if self.grid is not None:
+            return "tabulated"
+        if self.oscillation > 0:
+            return "oscillatory"
+        return "polynomial-times-bump" if self.poly_coeffs else "smooth-bump"
 
     # -- evaluation -------------------------------------------------------
 
@@ -103,31 +107,28 @@ class PhantomSpec:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
-        if self.kind == "smooth-bump":
-            out = self.amplitude * self._bump(x, y) * self._cutoff(x, y)
-            out /= self._center_norm()
-        elif self.kind == "polynomial-times-bump":
-            cx, cy = self.center
-            poly = np.polynomial.polynomial.polyval2d(
-                x - cx, y - cy, _poly_matrix(self.poly_coeffs)
-            )
-            out = self.amplitude * poly * self._bump(x, y) * self._cutoff(x, y)
-            out /= self._center_norm()
-        elif self.kind == "oscillatory":
-            lam = self.oscillation
-            base = replace(self, kind="smooth-bump", oscillation=0.0)
-            out = base(x, y) * np.cos(lam * x) / lam
-        else:  # tabulated
+        if self.grid is not None:
             out = np.asarray(self._interp(np.stack([x, y], axis=-1)),
                              dtype=float).reshape(x.shape)
             out = np.where(y >= self.support_constant * x * x, out, 0.0)
+        else:
+            scale = self.amplitude
+            if self.poly_coeffs:
+                cx, cy = self.center
+                scale = scale * np.polynomial.polynomial.polyval2d(
+                    x - cx, y - cy, _poly_matrix(self.poly_coeffs)
+                )
+            out = scale * self._bump(x, y) * self._cutoff(x, y)
+            out /= self._center_norm()
+            if self.oscillation > 0:
+                out = out * np.cos(self.oscillation * x) / self.oscillation
         return out if out.shape else float(out)
 
     # -- geometry helpers -------------------------------------------------
 
     def x_extent(self) -> float:
         """Half-width of the x-interval outside which the phantom vanishes."""
-        if self.kind == "tabulated":
+        if self.grid is not None:
             xs = self.grid[0]
             return float(max(abs(xs[0]), abs(xs[-1])))
         return abs(self.center[0]) + self.width
@@ -135,8 +136,6 @@ class PhantomSpec:
 
 def _poly_matrix(coeffs):
     # flat (i, j, c) triples -> coefficient matrix for polyval2d
-    if not coeffs:
-        return np.ones((1, 1))
     triples = np.asarray(coeffs, dtype=float).reshape(-1, 3)
     ni = int(triples[:, 0].max()) + 1
     nj = int(triples[:, 1].max()) + 1
@@ -153,33 +152,12 @@ def smooth_bump(
     support_constant=1.0,
     holder_alpha=1.0,
     holder_bound=None,
+    poly_coeffs=(),
 ) -> PhantomSpec:
-    """Smooth bump phantom; ``holder_bound`` defaults to a dense-grid gradient bound."""
+    """Smooth bump phantom, times the polynomial with ``(i, j, c)`` triples
+    ``poly_coeffs`` (``c (x - cx)^i (y - cy)^j`` terms) when given;
+    ``holder_bound`` defaults to a dense-grid gradient bound."""
     p = PhantomSpec(
-        kind="smooth-bump",
-        center=center,
-        width=width,
-        amplitude=amplitude,
-        support_constant=support_constant,
-        holder_alpha=holder_alpha,
-        holder_bound=1.0,
-    )
-    if holder_bound is None:
-        holder_bound = lipschitz_bound(p)
-    return replace(p, holder_bound=holder_bound)
-
-
-def polynomial_times_bump(
-    poly_coeffs,
-    center=(0.0, 0.5),
-    width=0.3,
-    amplitude=1.0,
-    support_constant=1.0,
-    holder_alpha=1.0,
-    holder_bound=None,
-) -> PhantomSpec:
-    p = PhantomSpec(
-        kind="polynomial-times-bump",
         center=center,
         width=width,
         amplitude=amplitude,
@@ -204,7 +182,6 @@ def tabulated_phantom(
     ys = np.asarray(ys, dtype=float)
     values = np.asarray(values, dtype=float)
     return PhantomSpec(
-        kind="tabulated",
         center=(0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1])),
         width=max(xs[-1] - xs[0], ys[-1] - ys[0]),
         support_constant=support_constant,
@@ -225,8 +202,7 @@ def oscillatory_phantom(q: PhantomSpec, lam: float) -> PhantomSpec:
     if q.kind != "smooth-bump":
         raise ValueError("oscillatory phantoms are built from smooth bumps")
     sup_q = _grid_sup(q)
-    return replace(q, kind="oscillatory", oscillation=lam, holder_bound=sup_q,
-                   holder_alpha=1.0)
+    return replace(q, oscillation=lam, holder_bound=sup_q, holder_alpha=1.0)
 
 
 def _grid_sup(p: PhantomSpec, n: int = 301) -> float:

@@ -371,18 +371,18 @@ def calibrate_constants(
 
     The fitted constant is floored at the value the moment-bound proof
     actually needs, ``sqrt(2) C_phi max(2 gamma, 1)`` with ``C_phi`` the
-    certified derivative constant of the test function (the sqrt(2)
-    absorbs ``k <= sqrt(2)^(k+1)``): that floor makes the moment
-    inequality hold for arbitrary data (noise included), not just for the
-    calibration run.  A second floor ``e * eps`` keeps the truncation
+    derivative constant of the test function, certified on every call at
+    order ``min(N, derivative_order_max)`` (the sqrt(2) absorbs
+    ``k <= sqrt(2)^(k+1)``): that floor makes the moment inequality hold for
+    arbitrary data (noise included), not just for the calibration run.  A second floor ``e * eps`` keeps the truncation
     rule's ``log(C/eps)`` positive.
     """
     from .bumps import verify_derivative_bounds
 
     rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam, mode=mode)
-    if phi.certified_constant is None:
-        verify_derivative_bounds(phi, min(N, phi.derivative_order_max))
-    floor = math.sqrt(2.0) * phi.certified_constant * max(2 * gamma, 1.0)
+    C_phi = verify_derivative_bounds(
+        phi, min(N, phi.derivative_order_max)).certified_constant
+    floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)
     return replace(consts, c_env=max(rep.fitted_c, floor, math.e * eps))
 
 

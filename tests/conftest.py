@@ -69,6 +69,20 @@ def sino_sym_weighted(f_sym, m_exp):
 
 
 @pytest.fixture(scope="session")
+def m_generic():
+    # generic xi-dependent fields: d_xi psi and S_{0,1} = Q - d_xi P matter
+    return weight_from_ab(field_from_spec("0.5*sin_xi"),
+                          field_from_spec("0.5*cos_eta"))
+
+
+@pytest.fixture(scope="session")
+def sino_sym_generic(f_sym, m_generic):
+    xi = np.linspace(-0.13, 0.13, 41)
+    eta = np.linspace(-0.35, 0.35, 169)
+    return synthesize_sinogram(f_sym, m_generic, xi, eta, tol=1e-12)
+
+
+@pytest.fixture(scope="session")
 def sino_clean(f_main, m_const):
     xi = np.linspace(-0.13, 0.13, 41)
     eta = np.linspace(-0.35, 0.35, 57)

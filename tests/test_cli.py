@@ -18,7 +18,7 @@ from localradon.cli import (
     write_sinogram_csv,
 )
 from localradon.kernels import sjk_family
-from localradon.stability import WEIGHTED_K_MAX, data_norm
+from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
 from localradon.transform import Sinogram
 from localradon.weights import field_from_spec, zero_field
 
@@ -146,11 +146,16 @@ def test_cli_reconstruct(tmp_path):
 
 
 def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
-    # phi12 allows N = 12, but a weighted run may not pass WEIGHTED_K_MAX,
-    # so calibration may not extend the family beyond it either
-    fam = sjk_family(field_from_spec("one"), zero_field(), 0.3, 2, grid_n=24)
+    # phi12 allows N = 12, but a weighted run may not pass WEIGHTED_K_MAX:
+    # the pipeline's family stops there, and calibration stays inside it
+    k_max = order_cap(phi12, weighted=True)
+    assert k_max == WEIGHTED_K_MAX
+    fam = sjk_family(field_from_spec("one"), zero_field(), 0.3, k_max,
+                     grid_n=24)
     _calibrated({}, sino_weighted, f_main, phi12, 0.1, 0.3, fam, "analytic")
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
+    with pytest.raises(KeyError, match="k_max"):
+        fam[(0, WEIGHTED_K_MAX + 1)]
 
 
 def test_cli_verify(tmp_path):
@@ -208,38 +213,50 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides, key", [
-    ({"weight": {"kind": "from_ab", "a": "bogus"}}, "weight.a"),
-    ({"weight": {"kind": "from_ab", "a": "x*one"}}, "weight.a"),
-    ({"weight": {"kind": "constant", "level": 0}}, "weight.level"),
+@pytest.mark.parametrize("overrides, key, subcommand", [
+    ({"weight": {"kind": "from_ab", "a": "bogus"}}, "weight.a",
+     "reconstruct"),
+    ({"weight": {"kind": "from_ab", "a": "x*one"}}, "weight.a",
+     "reconstruct"),
+    ({"weight": {"kind": "constant", "level": 0}}, "weight.level",
+     "reconstruct"),
     ({"test_function": {"kind": "hormander", "param": 30}},
-     "test_function.param"),
+     "test_function.param", "reconstruct"),
     ({"test_function": {"kind": "gevrey", "param": 1.0}},
-     "test_function.param"),
-    ({"phantom": dict(BASE_CONFIG["phantom"], width=-1)}, "phantom: width"),
+     "test_function.param", "reconstruct"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], width=-1)}, "phantom: width",
+     "reconstruct"),
     ({"grid": {"xi": [-0.13, 0.13, 20.5], "eta": [-0.35, 0.35, 29]}},
-     "grid.xi"),
-    ({"mode": "bogus"}, "mode"),
-    ({"eps": -0.1}, "eps"),
-    ({"gamma": -0.3}, "gamma"),
-    ({"eps0": 0.0}, "eps0"),
-    ({"tolerance": 0.0}, "tolerance"),
-    ({"tolerance": -1e-8}, "tolerance"),
+     "grid.xi", "reconstruct"),
+    ({"mode": "bogus"}, "mode", "reconstruct"),
+    ({"eps": -0.1}, "eps", "reconstruct"),
+    ({"gamma": -0.3}, "gamma", "reconstruct"),
+    ({"eps0": 0.0}, "eps0", "reconstruct"),
+    ({"tolerance": 0.0}, "tolerance", "reconstruct"),
+    ({"tolerance": -1e-8}, "tolerance", "reconstruct"),
     ({"test_function": {"kind": "hormander", "param": 4.9}},
-     "test_function.param"),
+     "test_function.param", "reconstruct"),
     ({"test_function": {"kind": "gevrey", "param": 2.0, "k_max": 8.5}},
-     "test_function.k_max"),
-    ({"weight": FROM_AB, "kernels": {"grid_n": 1}}, "kernels.grid_n"),
-    ({"weight": FROM_AB, "kernels": {"k_max": 2.7}}, "kernels.k_max"),
-    ({"weight": {"kind": "attenuation"}}, "weight.kind"),
-    ({"seed": 2.5}, "seed"),
+     "test_function.k_max", "reconstruct"),
+    ({"weight": FROM_AB, "kernels": {"grid_n": 1}}, "kernels.grid_n",
+     "reconstruct"),
+    # only the kernels subcommand reads kernels.k_max
+    ({"weight": FROM_AB, "kernels": {"k_max": 2.7}}, "kernels.k_max",
+     "kernels"),
+    ({"weight": {"kind": "attenuation"}}, "weight.kind", "reconstruct"),
+    ({"seed": 2.5}, "seed", "reconstruct"),
+    ({"noise_sigma": -1e-6}, "noise_sigma", "reconstruct"),
+    ({"noise_levels": [-1e-6, 1e-8]}, "noise_levels", "sweep"),
+    ({"noise_levels": [1e-8, "small"]}, "noise_levels", "sweep"),
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
-        "attenuation", "seed"])
-def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key):
+        "attenuation", "seed", "noise_sigma", "noise_levels",
+        "noise_levels_text"])
+def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
+                                   subcommand):
     cfg = write_config(tmp_path, overrides)
-    assert main(["reconstruct", "--config", str(cfg), "--out",
+    assert main([subcommand, "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err

@@ -52,18 +52,22 @@ def test_exp_weight_family_closed_form(fam_exp):
 
 
 def test_xi_field_family_closed_form():
-    # a = xi, b = 0: psi = exp(xi (eta' - eta));
-    # S_{1,2} = gap^2/2 * psi and S_{2,2} = gap * psi
+    # a = xi, b = 0: psi = exp(xi (eta' - eta)), Q = 0 and d_xi psi =
+    # -gap psi, so S_{0,1} = Q - d_xi P = gap psi; the recursion then gives
+    # S_{0,2} = gap^3/2 psi, S_{1,2} = 3/2 gap^2 psi and S_{2,2} = gap psi
     fam = sjk_family(field_from_spec("xi"), zero_field(), GAMMA, 2)
     eta, gap, tri = lower_triangle(fam)
     xi = 0.12
     base = np.exp(-xi * gap[tri])
     assert np.abs(fam[(1, 1)].values(xi)[tri] - base).max() < 1e-10
+    assert np.abs(fam[(0, 1)].values(xi)[tri]
+                  - gap[tri] * base).max() < 1e-10
     assert np.abs(fam[(1, 2)].values(xi)[tri]
-                  - 0.5 * gap[tri] ** 2 * base).max() < 1e-9
+                  - 1.5 * gap[tri] ** 2 * base).max() < 1e-9
     assert np.abs(fam[(2, 2)].values(xi)[tri]
                   - gap[tri] * base).max() < 1e-9
-    assert np.abs(fam[(0, 2)].values(xi)).max() < 1e-11
+    assert np.abs(fam[(0, 2)].values(xi)[tri]
+                  - 0.5 * gap[tri] ** 3 * base).max() < 1e-11
 
 
 def test_families_exact_on_small_grid():
@@ -73,10 +77,10 @@ def test_families_exact_on_small_grid():
     eta, gap, tri = lower_triangle(fam)
     xi = 0.12
     base = np.exp(-xi * gap[tri])
-    assert np.abs(fam[(1, 2)].values(xi)[tri]
-                  - 0.5 * gap[tri] ** 2 * base).max() < 1e-13
-    assert np.abs(fam[(2, 2)].values(xi)[tri]
-                  - gap[tri] * base).max() < 1e-13
+    for (j, k), ref in {(0, 1): gap[tri], (0, 2): 0.5 * gap[tri] ** 3,
+                        (1, 2): 1.5 * gap[tri] ** 2,
+                        (2, 2): gap[tri]}.items():
+        assert np.abs(fam[(j, k)].values(xi)[tri] - ref * base).max() < 1e-13
     # a = 2 sin(eta): A = 2 cos(gamma) - 2 cos(eta), so
     # psi = exp(2 cos(eta) - 2 cos(eta')) and S_{k,k} = gap^(k-1)/(k-1)! psi
     fam = sjk_family(field_from_spec("2*sin_eta"), zero_field(), GAMMA, 4,
@@ -146,8 +150,9 @@ class MatrixOracle:
     Operators are Volterra quadrature matrices on a fine eta grid, built
     straight from the defining integrals with adaptive quadrature for the
     antiderivative; xi-derivatives are central finite differences across a
-    stencil of xi samples.  Nothing here shares code with the jet-based
-    implementation.
+    stencil of xi samples.  The recursion's base ``Q' = Q - d_xi P`` takes
+    its derivative from the same stencil, so it exists one sample in from
+    either end.  Nothing here shares code with the jet-based implementation.
     """
 
     def __init__(self, a, b, gamma, xi0, h=2e-3, n=601, stencil=7):
@@ -170,9 +175,13 @@ class MatrixOracle:
             psi = np.exp(A[None, :] - A[:, None])
             bv = np.array([float(b.value(xi, e)) for e in self.eta])
             P = psi * W
-            Q = (-bv[None, :] * psi) * W
-            mats[idx] = {"P": P, "Q": Q, (0, 1): Q, (1, 1): P}
-        self.mats = mats
+            mats[idx] = {"P": P, "Q": (-bv[None, :] * psi) * W, (1, 1): P}
+        self.mats = {}
+        for idx in range(1, stencil - 1):
+            m = mats[idx]
+            dP = (mats[idx + 1]["P"] - mats[idx - 1]["P"]) / (2 * h)
+            m["Q"] = m[(0, 1)] = m["Q"] - dP
+            self.mats[idx] = m
 
     def extend(self, k_max):
         idxs = sorted(self.mats)

@@ -12,7 +12,6 @@ from localradon.phantoms import (
     holder_seminorm_estimate,
     lipschitz_bound,
     oscillatory_phantom,
-    polynomial_times_bump,
     smooth_bump,
     tabulated_phantom,
 )
@@ -64,7 +63,8 @@ def test_lipschitz_bound_positive(f_main):
 
 def test_polynomial_times_bump():
     # p(x, y) = (x - cx): odd factor kills the center value
-    f = polynomial_times_bump([(1, 0, 1.0)], center=(0.0, 0.5), width=0.3)
+    f = smooth_bump(center=(0.0, 0.5), width=0.3, poly_coeffs=[(1, 0, 1.0)])
+    assert f.kind == "polynomial-times-bump"
     assert float(f(0.0, 0.5)) == 0.0
     assert float(f(0.1, 0.5)) != 0.0
     assert float(f(-0.1, 0.5)) == pytest.approx(-float(f(0.1, 0.5)),
@@ -115,9 +115,21 @@ def test_oscillatory_scaling():
         oscillatory_phantom(q, -1.0)
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
+def test_kind_follows_the_factors():
+    q = smooth_bump()
+    assert q.kind == "smooth-bump"
+    assert oscillatory_phantom(q, 2.0).kind == "oscillatory"
+    assert smooth_bump(poly_coeffs=[(0, 1, 2.0)]).kind == \
+        "polynomial-times-bump"
+    xs = np.linspace(-0.5, 0.5, 5)
+    tab = tabulated_phantom(xs, xs + 0.5, np.ones((5, 5)))
+    assert tab.kind == "tabulated"
+    with pytest.raises(TypeError):
         PhantomSpec(kind="pyramid")
+    with pytest.raises(ValueError):
+        PhantomSpec(oscillation=-1.0)
+    with pytest.raises(ValueError):
+        oscillatory_phantom(tab, 2.0)
 
 
 @given(x=st.floats(-1.2, 1.2), y=st.floats(-0.5, 1.5))

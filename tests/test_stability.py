@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from localradon.bumps import gevrey_bump, verify_derivative_bounds
 from localradon.legendre import MomentVector
 from localradon.means import mean_profile
 from localradon.stability import (
@@ -195,9 +196,25 @@ def test_moment_audit_ratios(sino_clean, phi12, f_main):
 def test_calibrate_floors(sino_clean, phi12, f_main):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     cal = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, consts)
-    floor = math.sqrt(2.0) * phi12.certified_constant * max(2 * GAMMA, 1.0)
+    C_phi = verify_derivative_bounds(phi12, 4).certified_constant
+    floor = math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
     assert cal.c_env >= floor - 1e-12
     assert cal.c_env >= math.e * EPS
+
+
+def test_calibration_certifies_its_own_order(sino_clean, f_main):
+    # a Gevrey bump's certified constant grows with the order (1.303 at
+    # k = 0, 1.661 at k >= 1 for sigma = 2), so a certificate made earlier
+    # at a lower order may not lower the proof floor of a calibration at N
+    consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
+    fresh = calibrate_constants(sino_clean, gevrey_bump(2.0, 14), EPS,
+                                GAMMA, 1, consts)
+    phi = gevrey_bump(2.0, 14)
+    C_phi = verify_derivative_bounds(phi, 1).certified_constant
+    assert verify_derivative_bounds(phi, 0).certified_constant < C_phi
+    again = calibrate_constants(sino_clean, phi, EPS, GAMMA, 1, consts)
+    assert again.c_env == fresh.c_env
+    assert fresh.c_env >= math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
 
 
 def test_with_noise_deterministic(sino_clean):
