@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,8 +31,8 @@ from .stability import (
     BoundConstants,
     calibrate_constants,
     counterexample_experiment,
-    data_norm,
     order_cap,
+    profile_errors,
     reconstruct_mean,
     reconstruct_slice,
     stability_curve,
@@ -71,6 +72,7 @@ Config file keys (YAML):
                   when its embedded error estimate is at most
                   max(tolerance, tolerance*|value|)
   out_dir:        artifact directory (overridable with --out)
+Numbers may carry an exponent without a dot: 1e-8 reads as a float.
 """
 
 
@@ -108,10 +110,21 @@ def _config_key(key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """The safe loader, also reading exponent numbers without a dot
+    (``1e-6``, which YAML 1.1 leaves a string) as floats."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -359,63 +372,58 @@ def _calibrated(cfg, g, f, phi, eps, gamma, fam, mode):
     return consts
 
 
-def cmd_reconstruct(cfg, out, seed, quiet):
+def _pipeline(cfg, seed, eps):
+    """What ``reconstruct``, ``slice`` and ``sweep`` share: the data, gamma,
+    mode, test function, the kernel family (to the weighted order cap) and
+    the constants calibrated at ``eps``."""
     f, m, g = _sinogram_from_config(cfg, seed)
-    eps = _need(cfg, "eps")
     gamma = _need(cfg, "gamma")
     mode = build_mode(cfg)
     phi = build_test_function(cfg)
     fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
-    prof, N = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode, fam=fam)
-    true = mean_profile(f, m, phi, eps, gamma, x_grid=prof.x)
-    from .stability import H_FLOOR, mean_bound, profile_errors
-    H = max(data_norm(g, eps, gamma), H_FLOOR)
-    l2, sup = profile_errors(prof, true)
+    return f, m, g, gamma, mode, phi, fam, consts
+
+
+def cmd_reconstruct(cfg, out, seed, quiet):
+    eps = _need(cfg, "eps")
+    f, m, g, gamma, mode, phi, fam, consts = _pipeline(cfg, seed, eps)
+    rec = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode, fam=fam)
+    true = mean_profile(f, m, phi, eps, gamma, x_grid=rec.profile.x)
+    l2, sup = profile_errors(rec.profile, true)
     path = out / "reconstruction.csv"
     _write_rows_csv(path, ["x", "estimate", "truth"],
-                    [{"x": x, "estimate": v, "truth": t}
-                     for x, v, t in zip(prof.x, prof.values, true.values)])
-    extra = {"H": H, "N": N, "l2_error": l2, "sup_error_half": sup,
-             "bound": mean_bound(H, consts, eps, mode),
-             "c_env": consts.c_env}
+                    [{"x": x, "estimate": v, "truth": t} for x, v, t in
+                     zip(rec.profile.x, rec.profile.values, true.values)])
+    extra = {"H": rec.H, "N": rec.N, "l2_error": l2, "sup_error_half": sup,
+             "bound": rec.bound, "c_env": consts.c_env}
     if not quiet:
-        print(f"N={N} H={H:.3e} l2={l2:.3e} bound={extra['bound']:.3e}")
-    if l2 > extra["bound"]:
+        print(f"N={rec.N} H={rec.H:.3e} l2={l2:.3e} bound={rec.bound:.3e}")
+    if l2 > rec.bound:
         raise RuntimeError("reconstruct: error exceeds the estimate bound")
     return [path], extra
 
 
 def cmd_slice(cfg, out, seed, quiet):
-    f, m, g = _sinogram_from_config(cfg, seed)
-    gamma = _need(cfg, "gamma")
     eps0 = _need(cfg, "eps0")
-    mode = build_mode(cfg)
-    phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
-    consts = _calibrated(cfg, g, f, phi, min(eps0, 0.5 * eps0 + 0.05),
-                         gamma, fam, mode)
-    res = reconstruct_slice(g, phi, gamma, consts, eps0, mode=mode, fam=fam)
+    _, _, g, gamma, mode, phi, fam, consts = _pipeline(
+        cfg, seed, min(eps0, 0.5 * eps0 + 0.05))
+    rec = reconstruct_slice(g, phi, gamma, consts, eps0, mode=mode, fam=fam)
     path = out / "slice.csv"
     _write_rows_csv(path, ["x", "estimate"],
                     [{"x": x, "estimate": v}
-                     for x, v in zip(res.profile.x, res.profile.values)])
-    extra = {"eps": res.eps, "N": res.N, "H": res.H, "bound": res.bound}
+                     for x, v in zip(rec.profile.x, rec.profile.values)])
+    eps = rec.profile.eps
+    extra = {"eps": eps, "N": rec.N, "H": rec.H, "bound": rec.bound}
     if not quiet:
-        print(f"eps={res.eps:.4f} N={res.N} H={res.H:.3e} "
-              f"bound={res.bound:.3e}")
+        print(f"eps={eps:.4f} N={rec.N} H={rec.H:.3e} bound={rec.bound:.3e}")
     return [path], extra
 
 
 def cmd_sweep(cfg, out, seed, quiet):
-    f, m, g = _sinogram_from_config(cfg, seed)
     eps = _need(cfg, "eps")
-    gamma = _need(cfg, "gamma")
-    mode = build_mode(cfg)
     levels = _need(cfg, "noise_levels")
-    phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
-    consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
+    f, m, g, gamma, mode, phi, fam, consts = _pipeline(cfg, seed, eps)
     true = mean_profile(f, m, phi, eps, gamma)
     report = stability_curve(g, true, phi, levels, eps, gamma, consts,
                              mode=mode, fam=fam, seed=seed)
@@ -510,8 +518,8 @@ def cmd_verify(cfg, out, seed, quiet):
     # zero data soundness
     zero = Sinogram(xi=g.xi, eta=g.eta, values=np.zeros_like(g.values))
     consts = build_constants(cfg, f)
-    prof0, n0 = reconstruct_mean(zero, phi, eps, gamma, consts)
-    results["zero_data"] = float(np.abs(prof0.values).max())
+    rec0 = reconstruct_mean(zero, phi, eps, gamma, consts)
+    results["zero_data"] = float(np.abs(rec0.profile.values).max())
 
     ok = (
         results["bump_ratio_max"] <= 1.0 + 1e-12

@@ -4,7 +4,6 @@ over ``{y: |y - gamma| <= eps*|x|}`` against a dilated test function.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,17 +40,6 @@ def support_halfwidth(eps: float, gamma: float, c: float = 1.0) -> float:
     return (eps + np.sqrt(eps * eps + 4.0 * c * gamma)) / (2.0 * c)
 
 
-def effective_gamma(eps: float, gamma: float) -> float:
-    """Auto-raise gamma to eps^2/4 (with a warning) when it is too small."""
-    floor = eps * eps / 4.0
-    if gamma < floor:
-        warnings.warn(
-            f"gamma={gamma} below eps^2/4={floor}; raising it", stacklevel=2
-        )
-        return floor
-    return gamma
-
-
 @dataclass
 class MeanProfile:
     """Samples of a vertical-interval mean over an x-grid on [-1, 1]."""
@@ -85,10 +73,12 @@ def mean_profile(
     For ``x != 0`` this is the y-integral of
     ``f(x, y) [m_gamma(x, y)] phi_{eps|x|}(gamma - y)`` over
     ``|y - gamma| <= eps|x|``; at ``x = 0`` the defining point value.
+    Like the moments, it refuses ``gamma < eps^2/4``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gamma = effective_gamma(eps, gamma)
+    if gamma < eps * eps / 4.0 - 1e-12:
+        raise ValueError("gamma must be at least eps^2/4")
     if x_grid is None:
         x_grid = chebyshev_grid()
     x_grid = np.asarray(x_grid, dtype=float)
@@ -145,7 +135,6 @@ def convergence_gap(
     ``C_0 (eps |x|)^alpha``; the ratio is at most one for honest Hölder data.
     """
     prof = mean_profile(f, m, phi, eps, gamma, x_grid=x_grid)
-    gamma = prof.gamma
     mg = corrected_weight(m, gamma) if m is not None else None
     target = np.asarray(f(prof.x, np.full_like(prof.x, gamma)), dtype=float)
     if mg is not None:

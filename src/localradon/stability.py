@@ -16,19 +16,19 @@ from typing import Optional
 import numpy as np
 from scipy.stats import linregress
 
-from .bumps import TestFunction
+from .bumps import TestFunction, hormander_sequence, verify_derivative_bounds
 from .kernels import KernelFamily, interpolation_matrix
 from .legendre import MOMENT_MAP_N_CAP, MomentVector, moments_to_coefficients
 from .means import MeanProfile, chebyshev_grid
-from .phantoms import PhantomSpec
-from .transform import Sinogram, synthesize_sinogram
+from .phantoms import PhantomSpec, oscillatory_phantom
+from .transform import Sinogram, synthesize_sinogram, with_noise
 from .weights import constant_weight, panel_rule
 
 __all__ = [
     "BoundConstants",
     "StabilityReport",
     "MomentAuditReport",
-    "SliceResult",
+    "Reconstruction",
     "H_FLOOR",
     "data_norm",
     "moments_from_sinogram_unweighted",
@@ -83,8 +83,9 @@ class BoundConstants:
 
 
 def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
-    """``sup over rows |eta| <= gamma of the L1 norm of g over |xi| <= eps``
-    (trapezoid on the grid, endpoints interpolated)."""
+    """``sup over |eta| <= gamma of int |g(xi, eta)| over |xi| <= eps``, read
+    from the spline the moments read: on the grid rows with ``|eta| <
+    gamma`` and the rows ``eta = +-gamma``, by the Gauss panel rule."""
     if eps <= 0 or gamma <= 0:
         raise ValueError("eps and gamma must be positive")
     if g.failed is not None and g.failed.any():
@@ -94,14 +95,9 @@ def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
     if g.xi[0] > -eps or g.xi[-1] < eps or g.eta[0] > -gamma or \
             g.eta[-1] < gamma:
         raise ValueError("rectangle [-eps,eps] x [-gamma,gamma] exceeds grid")
-    inside = np.abs(g.xi) < eps
-    xs = np.concatenate(([-eps], g.xi[inside], [eps]))
-    rows = np.abs(g.eta) <= gamma + 1e-12
-    best = 0.0
-    for row in g.values[:, rows].T:
-        vals = np.abs(np.interp(xs, g.xi, row))
-        best = max(best, float(np.trapezoid(vals, xs)))
-    return best
+    rows = np.unique(np.append(g.eta[np.abs(g.eta) < gamma], [-gamma, gamma]))
+    xs, ws = (a.ravel() for a in panel_rule(np.linspace(-eps, eps, 33), 10))
+    return float((ws @ np.abs(g.interpolant()(xs, rows))).max())
 
 
 def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
@@ -250,6 +246,24 @@ def order_cap(phi: TestFunction, weighted: bool) -> int:
     return min(cap, WEIGHTED_K_MAX) if weighted else cap
 
 
+def _moments_of(g: Sinogram, fam: Optional[KernelFamily], phi: TestFunction,
+                eps: float, gamma: float, N: int) -> MomentVector:
+    """The unweighted moments when ``fam`` is None, else the weighted ones."""
+    if fam is None:
+        return moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
+    return moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N)
+
+
+@dataclass
+class Reconstruction:
+    """One estimate: the profile, the truncation order ``N``, the data norm
+    ``H`` (floored at ``H_FLOOR``) that chose it, and the error bound."""
+    profile: MeanProfile
+    N: int
+    H: float
+    bound: float
+
+
 def reconstruct_mean(
     g: Sinogram,
     phi: TestFunction,
@@ -259,47 +273,31 @@ def reconstruct_mean(
     mode: str = "analytic",
     fam: Optional[KernelFamily] = None,
     x_grid=None,
-):
+) -> Reconstruction:
     """Estimate the mean profile from data alone.
 
     Pipeline: data norm H, truncation order N, moments from the sinogram,
-    exact moment-to-Legendre map, truncated series.  Returns the profile
-    and the N used.  Zero data yields the zero profile exactly.
+    exact moment-to-Legendre map, truncated series, and the mean bound at
+    H.  Zero data yields N = 0 and the zero profile exactly.
     """
-    if x_grid is None:
-        x_grid = chebyshev_grid()
-    x_grid = np.asarray(x_grid, dtype=float)
-    weighted = fam is not None
+    x_grid = chebyshev_grid() if x_grid is None \
+        else np.asarray(x_grid, dtype=float)
     H_raw = data_norm(g, eps, gamma)
-    if H_raw == 0.0:
-        return MeanProfile(x=x_grid, values=np.zeros(x_grid.size), eps=eps,
-                           gamma=gamma, weighted=weighted), 0
     H = max(H_raw, H_FLOOR)
-    N = min(truncation_order(H, consts, eps, mode), order_cap(phi, weighted))
-    if phi.kind == "hormander" and phi.param != N:
-        # the mollified-hat index is tied to the truncation order
-        from .bumps import hormander_sequence
-        phi = hormander_sequence(max(N, 1))
-    if weighted:
-        moments = moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N)
-    else:
-        moments = moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
-    series = moments_to_coefficients(moments)
-    prof = MeanProfile(
-        x=x_grid, values=np.asarray(series(x_grid), dtype=float),
-        eps=eps, gamma=gamma, weighted=weighted,
-        test_function=f"{phi.kind}:{phi.param}",
-    )
-    return prof, N
-
-
-@dataclass
-class SliceResult:
-    profile: MeanProfile
-    eps: float
-    N: int
-    H: float
-    bound: float
+    N, values = 0, np.zeros(x_grid.size)
+    if H_raw > 0.0:
+        N = min(truncation_order(H, consts, eps, mode),
+                order_cap(phi, fam is not None))
+        if phi.kind == "hormander" and phi.param != N:
+            # the mollified-hat index is tied to the truncation order
+            phi = hormander_sequence(max(N, 1))
+        series = moments_to_coefficients(
+            _moments_of(g, fam, phi, eps, gamma, N))
+        values = np.asarray(series(x_grid), dtype=float)
+    prof = MeanProfile(x=x_grid, values=values, eps=eps, gamma=gamma,
+                       weighted=fam is not None,
+                       test_function=f"{phi.kind}:{phi.param}")
+    return Reconstruction(prof, N, H, mean_bound(H, consts, eps, mode))
 
 
 def reconstruct_slice(
@@ -310,21 +308,18 @@ def reconstruct_slice(
     eps0: float,
     mode: str = "analytic",
     fam: Optional[KernelFamily] = None,
-    x_grid=None,
-) -> SliceResult:
+) -> Reconstruction:
     """Slice estimate ``f(., gamma)`` (or ``f m_gamma``): pick eps in
     ``[1/log(M/H), 2/log(M/H)]``, require the window below eps0, then
-    reconstruct the mean at that eps."""
+    reconstruct the mean at that eps (``profile.eps``) under the slice
+    bound."""
     H0 = max(data_norm(g, eps0, gamma), H_FLOOR)
     t = math.log(consts.M / H0)
     if t <= 0 or 2.0 / t >= eps0:
         raise ValueError("H too large for eps-selection rule")
-    eps = 1.5 / t
-    prof, N = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode,
-                               fam=fam, x_grid=x_grid)
-    H = max(data_norm(g, eps, gamma), H_FLOOR)
-    return SliceResult(profile=prof, eps=eps, N=N, H=H,
-                       bound=slice_bound(H, consts, mode))
+    rec = reconstruct_mean(g, phi, 1.5 / t, gamma, consts, mode=mode,
+                           fam=fam)
+    return replace(rec, bound=slice_bound(rec.H, consts, mode))
 
 
 @dataclass
@@ -344,10 +339,7 @@ def moment_bound_audit(
     (analytic) or ``k!^s`` (gevrey); C is fitted as the smallest constant
     making every ratio at most one, and reported for reuse."""
     H = max(data_norm(g, eps, gamma), H_FLOOR)
-    if fam is not None:
-        moments = moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N)
-    else:
-        moments = moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
+    moments = _moments_of(g, fam, phi, eps, gamma, N)
     ks = np.arange(N + 1)
     if mode == "analytic":
         env = np.full(N + 1, math.exp(N))
@@ -377,23 +369,11 @@ def calibrate_constants(
     arbitrary data (noise included), not just for the calibration run.  A second floor ``e * eps`` keeps the truncation
     rule's ``log(C/eps)`` positive.
     """
-    from .bumps import verify_derivative_bounds
-
     rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam, mode=mode)
     C_phi = verify_derivative_bounds(
         phi, min(N, phi.derivative_order_max)).certified_constant
     floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)
     return replace(consts, c_env=max(rep.fitted_c, floor, math.e * eps))
-
-
-def with_noise(g: Sinogram, sigma: float, seed: int) -> Sinogram:
-    """A copy of a clean sinogram with fresh seeded Gaussian noise."""
-    rng = np.random.default_rng(seed)
-    values = g.values + rng.normal(0.0, sigma, g.values.shape) \
-        if sigma > 0 else g.values.copy()
-    return Sinogram(xi=g.xi, eta=g.eta, values=values, noise_sigma=sigma,
-                    provenance=dict(g.provenance, noise_seed=seed),
-                    failed=g.failed)
 
 
 def profile_errors(est: MeanProfile, ref: MeanProfile):
@@ -434,15 +414,12 @@ def stability_curve(
         raise ValueError("need at least one noise level")
     rows = []
     for i, sigma in enumerate(noise_levels):
-        g = with_noise(clean, sigma, seed + i)
-        prof, N = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode,
-                                   fam=fam, x_grid=true_profile.x)
-        H = max(data_norm(g, eps, gamma), H_FLOOR)
-        l2, sup = profile_errors(prof, true_profile)
-        rows.append({
-            "sigma": sigma, "H": H, "N": N, "l2_error": l2,
-            "sup_error_half": sup, "bound": mean_bound(H, consts, eps, mode),
-        })
+        rec = reconstruct_mean(with_noise(clean, sigma, seed + i), phi, eps,
+                               gamma, consts, mode=mode, fam=fam,
+                               x_grid=true_profile.x)
+        l2, sup = profile_errors(rec.profile, true_profile)
+        rows.append({"sigma": sigma, "H": rec.H, "N": rec.N, "l2_error": l2,
+                     "sup_error_half": sup, "bound": rec.bound})
     rows.sort(key=lambda r: -r["H"])
     logs = np.log([math.log(1.0 / r["H"]) for r in rows])
     errs = np.log([max(r["l2_error"], 1e-300) for r in rows])
@@ -468,8 +445,6 @@ def counterexample_experiment(
     / lambda``: the function norm decays like 1/lambda while the data norm
     decays super-polynomially, so no Hölder-type inequality between the
     two L2 norms can hold."""
-    from .phantoms import oscillatory_phantom
-
     lambdas = list(lambdas)
     if any(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda list must be increasing")

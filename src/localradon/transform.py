@@ -28,6 +28,7 @@ __all__ = [
     "radon",
     "radon_moment",
     "synthesize_sinogram",
+    "with_noise",
     "check_adjoint",
     "check_moment_identity",
     "check_transport_identity",
@@ -216,14 +217,23 @@ def synthesize_sinogram(
     values, _, failed = _line_integrals(f, m, 0, xi_grid[:, None],
                                         eta_grid[None, :], tol)
     values[failed] = 0.0
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, noise_sigma, values.shape)
-    return Sinogram(
-        xi=xi_grid, eta=eta_grid, values=values, noise_sigma=noise_sigma,
+    clean = Sinogram(
+        xi=xi_grid, eta=eta_grid, values=values,
         provenance={"phantom": f.kind, "weight": m.label, "seed": seed},
         failed=failed if failed.any() else None,
     )
+    return with_noise(clean, noise_sigma, seed)
+
+
+def with_noise(g: Sinogram, sigma: float, seed: int) -> Sinogram:
+    """A copy of a clean sinogram with the Gaussian noise
+    ``default_rng(seed).normal(0, sigma, shape)`` added."""
+    rng = np.random.default_rng(seed)
+    values = g.values + rng.normal(0.0, sigma, g.values.shape) \
+        if sigma > 0 else g.values.copy()
+    return Sinogram(xi=g.xi, eta=g.eta, values=values, noise_sigma=sigma,
+                    provenance=dict(g.provenance, noise_seed=seed),
+                    failed=g.failed)
 
 
 def check_adjoint(f: PhantomSpec, m: Weight, phi_xi, phi_eta,

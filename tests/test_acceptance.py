@@ -242,11 +242,12 @@ def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
         target = np.asarray(
             f_main(res.profile.x, np.full_like(res.profile.x, GAMMA)))
         from localradon.means import MeanProfile
-        ref = MeanProfile(x=res.profile.x, values=target, eps=res.eps,
-                          gamma=GAMMA)
+        ref = MeanProfile(x=res.profile.x, values=target,
+                          eps=res.profile.eps, gamma=GAMMA)
         l2, _ = profile_errors(res.profile, ref)
         assert l2 <= res.bound, mode
-        _, ratio = convergence_gap(f_main, None, phi12, res.eps, GAMMA)
+        _, ratio = convergence_gap(f_main, None, phi12, res.profile.eps,
+                                   GAMMA)
         assert ratio <= 1.0
 
 
@@ -271,9 +272,9 @@ def test_10_zero_data_soundness(phi12):
     g = Sinogram(xi=xi, eta=eta, values=np.zeros((xi.size, eta.size)))
     assert data_norm(g, EPS, GAMMA) == 0.0
     consts = BoundConstants(c0=16.0, alpha=1.0)
-    prof, N = reconstruct_mean(g, phi12, EPS, GAMMA, consts)
-    assert N == 0
-    assert np.all(prof.values == 0.0)
+    rec = reconstruct_mean(g, phi12, EPS, GAMMA, consts)
+    assert rec.N == 0
+    assert np.all(rec.profile.values == 0.0)
 
 
 def test_11_end_to_end_generic_weight(f_main, phi12, fam_generic):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -85,6 +87,30 @@ def test_gevrey_derivatives_match_fd():
     fd2 = (phi.derivative_values(xs + h, 1)
            - phi.derivative_values(xs - h, 1)) / (2 * h)
     assert np.allclose(phi.derivative_values(xs, 2), fd2, atol=1e-4)
+
+
+def test_gevrey_derivatives_match_pointwise_cauchy_loop():
+    # the per-point Cauchy integral that the batched evaluation replaced;
+    # points with a ring radius under 1e-8, and points outside, give zero
+    phi = gevrey_bump(2.0, derivative_order_max=6)
+    norm = math.exp(-4.0) / float(phi(0.0))
+
+    def raw(z):                         # sigma = 2
+        return np.exp(-4.0 / (1.0 - z * z))
+
+    theta = 2 * np.pi * np.arange(128) / 128
+    xs = np.append(np.linspace(-0.99, 0.99, 23), [1 - 1e-9, -1.0, 1.5])
+    for k in (1, 3, 6):
+        ref = np.zeros(xs.size)
+        for i, x0 in enumerate(xs):
+            r = 0.35 * (1.0 - abs(x0))
+            if r >= 1e-8:
+                fz = raw(x0 + r * np.exp(1j * theta)) / norm
+                coef = np.mean(fz * np.exp(-1j * k * theta))
+                ref[i] = math.factorial(k) * coef.real / r**k
+        got = phi.derivative_values(xs, k)
+        assert np.all(got[-3:] == 0.0)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_gevrey_certification(phi_gevrey2):

@@ -198,6 +198,23 @@ def test_cli_kernels(tmp_path):
     assert manifest["results"]["worst_ratio"] <= 1.0
 
 
+def test_exponent_numbers_without_a_dot(tmp_path):
+    # YAML 1.1 reads 1e-6 as a string; the config loader reads a float
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "phantom: {kind: smooth_bump, center: [0.0, 0.45], width: 0.3}\n"
+        "grid: {xi: [-0.13, 0.13, 21], eta: [-0.35, 0.35, 29]}\n"
+        "noise_sigma: 1e-6\n"
+        "tolerance: 1e-8\n"
+        "other: [1E+3, -2e2, .5e1, 0.5*sin_xi]\n")
+    cfg = load_config(str(path))
+    assert cfg["noise_sigma"] == 1e-6 and cfg["tolerance"] == 1e-8
+    assert cfg["other"] == [1e3, -2e2, 5.0, "0.5*sin_xi"]
+    assert yaml.safe_load("a: 1e-6") == {"a": "1e-6"}
+    assert main(["sinogram", "--config", str(path), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_cli_missing_config_exits_2(tmp_path):
     assert main(["sinogram", "--config", str(tmp_path / "none.yaml"),
                  "--quiet"]) == 2

@@ -122,8 +122,8 @@ def test_convergence_gap_respects_envelope(f_main, phi12):
     assert g2 < g1
 
 
-def test_gamma_floor_warns(f_main, phi12):
-    with pytest.warns(UserWarning):
+def test_gamma_floor_refused(f_main, phi12):
+    with pytest.raises(ValueError, match="eps\\^2/4"):
         mean_profile(f_main, None, phi12, 0.4, 0.01)
 
 

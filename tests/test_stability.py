@@ -23,8 +23,8 @@ from localradon.stability import (
     truncation_order,
     with_noise,
 )
-from localradon.transform import Sinogram
-from localradon.weights import gauss_nodes
+from localradon.transform import Sinogram, synthesize_sinogram
+from localradon.weights import gauss_nodes, panel_rule
 
 EPS = 0.1
 GAMMA = 0.3
@@ -56,6 +56,17 @@ def test_data_norm_trivial_cases():
 def test_data_norm_monotone_in_eps():
     g = flat_sinogram(1.0)
     assert data_norm(g, 0.05, GAMMA) < data_norm(g, 0.15, GAMMA)
+
+
+def test_data_norm_reads_the_rows_at_gamma(f_main, m_const):
+    # no grid row lies at eta = gamma, where this phantom's data is largest
+    g = synthesize_sinogram(f_main, m_const, np.linspace(-0.13, 0.13, 41),
+                            np.linspace(-0.35, 0.35, 30), tol=1e-10)
+    assert not np.any(np.isclose(g.eta, GAMMA))
+    xs, ws = (a.ravel() for a in panel_rule(np.linspace(-EPS, EPS, 9), 40))
+    top = synthesize_sinogram(f_main, m_const, xs, [GAMMA], tol=1e-12)
+    row_norm = float(ws @ np.abs(top.values[:, 0]))
+    assert data_norm(g, EPS, GAMMA) == pytest.approx(row_norm, rel=1e-4)
 
 
 def test_data_norm_validation():
@@ -169,20 +180,21 @@ def test_moment_input_guards(sino_clean, phi12, fam_exp, weighted):
 def test_reconstruct_mean_zero_data(phi12):
     g = flat_sinogram(0.0)
     consts = BoundConstants(c0=16.0, alpha=1.0)
-    prof, N = reconstruct_mean(g, phi12, EPS, GAMMA, consts)
-    assert N == 0
-    assert np.all(prof.values == 0.0)
+    rec = reconstruct_mean(g, phi12, EPS, GAMMA, consts)
+    assert rec.N == 0
+    assert np.all(rec.profile.values == 0.0)
 
 
 def test_reconstruct_mean_accuracy(sino_clean, f_main, phi12):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     consts = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, consts)
-    prof, N = reconstruct_mean(sino_clean, phi12, EPS, GAMMA, consts)
-    ref = mean_profile(f_main, None, phi12, EPS, GAMMA, x_grid=prof.x)
-    l2, sup = profile_errors(prof, ref)
-    assert N >= 1
-    assert l2 <= mean_bound(max(data_norm(sino_clean, EPS, GAMMA), H_FLOOR),
-                            consts, EPS)
+    rec = reconstruct_mean(sino_clean, phi12, EPS, GAMMA, consts)
+    ref = mean_profile(f_main, None, phi12, EPS, GAMMA, x_grid=rec.profile.x)
+    l2, sup = profile_errors(rec.profile, ref)
+    assert rec.N >= 1
+    assert rec.H == max(data_norm(sino_clean, EPS, GAMMA), H_FLOOR)
+    assert rec.bound == mean_bound(rec.H, consts, EPS)
+    assert l2 <= rec.bound
 
 
 def test_moment_audit_ratios(sino_clean, phi12, f_main):
