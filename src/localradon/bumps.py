@@ -5,9 +5,9 @@ Two families:
 * ``hormander_sequence(N)`` -- the N-fold mollification of a hat by box
   kernels of width ``a = 2/(N + 2)``.  With equal widths the convolution
   is the uniform B-spline of order ``N + 2``, so evaluation is exact
-  (Cox-de Boor via scipy) and the k-th derivative is the exact iterated
-  difference quotient of a lower-order B-spline.  Derivative sups grow
-  like ``C**(k+1) * N**k``.
+  (Cox-de Boor via scipy) and the k-th derivative is the derivative
+  spline that scipy's ``BSpline.derivative`` builds from the knots.
+  Derivative sups grow like ``C**(k+1) * N**k``.
 
 * ``gevrey_bump(sigma)`` -- exp(-((1-t)t)**(-1/(sigma-1))) on (0, 1),
   mapped to (-1, 1) and normalized.  Derivative sups grow like
@@ -84,17 +84,11 @@ def hormander_sequence(N: int) -> TestFunction:
         raise ValueError(f"N must lie in [1, {N_MAX}]")
     m = N + 2
     a = 2.0 / m                     # box width; support = [-1, 1] exactly
-    splines = {k: _cardinal_bspline(m - k) for k in range(N + 1)}
+    splines = [_cardinal_bspline(m).derivative(k) for k in range(N + 1)]
 
     def evaluate(x, k):
-        # d^k phi_N(x) = a^(-k-1) * sum_i (-1)^i C(k,i) M_{m-k}(x/a + k/2 - i)
-        t = x / a
-        acc = np.zeros_like(t)
-        sp = splines[k]
-        for i in range(k + 1):
-            v = sp(t + k / 2.0 - i)
-            acc += (-1) ** i * math.comb(k, i) * np.nan_to_num(v, nan=0.0)
-        return acc / a ** (k + 1)
+        # d^k phi_N(x) = a^(-k-1) M_m^(k)(x/a)
+        return np.nan_to_num(splines[k](x / a), nan=0.0) / a ** (k + 1)
 
     return TestFunction(
         kind="hormander", param=N, derivative_order_max=N,

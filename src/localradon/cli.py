@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from contextlib import contextmanager
@@ -54,7 +55,7 @@ Config file keys (YAML):
   weight:         kind (constant | from_ab); level (constant kind, > 0),
                   a / b (from_ab kind: field spec strings, e.g. "one",
                   "0.5*sin_xi"; the weight is 1 on xi = 0)
-  grid:           xi [min, max, n], eta [min, max, n]
+  grid:           xi [min, max, n], eta [min, max, n] (min < max, n >= 2)
   test_function:  kind (hormander | gevrey), param (integer N or sigma),
                   k_max (gevrey: highest derivative order, integer)
   eps, gamma, eps0: positive numbers; mode (analytic | gevrey)
@@ -146,8 +147,9 @@ def load_config(path: str) -> dict:
 
 
 def _number(value, positive=False) -> bool:
-    """``value`` is a real number (not a bool), > 0 or >= 0."""
+    """``value`` is a finite real number (not a bool), > 0 or >= 0."""
     return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value)
             and (value > 0 if positive else value >= 0))
 
 
@@ -210,12 +212,14 @@ def build_grids(cfg: dict):
     for name in ("xi", "eta"):
         try:
             lo, hi, n = _need(grid, name, "grid.")
-            if not float(n).is_integer():
-                raise ValueError
-            axes.append(np.linspace(lo, hi, int(n)))
+            ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
         except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ConfigError(
-                f"grid.{name} must be [min, max, n] with an integer n")
+                f"grid.{name} must be [min, max, n] with finite min < max")
+        n = _integer({"n": n}, "n", 0, f"grid.{name}.", 2)
+        axes.append(np.linspace(lo, hi, n))
     return tuple(axes)
 
 

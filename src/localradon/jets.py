@@ -3,7 +3,8 @@
 A jet stores Taylor coefficients ``c[n] = f^(n)(x0)/n!`` up to a fixed
 truncation order.  Coefficients may be scalars or numpy arrays of any
 common shape, so the same arithmetic drives both pointwise field
-evaluation and grid-valued kernel construction.
+evaluation and grid-valued kernel construction.  ``np.sin``, ``np.cos``
+and ``np.exp`` of a jet follow the jet recurrences.
 """
 
 from __future__ import annotations
@@ -127,11 +128,16 @@ class Jet:
             c[k] = ca / k
         return Jet(s), Jet(c)
 
-    def sin(self) -> "Jet":
-        return self.sin_cos()[0]
-
-    def cos(self) -> "Jet":
-        return self.sin_cos()[1]
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # np.sin(jet) and the like; a numpy operand on the left of a binary
+        # operator (np.float64(2.0) * jet) takes the jet's reflected one
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if len(inputs) == 1 and ufunc in _UNARY:
+            return _UNARY[ufunc](self)
+        if len(inputs) == 2 and inputs[1] is self and ufunc in _REFLECTED:
+            return getattr(self, _REFLECTED[ufunc])(inputs[0])
+        return NotImplemented
 
     def value(self):
         return self.c[0]
@@ -141,3 +147,9 @@ class Jet:
         if n > self.order:
             raise ValueError(f"jet order {self.order} < requested derivative {n}")
         return self.c[n] * math.factorial(n)
+
+
+_UNARY = {np.sin: lambda j: j.sin_cos()[0], np.cos: lambda j: j.sin_cos()[1],
+          np.exp: Jet.exp}
+_REFLECTED = {np.add: "__radd__", np.subtract: "__rsub__",
+              np.multiply: "__rmul__"}

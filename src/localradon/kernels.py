@@ -310,13 +310,13 @@ def commutator_check(a: AnalyticField, b: AnalyticField, g, points,
     def Da(fn):
         def out(xi, eta):
             return (fn(xi, eta + h) - fn(xi, eta - h)) / (2 * h) \
-                + float(a.value(xi, eta)) * fn(xi, eta)
+                + float(a(xi, eta)) * fn(xi, eta)
         return out
 
     def Db(fn):
         def out(xi, eta):
             return (fn(xi + h, eta) - fn(xi - h, eta)) / (2 * h) \
-                - float(b.value(xi, eta)) * fn(xi, eta)
+                - float(b(xi, eta)) * fn(xi, eta)
         return out
 
     lhs_fn = Da(Db(g))
@@ -324,9 +324,8 @@ def commutator_check(a: AnalyticField, b: AnalyticField, g, points,
     worst = 0.0
     for xi, eta in points:
         lhs = lhs_fn(xi, eta) - rhs_fn(xi, eta)
-        d_eta_b = (float(b.value(xi, eta + h)) - float(b.value(xi, eta - h))) \
-            / (2 * h)
-        d_xi_a = float(a.dxi(xi, eta, 1))
+        d_eta_b = (float(b(xi, eta + h)) - float(b(xi, eta - h))) / (2 * h)
+        d_xi_a = float(a.jet(xi, eta, 1).derivative(1))
         rhs = -g(xi, eta) * (d_eta_b + d_xi_a)
         worst = max(worst, abs(lhs - rhs))
     return worst

@@ -137,10 +137,12 @@ def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
     moments = np.zeros(N + 1)
     row_g = sp(xi_n, [gamma])[:, 0]
     moments[0] = float(np.sum(xi_w * phi(xi_n / eps) / eps * row_g))
+    phij = {}                                       # j -> phi_eps^(j) on xi_n
     for j, k, s in top_rows(xi_n, eta_n):
+        if j not in phij:
+            phij[j] = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
         sg = (s * gvals) @ eta_w                    # (n_xi,)
-        phij = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
-        moments[k] += (-1) ** j * float(np.sum(xi_w * phij * sg))
+        moments[k] += (-1) ** j * float(np.sum(xi_w * phij[j] * sg))
     return MomentVector(moments)
 
 

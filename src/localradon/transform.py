@@ -321,7 +321,6 @@ def check_transport_identity(f: PhantomSpec, m: Weight, a: AnalyticField,
     g0 = _checked_line_integrals(f, m, 0, xi + offs, eta, 1e-10)
     g1 = _checked_line_integrals(f, m, 1, xi, eta + offs, 1e-10)
     centre = offs.size // 2
-    av = a.value_vec(xi[:, 0], eta[:, 0])
-    bv = b.value_vec(xi[:, 0], eta[:, 0])
+    av, bv = a(xi[:, 0], eta[:, 0]), b(xi[:, 0], eta[:, 0])
     residual = g0 @ wts - bv * g0[:, centre] - g1 @ wts - av * g1[:, centre]
     return float(np.max(np.abs(residual)))

@@ -53,56 +53,43 @@ def panel_rule(edges, n: int):
 
 @dataclass
 class AnalyticField:
-    """A closed-form field ``(xi, eta) -> real`` with exact xi-jets.
+    """A closed-form field ``(xi, eta) -> real``.
 
-    ``fn`` receives a :class:`Jet` in xi together with a scalar or array
-    ``eta`` and must return a jet built with jet arithmetic, so
-    derivatives of any order in xi come out exact.  ``plain`` is the same
-    function on plain float arrays.
+    ``fn`` is one numpy expression that holds for float arrays and for a
+    :class:`Jet` in xi with ``eta`` an array, so the field's values and its
+    exact xi-derivatives of any order come from the same formula.
     """
 
-    fn: Callable[[Jet, np.ndarray], Jet]
-    plain: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable
     name: str = "field"
 
+    def __call__(self, xi, eta):
+        """Values over ``xi`` and ``eta`` broadcast together."""
+        return self.fn(*np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                            np.asarray(eta, dtype=float)))
+
     def jet(self, xi: float, eta, order: int) -> Jet:
-        return self.fn(Jet.variable(xi, order), np.asarray(eta, dtype=float))
-
-    def value(self, xi: float, eta):
-        return self.jet(xi, eta, 0).value()
-
-    def value_vec(self, xi, eta):
-        """Vectorized order-0 evaluation over paired (xi, eta) arrays."""
-        return self.plain(np.asarray(xi, dtype=float),
-                          np.asarray(eta, dtype=float))
-
-    def dxi(self, xi: float, eta, n: int):
-        """Exact n-th xi-derivative."""
-        return self.jet(xi, eta, n).derivative(n)
+        """The xi-jet about ``xi`` at every ``eta``, coefficients of shape
+        ``(order + 1, *eta.shape)``."""
+        eta = np.asarray(eta, dtype=float)
+        out = self.fn(Jet.variable(xi, order), eta)
+        if not isinstance(out, Jet):        # the field does not depend on xi
+            return Jet.constant(out, order)
+        return out * np.ones_like(eta)      # spread over eta
 
 
-_FIELD_REGISTRY: dict[str, tuple[Callable, Callable]] = {
-    "zero": (lambda xi, eta: Jet.constant(np.zeros_like(eta), xi.order),
-             lambda xi, eta: np.zeros_like(eta)),
-    "one": (lambda xi, eta: Jet.constant(np.ones_like(eta), xi.order),
-            lambda xi, eta: np.ones_like(eta)),
-    "xi": (lambda xi, eta: xi * np.ones_like(eta),
-           lambda xi, eta: xi * np.ones_like(eta)),
-    "eta": (lambda xi, eta: Jet.constant(eta, xi.order),
-            lambda xi, eta: eta * np.ones_like(xi)),
-    "xi_eta": (lambda xi, eta: xi * eta, lambda xi, eta: xi * eta),
-    "eta2": (lambda xi, eta: Jet.constant(eta * eta, xi.order),
-             lambda xi, eta: eta * eta * np.ones_like(xi)),
-    "sin_xi": (lambda xi, eta: xi.sin() * np.ones_like(eta),
-               lambda xi, eta: np.sin(xi) * np.ones_like(eta)),
-    "cos_xi": (lambda xi, eta: xi.cos() * np.ones_like(eta),
-               lambda xi, eta: np.cos(xi) * np.ones_like(eta)),
-    "sin_eta": (lambda xi, eta: Jet.constant(np.sin(eta), xi.order),
-                lambda xi, eta: np.sin(eta) * np.ones_like(xi)),
-    "cos_eta": (lambda xi, eta: Jet.constant(np.cos(eta), xi.order),
-                lambda xi, eta: np.cos(eta) * np.ones_like(xi)),
-    "exp_xi": (lambda xi, eta: xi.exp() * np.ones_like(eta),
-               lambda xi, eta: np.exp(xi) * np.ones_like(eta)),
+_FIELD_REGISTRY: dict[str, Callable] = {
+    "zero": lambda xi, eta: np.zeros_like(eta),
+    "one": lambda xi, eta: np.ones_like(eta),
+    "xi": lambda xi, eta: xi,
+    "eta": lambda xi, eta: eta,
+    "xi_eta": lambda xi, eta: xi * eta,
+    "eta2": lambda xi, eta: eta * eta,
+    "sin_xi": lambda xi, eta: np.sin(xi),
+    "cos_xi": lambda xi, eta: np.cos(xi),
+    "sin_eta": lambda xi, eta: np.sin(eta),
+    "cos_eta": lambda xi, eta: np.cos(eta),
+    "exp_xi": lambda xi, eta: np.exp(xi),
 }
 
 
@@ -117,18 +104,15 @@ def field_from_spec(spec: str) -> AnalyticField:
     if "*" in text:
         head, text = text.split("*", 1)
         coef = float(head)
+        if not np.isfinite(coef):
+            raise ValueError(f"coefficient {head!r} is not finite")
         text = text.strip()
     if text not in _FIELD_REGISTRY:
         raise ValueError(
             f"unknown field {text!r}; known: {sorted(_FIELD_REGISTRY)}"
         )
-    jet_fn, plain_fn = _FIELD_REGISTRY[text]
-    return AnalyticField(
-        lambda xi, eta: jet_fn(xi, eta) * coef,
-        plain=lambda xi, eta: coef * plain_fn(np.asarray(xi, dtype=float),
-                                              np.asarray(eta, dtype=float)),
-        name=spec,
-    )
+    fn = _FIELD_REGISTRY[text]
+    return AnalyticField(lambda xi, eta: coef * fn(xi, eta), name=spec)
 
 
 def zero_field() -> AnalyticField:
@@ -166,15 +150,14 @@ class Weight:
         # nodes s along [0, xi] for every point at once
         s = 0.5 * flat_xi[:, None] * (1.0 + t[None, :])
         etas = flat_eta[:, None] + flat_x[:, None] * (flat_xi[:, None] - s)
-        vals = flat_x[:, None] * self.a.value_vec(s, etas) \
-            + self.b.value_vec(s, etas)
+        vals = flat_x[:, None] * self.a(s, etas) + self.b(s, etas)
         expo = 0.5 * flat_xi * (w[None, :] * vals).sum(axis=1)
         return np.exp(expo).reshape(x.shape)
 
 
 def constant_weight(level: float = 1.0) -> Weight:
-    if level <= 0:
-        raise ValueError("weight must be positive")
+    if not 0 < level < np.inf:
+        raise ValueError("weight must be positive and finite")
     return Weight(level=level)
 
 
@@ -190,8 +173,7 @@ def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField, points,
     for (x, xi, eta) in points:
         d_xi = (m(x, xi + h, eta) - m(x, xi - h, eta)) / (2 * h)
         d_eta = (m(x, xi, eta + h) - m(x, xi, eta - h)) / (2 * h)
-        rhs = (x * float(a.value(xi, eta)) + float(b.value(xi, eta))) \
-            * m(x, xi, eta)
+        rhs = (x * float(a(xi, eta)) + float(b(xi, eta))) * m(x, xi, eta)
         worst = max(worst, abs(d_xi - x * d_eta - rhs))
     return worst
 

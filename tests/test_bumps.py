@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import BSpline
 
 from localradon.bumps import (
     gevrey_bump,
@@ -46,6 +47,25 @@ def test_hormander_derivative_matches_fd(phi12):
     h = 1e-6
     fd = (phi12(xs + h) - phi12(xs - h)) / (2 * h)
     assert np.allclose(phi12.derivative_values(xs, 1), fd, atol=1e-4)
+
+
+@pytest.mark.parametrize("N", [1, 4, 12, 24])
+def test_hormander_derivatives_match_difference_formula(N):
+    # reference: d^k phi_N(x) = a^(-k-1) sum_i (-1)^i C(k, i)
+    # M_{m-k}(x/a + k/2 - i), the k-th difference of a lower-order
+    # B-spline, with m = N + 2 and a = 2/m
+    m = N + 2
+    a = 2.0 / m
+    phi = hormander_sequence(N)
+    xs = np.linspace(-1.05, 1.05, 4001)
+    for k in range(N + 1):
+        knots = np.arange(m - k + 1, dtype=float) - (m - k) / 2.0
+        M = BSpline.basis_element(knots, extrapolate=False)
+        ref = sum((-1) ** i * math.comb(k, i)
+                  * np.nan_to_num(M(xs / a + k / 2.0 - i), nan=0.0)
+                  for i in range(k + 1)) / a ** (k + 1)
+        err = np.abs(phi.derivative_values(xs, k) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max(), (k, err)
 
 
 def test_hormander_derivative_integrates_back(phi12):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -265,11 +266,30 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     ({"noise_sigma": -1e-6}, "noise_sigma", "reconstruct"),
     ({"noise_levels": [-1e-6, 1e-8]}, "noise_levels", "sweep"),
     ({"noise_levels": [1e-8, "small"]}, "noise_levels", "sweep"),
+    # non-finite and degenerate values
+    ({"weight": {"kind": "constant", "level": math.nan}}, "weight.level",
+     "reconstruct"),
+    ({"weight": {"kind": "constant", "level": math.inf}}, "weight.level",
+     "reconstruct"),
+    ({"weight": {"kind": "from_ab", "a": "nan*one"}}, "weight.a",
+     "reconstruct"),
+    ({"eps": math.inf}, "eps", "reconstruct"),
+    ({"gamma": math.inf}, "gamma", "reconstruct"),
+    ({"tolerance": math.inf}, "tolerance", "reconstruct"),
+    ({"noise_sigma": math.inf}, "noise_sigma", "reconstruct"),
+    ({"grid": {"xi": [0.13, -0.13, 21], "eta": [-0.35, 0.35, 29]}},
+     "grid.xi", "reconstruct"),
+    ({"grid": {"xi": [-0.13, 0.13, 1], "eta": [-0.35, 0.35, 29]}},
+     "grid.xi", "reconstruct"),
+    ({"grid": {"xi": [-0.13, 0.13, 21], "eta": [-0.35, 0.35, 0]}},
+     "grid.eta", "reconstruct"),
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
         "attenuation", "seed", "noise_sigma", "noise_levels",
-        "noise_levels_text"])
+        "noise_levels_text", "level_nan", "level_inf", "coef_nan", "eps_inf",
+        "gamma_inf", "tolerance_inf", "noise_sigma_inf", "grid_reversed",
+        "grid_n_one", "grid_n_zero"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)

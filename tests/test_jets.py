@@ -51,6 +51,20 @@ def test_sin_cos_consistency():
     assert abs(pyth.c[1:]).max() < 1e-13
 
 
+def test_numpy_functions_of_a_jet():
+    x = Jet.variable(0.7, 6)
+    j = x * 2.0
+    assert np.array_equal(np.sin(j).c, j.sin_cos()[0].c)
+    assert np.array_equal(np.cos(j).c, j.sin_cos()[1].c)
+    assert np.array_equal(np.exp(j).c, j.exp().c)
+    # a numpy scalar on the left takes the jet's reflected operator
+    two = np.float64(2.0) * j
+    assert isinstance(two, Jet) and np.array_equal(two.c, 2.0 * j.c)
+    assert np.array_equal((np.float64(1.0) - j).c, (1.0 - j).c)
+    with pytest.raises(TypeError):
+        np.tan(j)
+
+
 def test_array_coefficients_broadcast():
     etas = np.array([0.0, 0.5, 1.0])
     x = Jet.variable(0.1, 3)

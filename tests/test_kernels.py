@@ -168,12 +168,12 @@ class MatrixOracle:
         mats = {}
         for idx, xi in enumerate(self.xis):
             A = np.array([
-                quad(lambda s: float(a.value(xi, s)), -gamma, e,
+                quad(lambda s: float(a(xi, s)), -gamma, e,
                      epsabs=1e-12, epsrel=1e-12, limit=200)[0]
                 for e in self.eta
             ])
             psi = np.exp(A[None, :] - A[:, None])
-            bv = np.array([float(b.value(xi, e)) for e in self.eta])
+            bv = np.array([float(b(xi, e)) for e in self.eta])
             P = psi * W
             mats[idx] = {"P": P, "Q": (-bv[None, :] * psi) * W, (1, 1): P}
         self.mats = {}

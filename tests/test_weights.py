@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from localradon.weights import (
+    _FIELD_REGISTRY,
     constant_weight,
     corrected_weight,
     field_from_spec,
@@ -22,21 +23,29 @@ POINTS = [(0.2, 0.1, 0.3), (-0.3, -0.05, 0.25), (0.4, 0.12, 0.1),
 
 def test_field_registry_values():
     f = field_from_spec("2.5*sin_xi")
-    assert float(f.value(0.3, 0.0)) == pytest.approx(2.5 * math.sin(0.3),
-                                                     rel=1e-14)
-    assert float(f.dxi(0.3, 0.0, 1)) == pytest.approx(2.5 * math.cos(0.3),
-                                                      rel=1e-13)
+    assert float(f(0.3, 0.0)) == pytest.approx(2.5 * math.sin(0.3), rel=1e-14)
+    assert float(f.jet(0.3, 0.0, 1).derivative(1)) == pytest.approx(
+        2.5 * math.cos(0.3), rel=1e-13)
     with pytest.raises(ValueError):
         field_from_spec("wavelet")
 
 
-def test_field_value_vec_matches_scalar():
-    f = field_from_spec("xi_eta")
+@pytest.mark.parametrize("name", sorted(_FIELD_REGISTRY))
+def test_field_value_vec_matches_scalar(name):
+    # one expression gives the values and the xi-jets: they agree exactly
+    # at order 0, and the jet's xi-derivative is the field's
+    f = field_from_spec(f"-1.5*{name}")
     xi = np.array([0.1, 0.2, -0.3])
     eta = np.array([0.4, 0.5, 0.6])
-    vec = f.value_vec(xi, eta)
-    ref = np.array([float(f.value(u, e)) for u, e in zip(xi, eta)])
-    assert np.allclose(vec, ref, atol=1e-14)
+    vals = f(xi, eta)
+    assert vals.shape == xi.shape
+    assert f.jet(0.1, eta, 1).c.shape == (2, eta.size)
+    h = 1e-5
+    for u, e, v in zip(xi, eta, vals):
+        assert f.jet(u, e, 0).value() == v
+        fd = (f(u + h, e) - f(u - h, e)) / (2 * h)
+        assert f.jet(u, e, 1).derivative(1) == pytest.approx(
+            fd, rel=1e-8, abs=1e-9)
 
 
 def test_constant_weight_positive_only():
