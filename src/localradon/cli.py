@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -58,13 +59,14 @@ Config file keys (YAML):
   grid:           xi [min, max, n], eta [min, max, n] (min < max, n >= 2)
   test_function:  kind (hormander | gevrey), param (integer N or sigma),
                   k_max (gevrey: highest derivative order, integer)
-  eps, gamma, eps0: positive numbers; mode (analytic | gevrey)
+  eps, gamma, eps0: positive numbers
   noise_sigma:    Gaussian noise sigma of the data (>= 0, default 0)
   noise_levels:   list of Gaussian sigmas (each >= 0; sweep)
   seed:           integer (overridable with --seed)
-  constants:      alpha, c0, a0, c_env, sigma (all optional; c0/alpha
-                  default to the phantom's Hölder data; c_env is
-                  calibrated when absent)
+  constants:      alpha, c0, a0, c_env, sigma (optional positive numbers;
+                  c0/alpha default to the phantom's Hölder data; c_env is
+                  calibrated when absent; sigma > 1 selects the Gevrey
+                  truncation rule and bound, its absence the analytic ones)
   kernels:        k_max (integer >= 1; read only by the kernels subcommand,
                   the pipeline builds the family to its weighted order
                   cap), grid_n (integer >= 2: number of Chebyshev-Lobatto
@@ -132,6 +134,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    if "mode" in cfg:
+        raise ConfigError("mode is not a config key: constants.sigma > 1 "
+                          "selects the Gevrey rule")
     for key in ("eps", "gamma", "eps0", "tolerance"):
         if key in cfg and not _number(cfg[key], positive=True):
             raise ConfigError(
@@ -223,15 +228,12 @@ def build_grids(cfg: dict):
     return tuple(axes)
 
 
-def build_mode(cfg: dict) -> str:
-    mode = cfg.get("mode", "analytic")
-    if mode not in ("analytic", "gevrey"):
-        raise ConfigError(f"mode must be analytic or gevrey, not {mode!r}")
-    return mode
-
-
 def build_constants(cfg: dict, phantom) -> BoundConstants:
     spec = cfg.get("constants", {})
+    for key in ("c0", "alpha", "a0", "c_env", "sigma"):
+        if key in spec and not _number(spec[key], positive=True):
+            raise ConfigError(f"constants.{key} must be a positive number, "
+                              f"not {spec[key]!r}")
     with _config_key("constants"):
         return BoundConstants(
             c0=spec.get("c0", phantom.holder_bound),
@@ -312,15 +314,11 @@ def write_manifest(out: Path, cfg: dict, seed: int, artifacts, extra=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "localradon": __version__,
         },
         "artifacts": [str(a) for a in artifacts],
     }
-    try:
-        import scipy
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     if extra:
         manifest.update(extra)
     path = out / "manifest.json"
@@ -367,33 +365,33 @@ def cmd_sinogram(cfg, out, seed, quiet):
     return [path], {}
 
 
-def _calibrated(cfg, g, f, phi, eps, gamma, fam, mode):
+def _calibrated(cfg, g, f, phi, eps, gamma, fam):
     consts = build_constants(cfg, f)
     if "c_env" not in cfg.get("constants", {}):
         n_cal = min(8, order_cap(phi, weighted=fam is not None))
         consts = calibrate_constants(g, phi, eps, gamma, n_cal, consts,
-                                     fam=fam, mode=mode)
+                                     fam=fam)
     return consts
 
 
 def _pipeline(cfg, seed, eps):
     """What ``reconstruct``, ``slice`` and ``sweep`` share: the data, gamma,
-    mode, test function, the kernel family (to the weighted order cap) and
-    the constants calibrated at ``eps``."""
+    test function, the kernel family (to the weighted order cap) and the
+    constants calibrated at ``eps``."""
     f, m, g = _sinogram_from_config(cfg, seed)
     gamma = _need(cfg, "gamma")
-    mode = build_mode(cfg)
     phi = build_test_function(cfg)
     fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
-    consts = _calibrated(cfg, g, f, phi, eps, gamma, fam, mode)
-    return f, m, g, gamma, mode, phi, fam, consts
+    consts = _calibrated(cfg, g, f, phi, eps, gamma, fam)
+    return f, m, g, gamma, phi, fam, consts
 
 
 def cmd_reconstruct(cfg, out, seed, quiet):
     eps = _need(cfg, "eps")
-    f, m, g, gamma, mode, phi, fam, consts = _pipeline(cfg, seed, eps)
-    rec = reconstruct_mean(g, phi, eps, gamma, consts, mode=mode, fam=fam)
-    true = mean_profile(f, m, phi, eps, gamma, x_grid=rec.profile.x)
+    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
+    rec = reconstruct_mean(g, phi, eps, gamma, consts, fam=fam)
+    true = mean_profile(f, m, rec.profile.test_function, eps, gamma,
+                        x_grid=rec.profile.x)
     l2, sup = profile_errors(rec.profile, true)
     path = out / "reconstruction.csv"
     _write_rows_csv(path, ["x", "estimate", "truth"],
@@ -410,9 +408,9 @@ def cmd_reconstruct(cfg, out, seed, quiet):
 
 def cmd_slice(cfg, out, seed, quiet):
     eps0 = _need(cfg, "eps0")
-    _, _, g, gamma, mode, phi, fam, consts = _pipeline(
+    _, _, g, gamma, phi, fam, consts = _pipeline(
         cfg, seed, min(eps0, 0.5 * eps0 + 0.05))
-    rec = reconstruct_slice(g, phi, gamma, consts, eps0, mode=mode, fam=fam)
+    rec = reconstruct_slice(g, phi, gamma, consts, eps0, fam=fam)
     path = out / "slice.csv"
     _write_rows_csv(path, ["x", "estimate"],
                     [{"x": x, "estimate": v}
@@ -427,10 +425,9 @@ def cmd_slice(cfg, out, seed, quiet):
 def cmd_sweep(cfg, out, seed, quiet):
     eps = _need(cfg, "eps")
     levels = _need(cfg, "noise_levels")
-    f, m, g, gamma, mode, phi, fam, consts = _pipeline(cfg, seed, eps)
-    true = mean_profile(f, m, phi, eps, gamma)
-    report = stability_curve(g, true, phi, levels, eps, gamma, consts,
-                             mode=mode, fam=fam, seed=seed)
+    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
+    report = stability_curve(g, f, m, phi, levels, eps, gamma, consts,
+                             fam=fam, seed=seed)
     path = out / "sweep.csv"
     fields = ["sigma", "H", "N", "l2_error", "sup_error_half", "bound"]
     _write_rows_csv(path, fields, report.rows)

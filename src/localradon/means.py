@@ -42,14 +42,15 @@ def support_halfwidth(eps: float, gamma: float, c: float = 1.0) -> float:
 
 @dataclass
 class MeanProfile:
-    """Samples of a vertical-interval mean over an x-grid on [-1, 1]."""
+    """Samples of a vertical-interval mean over an x-grid on [-1, 1], and
+    the test function the mean is taken against."""
 
     x: np.ndarray
     values: np.ndarray
     eps: float
     gamma: float
     weighted: bool = False
-    test_function: str = ""
+    test_function: Optional[TestFunction] = None
 
     def interpolant(self) -> CubicSpline:
         return CubicSpline(self.x, self.values)
@@ -113,8 +114,7 @@ def mean_profile(
         values[block] = np.cumsum(panels, axis=1)[:, -1]
     prof = MeanProfile(
         x=x_grid, values=values, eps=eps, gamma=gamma,
-        weighted=m is not None,
-        test_function=f"{phi.kind}:{phi.param}",
+        weighted=m is not None, test_function=phi,
     )
     xmax = support_halfwidth(eps, gamma, f.support_constant)
     outside = np.abs(x_grid) > xmax + 1e-12

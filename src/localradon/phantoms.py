@@ -52,6 +52,9 @@ class PhantomSpec:
                             compare=False)
 
     def __post_init__(self):
+        for name in ("center", "width", "amplitude"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
         if not (0.0 < self.holder_alpha <= 1.0):

@@ -14,15 +14,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import linregress
 
 from .bumps import TestFunction, hormander_sequence, verify_derivative_bounds
 from .kernels import KernelFamily, interpolation_matrix
 from .legendre import MOMENT_MAP_N_CAP, MomentVector, moments_to_coefficients
-from .means import MeanProfile, chebyshev_grid
+from .means import MeanProfile, chebyshev_grid, mean_profile
 from .phantoms import PhantomSpec, oscillatory_phantom
 from .transform import Sinogram, synthesize_sinogram, with_noise
-from .weights import constant_weight, panel_rule
+from .weights import Weight, constant_weight, panel_rule
 
 __all__ = [
     "BoundConstants",
@@ -58,7 +57,8 @@ class BoundConstants:
     ``c0``/``alpha`` are the phantom's Hölder data, ``a0`` the Jackson
     constant, ``c_env`` the envelope constant C in the moment bound
     (fitted on calibration runs, then frozen), and ``sigma`` the Gevrey
-    index of the weight fields when applicable.
+    index of the weight fields: None selects the analytic rule and bound,
+    a value in ``(1, inf)`` the Gevrey ones.
     """
 
     c0: float
@@ -68,18 +68,16 @@ class BoundConstants:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.c0, self.alpha, self.a0, self.c_env) <= 0:
-            raise ValueError("constants must be positive")
+        # a NaN fails every comparison, so each value must pass one
+        if not all(0 < v < math.inf
+                   for v in (self.c0, self.alpha, self.a0, self.c_env)):
+            raise ValueError("constants must be finite and positive")
+        if self.sigma is not None and not 1 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be in (1, inf), not {self.sigma}")
 
     @property
     def M(self) -> float:
         return 4.0 * self.a0 * self.c0
-
-    @property
-    def s(self) -> float:
-        if self.sigma is None:
-            raise ValueError("sigma not set")
-        return self.sigma - 1.0
 
 
 def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
@@ -185,13 +183,12 @@ def moments_from_sinogram_weighted(
     return _moments(g, phi, eps, gamma, N, family_rows)
 
 
-def truncation_order(H: float, consts: BoundConstants, eps: float,
-                     mode: str = "analytic") -> int:
+def truncation_order(H: float, consts: BoundConstants, eps: float) -> int:
     """The estimate-optimal Legendre cutoff.
 
-    Analytic mode: largest N with ``N <= (log(M/H) - log(C/eps)) /
-    log(C/eps)``.  Gevrey mode: ``N = floor(y / log y)`` with
-    ``y = log(M/H) / log(C(s)/eps)``.
+    Analytic rule (``consts.sigma`` None): largest N with ``N <= (log(M/H)
+    - log(C/eps)) / log(C/eps)``.  Gevrey rule (``sigma > 1``): ``N =
+    floor(y / log y)`` with ``y = log(M/H) / log(C/eps)``.
     """
     M = consts.M
     if H >= M:
@@ -201,38 +198,35 @@ def truncation_order(H: float, consts: BoundConstants, eps: float,
     ce = consts.c_env / eps
     if ce <= 1.0:
         raise ValueError("envelope C/eps must exceed 1")
-    if mode == "analytic":
+    if consts.sigma is None:
         N = math.floor((math.log(M / H) - math.log(ce)) / math.log(ce))
-    elif mode == "gevrey":
+    else:
         y = math.log(M / H) / math.log(ce)
         if y <= math.e:
             raise ValueError("data too noisy for method (y <= e)")
         N = math.floor(y / math.log(y))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if N < 1:
         raise ValueError("data too noisy for method (N < 1)")
     return N
 
 
-def mean_bound(H: float, consts: BoundConstants, eps: float,
-               mode: str = "analytic") -> float:
+def mean_bound(H: float, consts: BoundConstants, eps: float) -> float:
     """The reconstruction error bound for the mean profile."""
     M = consts.M
     ce = consts.c_env / eps
     t = math.log(M / H)
-    if mode == "analytic":
+    if consts.sigma is None:
         return 4.0 * M * (math.log(ce) / t) ** consts.alpha
     return 4.0 * M * (math.log(ce) * math.log(t) / t) ** consts.alpha
 
 
-def slice_bound(H: float, consts: BoundConstants, mode: str = "analytic") -> float:
+def slice_bound(H: float, consts: BoundConstants) -> float:
     """Explicit slice-estimate bound (mean bound at the selected eps plus
     the mean-to-slice convergence term)."""
     M = consts.M
     t = math.log(M / H)
     llt = math.log(t)
-    if mode == "analytic":
+    if consts.sigma is None:
         return 4.0 * M * ((math.log(consts.c_env) + llt) / t) ** consts.alpha \
             + consts.c0 * (2.0 / t) ** consts.alpha
     return 4.0 * M * (
@@ -272,9 +266,7 @@ def reconstruct_mean(
     eps: float,
     gamma: float,
     consts: BoundConstants,
-    mode: str = "analytic",
     fam: Optional[KernelFamily] = None,
-    x_grid=None,
 ) -> Reconstruction:
     """Estimate the mean profile from data alone.
 
@@ -282,13 +274,12 @@ def reconstruct_mean(
     exact moment-to-Legendre map, truncated series, and the mean bound at
     H.  Zero data yields N = 0 and the zero profile exactly.
     """
-    x_grid = chebyshev_grid() if x_grid is None \
-        else np.asarray(x_grid, dtype=float)
+    x_grid = chebyshev_grid()
     H_raw = data_norm(g, eps, gamma)
     H = max(H_raw, H_FLOOR)
     N, values = 0, np.zeros(x_grid.size)
     if H_raw > 0.0:
-        N = min(truncation_order(H, consts, eps, mode),
+        N = min(truncation_order(H, consts, eps),
                 order_cap(phi, fam is not None))
         if phi.kind == "hormander" and phi.param != N:
             # the mollified-hat index is tied to the truncation order
@@ -297,9 +288,8 @@ def reconstruct_mean(
             _moments_of(g, fam, phi, eps, gamma, N))
         values = np.asarray(series(x_grid), dtype=float)
     prof = MeanProfile(x=x_grid, values=values, eps=eps, gamma=gamma,
-                       weighted=fam is not None,
-                       test_function=f"{phi.kind}:{phi.param}")
-    return Reconstruction(prof, N, H, mean_bound(H, consts, eps, mode))
+                       weighted=fam is not None, test_function=phi)
+    return Reconstruction(prof, N, H, mean_bound(H, consts, eps))
 
 
 def reconstruct_slice(
@@ -308,7 +298,6 @@ def reconstruct_slice(
     gamma: float,
     consts: BoundConstants,
     eps0: float,
-    mode: str = "analytic",
     fam: Optional[KernelFamily] = None,
 ) -> Reconstruction:
     """Slice estimate ``f(., gamma)`` (or ``f m_gamma``): pick eps in
@@ -319,9 +308,8 @@ def reconstruct_slice(
     t = math.log(consts.M / H0)
     if t <= 0 or 2.0 / t >= eps0:
         raise ValueError("H too large for eps-selection rule")
-    rec = reconstruct_mean(g, phi, 1.5 / t, gamma, consts, mode=mode,
-                           fam=fam)
-    return replace(rec, bound=slice_bound(rec.H, consts, mode))
+    rec = reconstruct_mean(g, phi, 1.5 / t, gamma, consts, fam=fam)
+    return replace(rec, bound=slice_bound(rec.H, consts))
 
 
 @dataclass
@@ -335,18 +323,18 @@ class MomentAuditReport:
 def moment_bound_audit(
     g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
     consts: BoundConstants, fam: Optional[KernelFamily] = None,
-    mode: str = "analytic",
 ) -> MomentAuditReport:
     """Audit ``|m_k| <= (C/eps)^(k+1) env_k H`` with ``env_k = e^N``
-    (analytic) or ``k!^s`` (gevrey); C is fitted as the smallest constant
-    making every ratio at most one, and reported for reuse."""
+    (analytic) or ``k!^(sigma - 1)`` (Gevrey); C is fitted as the smallest
+    constant making every ratio at most one, and reported for reuse."""
     H = max(data_norm(g, eps, gamma), H_FLOOR)
     moments = _moments_of(g, fam, phi, eps, gamma, N)
     ks = np.arange(N + 1)
-    if mode == "analytic":
+    if consts.sigma is None:
         env = np.full(N + 1, math.exp(N))
     else:
-        env = np.array([math.factorial(k) for k in ks], dtype=float) ** consts.s
+        env = np.array([math.factorial(k) for k in ks],
+                       dtype=float) ** (consts.sigma - 1.0)
     base = np.abs(moments.values) / (env * H)
     fitted_c = float(max(base[k] ** (1.0 / (k + 1)) for k in ks)) * eps
     fitted_c = max(fitted_c, 1e-30)
@@ -358,7 +346,6 @@ def moment_bound_audit(
 def calibrate_constants(
     g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
     consts: BoundConstants, fam: Optional[KernelFamily] = None,
-    mode: str = "analytic",
 ) -> BoundConstants:
     """Fit the envelope constant on a noiseless calibration run and freeze
     it.
@@ -371,7 +358,7 @@ def calibrate_constants(
     arbitrary data (noise included), not just for the calibration run.  A second floor ``e * eps`` keeps the truncation
     rule's ``log(C/eps)`` positive.
     """
-    rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam, mode=mode)
+    rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam)
     C_phi = verify_derivative_bounds(
         phi, min(N, phi.derivative_order_max)).certified_constant
     floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)
@@ -396,40 +383,55 @@ class StabilityReport:
     fit: dict = field(default_factory=dict)
 
 
+def _line_fit(x, y):
+    """Slope, intercept and correlation of the least-squares line through
+    ``(x, y)``, in the arithmetic of ``scipy.stats.linregress``; the
+    correlation is NaN when ``y`` is constant."""
+    ssx, ssxy, _, ssy = np.cov(x, y, bias=1).flat
+    slope = ssxy / ssx
+    r = min(max(ssxy / math.sqrt(ssx * ssy), -1.0), 1.0) if ssy > 0 \
+        else math.nan
+    return float(slope), float(np.mean(y) - slope * np.mean(x)), float(r)
+
+
 def stability_curve(
     clean: Sinogram,
-    true_profile: MeanProfile,
+    f: PhantomSpec,
+    m: Optional[Weight],
     phi: TestFunction,
     noise_levels,
     eps: float,
     gamma: float,
     consts: BoundConstants,
-    mode: str = "analytic",
     fam: Optional[KernelFamily] = None,
     seed: int = 0,
 ) -> StabilityReport:
     """Reconstruction error versus noise, with the estimate's bound per row
-    and a fitted decay exponent ``alpha_hat`` in
-    ``error ~ const * log(1/H)^(-alpha_hat)``."""
+    and a fitted decay exponent ``alpha_hat`` in ``error ~ const *
+    log(1/H)^(-alpha_hat)``.  Each row's truth is the mean of ``f`` (times
+    ``m`` unless None) under the test function its reconstruction used."""
     noise_levels = sorted(noise_levels, reverse=True)
     if len(noise_levels) < 1:
         raise ValueError("need at least one noise level")
-    rows = []
+    rows, truths = [], {}
     for i, sigma in enumerate(noise_levels):
         rec = reconstruct_mean(with_noise(clean, sigma, seed + i), phi, eps,
-                               gamma, consts, mode=mode, fam=fam,
-                               x_grid=true_profile.x)
-        l2, sup = profile_errors(rec.profile, true_profile)
+                               gamma, consts, fam=fam)
+        used = rec.profile.test_function
+        key = (used.kind, used.param)
+        if key not in truths:
+            truths[key] = mean_profile(f, m, used, eps, gamma,
+                                       x_grid=rec.profile.x)
+        l2, sup = profile_errors(rec.profile, truths[key])
         rows.append({"sigma": sigma, "H": rec.H, "N": rec.N, "l2_error": l2,
                      "sup_error_half": sup, "bound": rec.bound})
     rows.sort(key=lambda r: -r["H"])
     logs = np.log([math.log(1.0 / r["H"]) for r in rows])
     errs = np.log([max(r["l2_error"], 1e-300) for r in rows])
     if len(rows) >= 2 and np.ptp(logs) > 0:
-        fit = linregress(logs, errs)
-        alpha_hat = -float(fit.slope)
-        diag = {"intercept": float(fit.intercept),
-                "rvalue": float(fit.rvalue)}
+        slope, intercept, r = _line_fit(logs, errs)
+        alpha_hat = -slope
+        diag = {"intercept": intercept, "rvalue": r}
     else:
         alpha_hat = float("nan")
         diag = {}

@@ -2,6 +2,7 @@
 stated tolerance on independently derived references."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from localradon.means import convergence_gap, mean_profile
 from localradon.phantoms import smooth_bump
 from localradon.stability import (
     BoundConstants,
-    H_FLOOR,
     calibrate_constants,
     counterexample_experiment,
     data_norm,
@@ -31,7 +31,6 @@ from localradon.stability import (
     reconstruct_mean,
     reconstruct_slice,
     stability_curve,
-    truncation_order,
 )
 from localradon.transform import (
     Sinogram,
@@ -190,18 +189,11 @@ def test_05_test_function_certification():
         assert rep.ratios.max() <= 1.0 + 1e-12, sigma
 
 
-def _sweep(clean, f, m, phi, consts, mode, fam=None):
-    H0 = max(data_norm(clean, EPS, GAMMA), H_FLOOR)
-    N = truncation_order(H0, consts, EPS, mode)
-    N = min(N, 6)
-    phi_used = hormander_sequence(max(N, 1)) if phi.kind == "hormander" \
-        else phi
-    true_prof = mean_profile(f, m if fam is not None else None, phi_used,
-                             EPS, GAMMA)
-    report = stability_curve(clean, true_prof, phi, NOISE_LEVELS, EPS,
-                             GAMMA, consts, mode=mode, fam=fam)
+def _sweep(clean, f, m, phi, consts, fam=None):
+    report = stability_curve(clean, f, m, phi, NOISE_LEVELS, EPS, GAMMA,
+                             consts, fam=fam)
     for row in report.rows:
-        assert row["l2_error"] <= row["bound"], (mode, row)
+        assert row["l2_error"] <= row["bound"], (consts.sigma, row)
     return report
 
 
@@ -210,42 +202,38 @@ def test_06_end_to_end_analytic(f_main, phi12, sino_clean, sino_weighted,
     """Reconstruction error under its bound at four noise levels."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     cal = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, base)
-    _sweep(sino_clean, f_main, None, phi12, cal, "analytic")
+    _sweep(sino_clean, f_main, None, phi12, cal)
     cal_w = calibrate_constants(sino_weighted, phi12, EPS, GAMMA, 4, base,
                                 fam=fam_exp)
-    _sweep(sino_weighted, f_main, m_exp, phi12, cal_w, "analytic",
-           fam=fam_exp)
+    _sweep(sino_weighted, f_main, m_exp, phi12, cal_w, fam=fam_exp)
 
 
 def test_07_end_to_end_gevrey(f_main, phi_gevrey2, sino_clean, sino_weighted,
                               m_exp, fam_exp):
     """Same corpus under the Gevrey truncation rule and its bound."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0, sigma=2.0)
-    cal = calibrate_constants(sino_clean, phi_gevrey2, EPS, GAMMA, 4, base,
-                              mode="gevrey")
-    _sweep(sino_clean, f_main, None, phi_gevrey2, cal, "gevrey")
+    cal = calibrate_constants(sino_clean, phi_gevrey2, EPS, GAMMA, 4, base)
+    _sweep(sino_clean, f_main, None, phi_gevrey2, cal)
     cal_w = calibrate_constants(sino_weighted, phi_gevrey2, EPS, GAMMA, 4,
-                                base, fam=fam_exp, mode="gevrey")
-    _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, cal_w, "gevrey",
-           fam=fam_exp)
+                                base, fam=fam_exp)
+    _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, cal_w, fam=fam_exp)
 
 
 def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
     """Slice reconstruction under the explicit slice bound, plus the
     mean-to-slice convergence ratio."""
-    base = BoundConstants(c0=f_main.holder_bound, alpha=1.0, sigma=2.0)
-    for phi, mode in ((phi12, "analytic"), (phi_gevrey2, "gevrey")):
-        cal = calibrate_constants(sino_wide, phi, EPS, GAMMA, 4, base,
-                                  mode=mode)
-        res = reconstruct_slice(sino_wide, phi, GAMMA, cal, eps0=0.28,
-                                mode=mode)
+    base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
+    for phi, sigma in ((phi12, None), (phi_gevrey2, 2.0)):
+        cal = calibrate_constants(sino_wide, phi, EPS, GAMMA, 4,
+                                  replace(base, sigma=sigma))
+        res = reconstruct_slice(sino_wide, phi, GAMMA, cal, eps0=0.28)
         target = np.asarray(
             f_main(res.profile.x, np.full_like(res.profile.x, GAMMA)))
         from localradon.means import MeanProfile
         ref = MeanProfile(x=res.profile.x, values=target,
                           eps=res.profile.eps, gamma=GAMMA)
         l2, _ = profile_errors(res.profile, ref)
-        assert l2 <= res.bound, mode
+        assert l2 <= res.bound, sigma
         _, ratio = convergence_gap(f_main, None, phi12, res.profile.eps,
                                    GAMMA)
         assert ratio <= 1.0
@@ -289,5 +277,5 @@ def test_11_end_to_end_generic_weight(f_main, phi12, fam_generic):
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     cal = calibrate_constants(clean, phi12, EPS, GAMMA, 4, base,
                               fam=fam_generic)
-    report = _sweep(clean, f_main, m, phi12, cal, "analytic", fam=fam_generic)
+    report = _sweep(clean, f_main, m, phi12, cal, fam=fam_generic)
     assert len(report.rows) == len(NOISE_LEVELS)

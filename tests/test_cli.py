@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from localradon.cli import (
     read_sinogram_csv,
     write_sinogram_csv,
 )
+import localradon
+from localradon.bumps import hormander_sequence
 from localradon.kernels import sjk_family
+from localradon.means import mean_profile
 from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
 from localradon.transform import Sinogram
 from localradon.weights import field_from_spec, zero_field
@@ -143,7 +149,30 @@ def test_cli_reconstruct(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     res = manifest["results"]
     assert res["l2_error"] <= res["bound"]
-    assert (out / "reconstruction.csv").exists()
+    # the truth is the mean under the test function of the estimate,
+    # phi_N, not the configured phi_8
+    rows = np.loadtxt(out / "reconstruction.csv", delimiter=",",
+                      skiprows=1)
+    assert res["N"] != BASE_CONFIG["test_function"]["param"]
+    truth = mean_profile(build_phantom(BASE_CONFIG), build_weight(BASE_CONFIG),
+                         hormander_sequence(res["N"]), 0.1, 0.3,
+                         x_grid=rows[:, 0])
+    assert np.array_equal(rows[:, 2], truth.values)
+
+
+def test_constants_sigma_selects_the_gevrey_rule(tmp_path):
+    cfg = write_config(tmp_path, {"constants": {"sigma": 2.0, "c0": 50.0}})
+    out = tmp_path / "gevrey"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    res = json.loads((out / "manifest.json").read_text())["results"]
+    # the Gevrey mean bound 4 M (log(C/eps) log t / t)^alpha, t = log(M/H)
+    M, alpha = 4.0 * 3.0 * 50.0, build_phantom(BASE_CONFIG).holder_alpha
+    t = math.log(M / res["H"])
+    gevrey = 4.0 * M * (math.log(res["c_env"] / 0.1) * math.log(t) / t) \
+        ** alpha
+    assert res["bound"] == pytest.approx(gevrey, rel=1e-12)
+    assert res["N"] >= 1 and res["l2_error"] <= res["bound"]
 
 
 def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
@@ -153,7 +182,7 @@ def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
     assert k_max == WEIGHTED_K_MAX
     fam = sjk_family(field_from_spec("one"), zero_field(), 0.3, k_max,
                      grid_n=24)
-    _calibrated({}, sino_weighted, f_main, phi12, 0.1, 0.3, fam, "analytic")
+    _calibrated({}, sino_weighted, f_main, phi12, 0.1, 0.3, fam)
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
     with pytest.raises(KeyError, match="k_max"):
         fam[(0, WEIGHTED_K_MAX + 1)]
@@ -283,13 +312,27 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
      "grid.xi", "reconstruct"),
     ({"grid": {"xi": [-0.13, 0.13, 21], "eta": [-0.35, 0.35, 0]}},
      "grid.eta", "reconstruct"),
+    # constants.sigma, not a mode key, selects the Gevrey rule
+    ({"mode": "gevrey"}, "constants.sigma", "reconstruct"),
+    ({"constants": {"alpha": math.nan}}, "constants.alpha", "reconstruct"),
+    ({"constants": {"c_env": math.inf}}, "constants.c_env", "reconstruct"),
+    ({"constants": {"a0": math.nan}}, "constants.a0", "reconstruct"),
+    ({"constants": {"sigma": 0.5}}, "constants: sigma", "reconstruct"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], amplitude=math.nan)},
+     "phantom: amplitude", "reconstruct"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], center=[math.nan, 0.45])},
+     "phantom: center", "reconstruct"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], width=math.inf)},
+     "phantom: width", "reconstruct"),
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
         "attenuation", "seed", "noise_sigma", "noise_levels",
         "noise_levels_text", "level_nan", "level_inf", "coef_nan", "eps_inf",
         "gamma_inf", "tolerance_inf", "noise_sigma_inf", "grid_reversed",
-        "grid_n_one", "grid_n_zero"])
+        "grid_n_one", "grid_n_zero", "mode_gevrey", "alpha_nan",
+        "c_env_inf", "a0_nan", "sigma_half", "amplitude_nan", "center_nan",
+        "width_inf"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)
@@ -304,3 +347,14 @@ def test_cli_runtime_failure_exits_1(tmp_path):
     cfg = write_config(tmp_path, {"eps": 0.5})
     assert main(["reconstruct", "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 1
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # the stability fit is plain numpy; scipy.stats costs a third of the
+    # CLI's import time
+    src = os.path.dirname(os.path.dirname(localradon.__file__))
+    code = "import sys, localradon.cli; print('scipy.stats' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from localradon.means import mean_profile
 from localradon.stability import (
     BoundConstants,
     H_FLOOR,
+    _line_fit,
     calibrate_constants,
     counterexample_experiment,
     data_norm,
@@ -84,19 +86,33 @@ def test_bound_constants_validation():
     assert c.M == 24.0
     with pytest.raises(ValueError):
         BoundConstants(c0=-1.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        _ = BoundConstants(c0=1.0, alpha=1.0).s
-    assert BoundConstants(c0=1.0, alpha=1.0, sigma=2.0).s == 1.0
+    for bad in ({"alpha": math.nan}, {"c_env": math.inf}, {"a0": math.nan},
+                {"sigma": 1.0}, {"sigma": 0.5}, {"sigma": math.inf},
+                {"sigma": math.nan}):
+        with pytest.raises(ValueError):
+            BoundConstants(**{"c0": 1.0, "alpha": 1.0, **bad})
+
+
+def test_line_fit_matches_linregress():
+    from scipy.stats import linregress
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        x, y = np.log(rng.uniform(1.0, 30.0, n)), rng.normal(size=n)
+        fit = linregress(x, y)
+        assert _line_fit(x, y) == (fit.slope, fit.intercept, fit.rvalue)
+    slope, intercept, r = _line_fit(np.array([1.0, 2.0, 3.0]), np.full(3, .5))
+    assert slope == 0.0 and intercept == 0.5 and math.isnan(r)
 
 
 def test_truncation_order_plugin_values():
     c = BoundConstants(c0=1.0, alpha=1.0, c_env=math.e * 0.1)
     # log(M/H) = 20 and log(C/eps) = 1 give N = 19
     H = c.M * math.exp(-20.0)
-    assert truncation_order(H, c, 0.1, "analytic") == 19
+    assert truncation_order(H, c, 0.1) == 19
     # gevrey: y = 100 gives floor(100 / log 100) = 21
     H = c.M * math.exp(-100.0)
-    assert truncation_order(H, c, 0.1, "gevrey") == 21
+    assert truncation_order(H, replace(c, sigma=2.0), 0.1) == 21
 
 
 def test_truncation_order_noise_guards():
@@ -104,25 +120,23 @@ def test_truncation_order_noise_guards():
     with pytest.raises(ValueError, match="data too noisy"):
         truncation_order(c.M * 2.0, c, 0.1)
     with pytest.raises(ValueError, match="data too noisy"):
-        truncation_order(c.M * math.exp(-0.5), c, 0.1, "analytic")
+        truncation_order(c.M * math.exp(-0.5), c, 0.1)
     with pytest.raises(ValueError, match="data too noisy"):
-        truncation_order(c.M * math.exp(-2.0), c, 0.1, "gevrey")
+        truncation_order(c.M * math.exp(-2.0), replace(c, sigma=2.0), 0.1)
     with pytest.raises(ValueError):
         truncation_order(0.0, c, 0.1)
-    with pytest.raises(ValueError):
-        truncation_order(1e-3, c, 0.1, "fourier")
 
 
 def test_bound_formulas_plugin():
     c = BoundConstants(c0=1.0, alpha=1.0, c_env=1.0)
     H = c.M * math.exp(-math.e**2)
     t = math.e**2
-    assert mean_bound(H, c, 0.5, "analytic") == pytest.approx(
+    assert mean_bound(H, c, 0.5) == pytest.approx(
         4 * c.M * math.log(2.0) / t, rel=1e-12)
-    assert slice_bound(H, c, "analytic") == pytest.approx(
+    assert slice_bound(H, c) == pytest.approx(
         4 * c.M * (2.0 / t) + (2.0 / t), rel=1e-12)
     # gevrey variants carry the extra loglog factor
-    assert mean_bound(H, c, 0.5, "gevrey") == pytest.approx(
+    assert mean_bound(H, replace(c, sigma=2.0), 0.5) == pytest.approx(
         4 * c.M * math.log(2.0) * 2.0 / t, rel=1e-12)
 
 
