@@ -18,6 +18,7 @@ import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -47,60 +48,166 @@ from .weights import (
     zero_field,
 )
 
-CONFIG_KEYS = """\
-Config file keys (YAML):
-  phantom:        kind (smooth_bump | polynomial_times_bump | tabulated),
-                  center [x, y], width, amplitude, support_constant,
-                  poly_coeffs (polynomial kind: [i, j, c] rows, terms
-                  c (x-cx)^i (y-cy)^j), path (tabulated)
-  weight:         kind (constant | from_ab); level (constant kind, > 0),
-                  a / b (from_ab kind: field spec strings, e.g. "one",
-                  "0.5*sin_xi"; the weight is 1 on xi = 0)
-  grid:           xi [min, max, n], eta [min, max, n] (min < max, n >= 2)
-  test_function:  kind (hormander | gevrey), param (integer N or sigma),
-                  k_max (gevrey: highest derivative order, integer)
-  eps, gamma, eps0: positive numbers
-  noise_sigma:    Gaussian noise sigma of the data (>= 0, default 0)
-  noise_levels:   list of Gaussian sigmas (each >= 0; sweep)
-  seed:           integer (overridable with --seed)
-  constants:      alpha, c0, a0, c_env, sigma (optional positive numbers;
-                  c0/alpha default to the phantom's Hölder data; c_env is
-                  calibrated when absent; sigma > 1 selects the Gevrey
-                  truncation rule and bound, its absence the analytic ones)
-  kernels:        k_max (integer >= 1; read only by the kernels subcommand,
-                  the pipeline builds the family to its weighted order
-                  cap), grid_n (integer >= 2: number of Chebyshev-Lobatto
-                  points of the kernel eta grid)
-  tolerance:      forward-quadrature tolerance (> 0): each line integral stops
-                  when its embedded error estimate is at most
-                  max(tolerance, tolerance*|value|)
-  out_dir:        artifact directory (overridable with --out)
-Numbers may carry an exponent without a dot: 1e-8 reads as a float.
-"""
-
 
 class ConfigError(Exception):
     pass
 
 
-def _need(cfg: dict, key: str, ctx: str = ""):
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {ctx}{key}")
-    return cfg[key]
+def _real(value) -> bool:
+    """``value`` is a finite real number, not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _integer(spec: dict, key: str, default: int, ctx: str, low: int) -> int:
-    """``spec[key]`` (or ``default``) as an int of at least ``low``; a
-    fractional or smaller value is a config error, never truncated."""
-    value = spec.get(key, default)
-    try:
-        ok = float(value).is_integer() and value >= low
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ConfigError(
-            f"{ctx}{key} must be an integer >= {low}, not {value!r}")
-    return int(value)
+class Check(NamedTuple):
+    """A test of a config value, the text ``--help`` prints for it, and the
+    conversion of a value that passes, or of the default."""
+    test: Callable[[object], bool]
+    text: str
+    cast: Callable[[object], object] = lambda value: value
+
+
+def _whole(low: int) -> Check:
+    """An integer-valued number; a fraction is refused, never truncated."""
+    return Check(lambda v: _real(v) and v >= low and float(v).is_integer(),
+                 f"an integer >= {low}", int)
+
+
+def _numbers(n: int, text: str, test=lambda v: True) -> Check:
+    """A list of ``n`` numbers (``n`` 0: one or more) that passes ``test``."""
+    return Check(lambda v: isinstance(v, list) and len(v) == (n or len(v))
+                 and len(v) > 0 and all(map(_real, v)) and test(v), text)
+
+
+POSITIVE = Check(lambda v: _real(v) and v > 0, "a number > 0")
+NONNEGATIVE = Check(lambda v: _real(v) and v >= 0, "a number >= 0")
+TEXT = Check(lambda v: isinstance(v, str), "a string")
+SECTION = Check(lambda v: isinstance(v, dict), "a mapping")
+AXIS = _numbers(3, "[min, max, n], min < max, integer n >= 2",
+                lambda v: v[0] < v[1] and _whole(2).test(v[2]))
+BUMPS = ("smooth_bump", "polynomial_times_bump")
+
+
+class Key(NamedTuple):
+    """A config key, its check, its default (``...``: none, the key is
+    required where it is read) and the kinds of its section that read it
+    (empty: every kind)."""
+    name: str
+    check: Check
+    default: object = ...
+    kinds: tuple = ()
+
+
+SCHEMA = {
+    "": [Key("phantom", SECTION), Key("grid", SECTION)] + [
+        Key(name, SECTION, {}) for name in ("weight", "test_function",
+                                            "constants", "kernels")] + [
+        Key(name, POSITIVE) for name in ("eps", "gamma", "eps0",
+                                         "tolerance")] + [
+        Key("noise_sigma", NONNEGATIVE, 0.0),
+        Key("noise_levels", _numbers(0, "a list of numbers >= 0",
+                                     lambda v: min(v) >= 0)),
+        Key("lambdas", _numbers(0, "an increasing list of numbers > 0",
+                                lambda v: 0 < v[0] and all(
+                                    a < b for a, b in zip(v, v[1:]))),
+            (1, 10, 20, 40, 80)),
+        Key("seed", _whole(0), 0),
+        Key("out_dir", TEXT, "."),
+    ],
+    "phantom": [
+        Key("kind", Check(lambda v: v in (*BUMPS, "tabulated"),
+                          "smooth_bump | polynomial_times_bump | tabulated")),
+        Key("center", _numbers(2, "[x, y]")._replace(cast=tuple), (0.0, 0.5),
+            BUMPS),
+        Key("width", POSITIVE, 0.3, BUMPS),
+        Key("amplitude", Check(_real, "a number"), 1.0, BUMPS),
+        Key("support_constant", Check(lambda v: _real(v) and v >= 1,
+                                      "a number >= 1"), 1.0),
+        Key("poly_coeffs", Check(lambda v: isinstance(v, list) and len(v) > 0,
+                                 "[i, j, c] rows"), kinds=BUMPS[1:]),
+        Key("path", TEXT, kinds=("tabulated",)),
+    ],
+    "weight": [
+        Key("kind", Check(lambda v: v in ("constant", "from_ab"),
+                          "constant | from_ab"), "constant"),
+        Key("level", POSITIVE, 1.0, ("constant",)),
+        Key("a", TEXT, "zero", ("from_ab",)),
+        Key("b", TEXT, "zero", ("from_ab",)),
+    ],
+    "grid": [Key("xi", AXIS), Key("eta", AXIS)],
+    "test_function": [
+        Key("kind", Check(lambda v: v in ("hormander", "gevrey"),
+                          "hormander | gevrey"), "hormander"),
+        Key("param", _whole(1), 12, ("hormander",)),
+        Key("param", POSITIVE._replace(cast=float), 2.0, ("gevrey",)),
+        Key("k_max", _whole(0), 14, ("gevrey",)),
+    ],
+    "constants": [Key("a0", POSITIVE, 3.0)] + [
+        Key(name, POSITIVE, None) for name in ("c0", "alpha", "c_env",
+                                               "sigma")],
+    "kernels": [Key("k_max", _whole(1), 4), Key("grid_n", _whole(2), 96)],
+}
+
+HELP = """\
+Config keys (YAML), each with its check, (its default; none: required where
+it is read) and [the kinds of its section that read it]:
+{}
+constants.c0 and .alpha default to the phantom's Hölder data, c_env is
+calibrated when absent, and sigma > 1 selects the Gevrey rule.  weight.a and
+.b are field specs such as "0.5*sin_xi".  Only the kernels subcommand reads
+kernels.k_max.  A line integral stops when its error estimate is at most
+max(tolerance, tolerance*|value|).  An exponent needs no dot: 1e-8.
+"""
+
+
+def _help() -> str:
+    """``HELP`` with one line per ``SCHEMA`` key."""
+    lines = []
+    for name, keys in SCHEMA.items():
+        prefix = f"{name}." if name else ""
+        lines += [f"  {prefix}{k.name}: {k.check.text}"
+                  + ("" if k.default is ... else f" ({k.default!r})")
+                  + (f" [{prefix}kind {' | '.join(k.kinds)}]" if k.kinds
+                     else "")
+                  for k in keys]
+    return HELP.format("\n".join(lines))
+
+
+class _Values(dict):
+    """Checked config values; reading an absent required key is a config
+    error that names it."""
+    prefix = ""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing config key: {self.prefix}{key}")
+
+
+def _check(spec: dict, name: str = "") -> _Values:
+    """``spec``, the config (``name`` "") or its section ``name``, checked
+    against ``SCHEMA``: every key known, read by the section's kind and
+    passing its check.  Returns its values with the defaults filled in and
+    each section checked in turn."""
+    keys, values = SCHEMA[name], _Values()
+    values.prefix = prefix = f"{name}." if name else ""
+    for key in spec:
+        if key not in {k.name for k in keys}:
+            raise ConfigError(f"{prefix}{key} is not a config key")
+    for key in keys:
+        if key.kinds and values["kind"] not in key.kinds:
+            continue
+        if key.name in spec and not key.check.test(spec[key.name]):
+            raise ConfigError(f"{prefix}{key.name} must be "
+                              f"{key.check.text}, not {spec[key.name]!r}")
+        if key.name in spec or key.default is not ...:
+            value = key.check.cast(spec.get(key.name, key.default))
+            values[key.name] = _check(value, key.name) \
+                if key.check is SECTION else value
+    for key in spec:
+        if key not in values:
+            kinds = next(k.kinds for k in keys if k.name == key)
+            raise ConfigError(f"{prefix}{key} is read only with "
+                              f"{prefix}kind {' | '.join(kinds)}")
+    return values
 
 
 @contextmanager
@@ -125,6 +232,7 @@ _ConfigLoader.add_implicit_resolver(
 
 
 def load_config(path: str) -> dict:
+    """The config as written, once it passes ``SCHEMA``."""
     try:
         with open(path) as fh:
             cfg = yaml.load(fh, Loader=_ConfigLoader)
@@ -137,111 +245,55 @@ def load_config(path: str) -> dict:
     if "mode" in cfg:
         raise ConfigError("mode is not a config key: constants.sigma > 1 "
                           "selects the Gevrey rule")
-    for key in ("eps", "gamma", "eps0", "tolerance"):
-        if key in cfg and not _number(cfg[key], positive=True):
-            raise ConfigError(
-                f"{key} must be a positive number, not {cfg[key]!r}")
-    if "noise_sigma" in cfg and not _number(cfg["noise_sigma"]):
-        raise ConfigError(f"noise_sigma must be a number >= 0, "
-                          f"not {cfg['noise_sigma']!r}")
-    levels = cfg.get("noise_levels", [])
-    if not (isinstance(levels, list) and all(map(_number, levels))):
-        raise ConfigError(
-            f"noise_levels must be a list of numbers >= 0, not {levels!r}")
+    _check(cfg)
     return cfg
 
 
-def _number(value, positive=False) -> bool:
-    """``value`` is a finite real number (not a bool), > 0 or >= 0."""
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value)
-            and (value > 0 if positive else value >= 0))
-
-
 def build_phantom(cfg: dict):
-    spec = _need(cfg, "phantom")
-    kind = _need(spec, "kind", "phantom.")
+    spec = _check(cfg)["phantom"]
     with _config_key("phantom"):
-        common = dict(
-            center=tuple(spec.get("center", (0.0, 0.5))),
-            width=spec.get("width", 0.3),
-            amplitude=spec.get("amplitude", 1.0),
-            support_constant=spec.get("support_constant", 1.0),
-        )
-        if kind == "smooth_bump":
-            return smooth_bump(**common)
-        if kind == "polynomial_times_bump":
-            return smooth_bump(
-                poly_coeffs=_need(spec, "poly_coeffs", "phantom."), **common)
-        if kind == "tabulated":
-            xs, ys, vals, _ = read_grid_csv(_need(spec, "path", "phantom."))
+        if spec["kind"] == "tabulated":
+            xs, ys, vals, _ = read_grid_csv(spec["path"])
             return tabulated_phantom(
-                xs, ys, vals, support_constant=common["support_constant"]
-            )
-    raise ConfigError(f"unknown phantom.kind: {kind}")
+                xs, ys, vals, support_constant=spec["support_constant"])
+        poly = spec["poly_coeffs"] if spec["kind"] in BUMPS[1:] else ()
+        return smooth_bump(spec["center"], spec["width"], spec["amplitude"],
+                           spec["support_constant"], poly_coeffs=poly)
 
 
 def build_weight(cfg: dict):
-    spec = cfg.get("weight", {"kind": "constant"})
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        with _config_key("weight.level"):
-            return constant_weight(spec.get("level", 1.0))
-    if kind == "from_ab":
-        with _config_key("weight.a"):
-            a = field_from_spec(spec.get("a", "zero"))
-        with _config_key("weight.b"):
-            b = field_from_spec(spec.get("b", "zero"))
-        return weight_from_ab(a, b)
-    raise ConfigError(f"unknown weight.kind: {kind}")
+    spec = _check(cfg)["weight"]
+    if spec["kind"] == "constant":
+        return constant_weight(spec["level"])
+    with _config_key("weight.a"):
+        a = field_from_spec(spec["a"])
+    with _config_key("weight.b"):
+        b = field_from_spec(spec["b"])
+    return weight_from_ab(a, b)
 
 
 def build_test_function(cfg: dict):
-    spec = cfg.get("test_function", {"kind": "hormander", "param": 12})
-    kind = spec.get("kind", "hormander")
+    spec = _check(cfg)["test_function"]
     with _config_key("test_function.param"):
-        if kind == "hormander":
-            return hormander_sequence(
-                _integer(spec, "param", 12, "test_function.", 1))
-        if kind == "gevrey":
-            return gevrey_bump(
-                float(spec.get("param", 2.0)),
-                derivative_order_max=_integer(spec, "k_max", 14,
-                                              "test_function.", 0))
-    raise ConfigError(f"unknown test_function.kind: {kind}")
+        if spec["kind"] == "hormander":
+            return hormander_sequence(spec["param"])
+        return gevrey_bump(spec["param"], derivative_order_max=spec["k_max"])
 
 
 def build_grids(cfg: dict):
-    grid = _need(cfg, "grid")
-    axes = []
-    for name in ("xi", "eta"):
-        try:
-            lo, hi, n = _need(grid, name, "grid.")
-            ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ConfigError(
-                f"grid.{name} must be [min, max, n] with finite min < max")
-        n = _integer({"n": n}, "n", 0, f"grid.{name}.", 2)
-        axes.append(np.linspace(lo, hi, n))
-    return tuple(axes)
+    grid = _check(cfg)["grid"]
+    return tuple(np.linspace(lo, hi, int(n))
+                 for lo, hi, n in (grid["xi"], grid["eta"]))
 
 
 def build_constants(cfg: dict, phantom) -> BoundConstants:
-    spec = cfg.get("constants", {})
-    for key in ("c0", "alpha", "a0", "c_env", "sigma"):
-        if key in spec and not _number(spec[key], positive=True):
-            raise ConfigError(f"constants.{key} must be a positive number, "
-                              f"not {spec[key]!r}")
+    """The constants as configured; c0 and alpha default to the phantom's
+    Hölder data, the rest to ``BoundConstants``' defaults."""
+    spec = _check(cfg)["constants"]
+    given = {k: v for k, v in spec.items() if v is not None}
     with _config_key("constants"):
-        return BoundConstants(
-            c0=spec.get("c0", phantom.holder_bound),
-            alpha=spec.get("alpha", phantom.holder_alpha),
-            a0=spec.get("a0", 3.0),
-            c_env=spec.get("c_env", 2.0),
-            sigma=spec.get("sigma"),
-        )
+        return BoundConstants(**{"c0": phantom.holder_bound,
+                                 "alpha": phantom.holder_alpha, **given})
 
 
 def write_sinogram_csv(path, g: Sinogram):
@@ -339,21 +391,10 @@ def _sinogram_from_config(cfg, seed):
     f = build_phantom(cfg)
     m = build_weight(cfg)
     xi, eta = build_grids(cfg)
-    sigma = cfg.get("noise_sigma", 0.0)
-    tol = cfg.get("tolerance", 1e-9)
-    g = synthesize_sinogram(f, m, xi, eta, noise_sigma=sigma, seed=seed,
-                            tol=tol)
+    values = _check(cfg)
+    g = synthesize_sinogram(f, m, xi, eta, noise_sigma=values["noise_sigma"],
+                            seed=seed, tol=values["tolerance"])
     return f, m, g
-
-
-def _family_from_config(cfg, m, gamma, k_max):
-    """The ``S_{j,k}`` family (``k <= k_max``) of a ``from_ab`` weight; None
-    for a constant.  A pipeline run passes the weighted order cap, the
-    deepest level that calibration and reconstruction read."""
-    if m.a is None:
-        return None
-    return sjk_family(m.a, m.b, gamma, k_max, grid_n=_integer(
-        cfg.get("kernels", {}), "grid_n", 96, "kernels.", 2))
 
 
 def cmd_sinogram(cfg, out, seed, quiet):
@@ -367,7 +408,7 @@ def cmd_sinogram(cfg, out, seed, quiet):
 
 def _calibrated(cfg, g, f, phi, eps, gamma, fam):
     consts = build_constants(cfg, f)
-    if "c_env" not in cfg.get("constants", {}):
+    if _check(cfg)["constants"]["c_env"] is None:
         n_cal = min(8, order_cap(phi, weighted=fam is not None))
         consts = calibrate_constants(g, phi, eps, gamma, n_cal, consts,
                                      fam=fam)
@@ -376,18 +417,22 @@ def _calibrated(cfg, g, f, phi, eps, gamma, fam):
 
 def _pipeline(cfg, seed, eps):
     """What ``reconstruct``, ``slice`` and ``sweep`` share: the data, gamma,
-    test function, the kernel family (to the weighted order cap) and the
-    constants calibrated at ``eps``."""
+    test function, the ``S_{j,k}`` family of a ``from_ab`` weight (None for
+    a constant) to the weighted order cap, the deepest level that
+    calibration and reconstruction read, and the constants calibrated at
+    ``eps``."""
     f, m, g = _sinogram_from_config(cfg, seed)
-    gamma = _need(cfg, "gamma")
-    phi = build_test_function(cfg)
-    fam = _family_from_config(cfg, m, gamma, order_cap(phi, weighted=True))
+    values = _check(cfg)
+    gamma, phi = values["gamma"], build_test_function(cfg)
+    fam = None if m.a is None else sjk_family(
+        m.a, m.b, gamma, order_cap(phi, weighted=True),
+        grid_n=values["kernels"]["grid_n"])
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam)
     return f, m, g, gamma, phi, fam, consts
 
 
 def cmd_reconstruct(cfg, out, seed, quiet):
-    eps = _need(cfg, "eps")
+    eps = _check(cfg)["eps"]
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
     rec = reconstruct_mean(g, phi, eps, gamma, consts, fam=fam)
     true = mean_profile(f, m, rec.profile.test_function, eps, gamma,
@@ -407,7 +452,7 @@ def cmd_reconstruct(cfg, out, seed, quiet):
 
 
 def cmd_slice(cfg, out, seed, quiet):
-    eps0 = _need(cfg, "eps0")
+    eps0 = _check(cfg)["eps0"]
     _, _, g, gamma, phi, fam, consts = _pipeline(
         cfg, seed, min(eps0, 0.5 * eps0 + 0.05))
     rec = reconstruct_slice(g, phi, gamma, consts, eps0, fam=fam)
@@ -423,8 +468,8 @@ def cmd_slice(cfg, out, seed, quiet):
 
 
 def cmd_sweep(cfg, out, seed, quiet):
-    eps = _need(cfg, "eps")
-    levels = _need(cfg, "noise_levels")
+    values = _check(cfg)
+    eps, levels = values["eps"], values["noise_levels"]
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
     report = stability_curve(g, f, m, phi, levels, eps, gamma, consts,
                              fam=fam, seed=seed)
@@ -447,10 +492,10 @@ def cmd_sweep(cfg, out, seed, quiet):
 
 def cmd_counterexample(cfg, out, seed, quiet):
     q = build_phantom(cfg)
-    lambdas = cfg.get("lambdas", [1, 10, 20, 40, 80])
+    values = _check(cfg)
     xi, eta = build_grids(cfg)
-    rows, slopes = counterexample_experiment(q, lambdas, xi, eta,
-                                             tol=cfg.get("tolerance", 1e-10))
+    rows, slopes = counterexample_experiment(q, values["lambdas"], xi, eta,
+                                             tol=values["tolerance"])
     path = out / "counterexample.csv"
     _write_rows_csv(path, ["lambda", "f_norm", "data_norm"], rows)
     if not quiet:
@@ -465,9 +510,11 @@ def cmd_kernels(cfg, out, seed, quiet):
     m = build_weight(cfg)
     if m.a is None:
         m = weight_from_ab(zero_field(), zero_field())
-    k_max = _integer(cfg.get("kernels", {}), "k_max", 4, "kernels.", 1)
-    fam = _family_from_config(cfg, m, _need(cfg, "gamma"), k_max)
-    rep = verify_kernel_bounds(fam, cfg.get("eps", 0.1) / 2.0, k_max)
+    values = _check(cfg)
+    k_max = values["kernels"]["k_max"]
+    fam = sjk_family(m.a, m.b, values["gamma"], k_max,
+                     grid_n=values["kernels"]["grid_n"])
+    rep = verify_kernel_bounds(fam, values["eps"] / 2.0, k_max)
     path = out / "kernels.csv"
     rows = [{"j": j, "k": k, "ratio": r} for (j, k), r in
             sorted(rep.ratios.items(), key=lambda t: (t[0][1], t[0][0]))]
@@ -483,8 +530,8 @@ def cmd_verify(cfg, out, seed, quiet):
     """Small invariant suite over the configured corpus."""
     results = {}
     f, m, g = _sinogram_from_config(cfg, seed)
-    eps = cfg.get("eps", 0.1)
-    gamma = cfg.get("gamma", 0.3)
+    values = _check(cfg)
+    eps, gamma = values["eps"], values["gamma"]
     phi = build_test_function(cfg)
 
     # test function certification
@@ -556,7 +603,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="localradon",
         description=__doc__,
-        epilog=CONFIG_KEYS,
+        epilog=_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
@@ -566,18 +613,15 @@ def main(argv=None) -> int:
                         help="override config seed")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be an integer >= 0, not {args.seed}")
 
     try:
         cfg = load_config(args.config)
-        out = Path(args.out or cfg.get("out_dir", "."))
+        values = _check(cfg)
+        out = Path(args.out or values["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None \
-            else _integer(cfg, "seed", 0, "", 0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        seed = values["seed"] if args.seed is None else args.seed
         artifacts, extra = COMMANDS[args.subcommand](cfg, out, seed,
                                                      args.quiet)
     except ConfigError as exc:

@@ -52,7 +52,8 @@ class PhantomSpec:
                             compare=False)
 
     def __post_init__(self):
-        for name in ("center", "width", "amplitude"):
+        for name in ("center", "width", "amplitude", "support_constant",
+                     "holder_bound", "oscillation"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.width <= 0:

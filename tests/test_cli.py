@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localradon.cli import (
     ConfigError,
+    _ConfigLoader,
     _calibrated,
     _config_hash,
     build_constants,
@@ -235,11 +241,11 @@ def test_exponent_numbers_without_a_dot(tmp_path):
         "phantom: {kind: smooth_bump, center: [0.0, 0.45], width: 0.3}\n"
         "grid: {xi: [-0.13, 0.13, 21], eta: [-0.35, 0.35, 29]}\n"
         "noise_sigma: 1e-6\n"
-        "tolerance: 1e-8\n"
-        "other: [1E+3, -2e2, .5e1, 0.5*sin_xi]\n")
+        "tolerance: 1e-8\n")
     cfg = load_config(str(path))
     assert cfg["noise_sigma"] == 1e-6 and cfg["tolerance"] == 1e-8
-    assert cfg["other"] == [1e3, -2e2, 5.0, "0.5*sin_xi"]
+    other = yaml.load("[1E+3, -2e2, .5e1, 0.5*sin_xi]", Loader=_ConfigLoader)
+    assert other == [1e3, -2e2, 5.0, "0.5*sin_xi"]
     assert yaml.safe_load("a: 1e-6") == {"a": "1e-6"}
     assert main(["sinogram", "--config", str(path), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 0
@@ -271,7 +277,7 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
      "test_function.param", "reconstruct"),
     ({"test_function": {"kind": "gevrey", "param": 1.0}},
      "test_function.param", "reconstruct"),
-    ({"phantom": dict(BASE_CONFIG["phantom"], width=-1)}, "phantom: width",
+    ({"phantom": dict(BASE_CONFIG["phantom"], width=-1)}, "phantom.width",
      "reconstruct"),
     ({"grid": {"xi": [-0.13, 0.13, 20.5], "eta": [-0.35, 0.35, 29]}},
      "grid.xi", "reconstruct"),
@@ -319,11 +325,43 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     ({"constants": {"a0": math.nan}}, "constants.a0", "reconstruct"),
     ({"constants": {"sigma": 0.5}}, "constants: sigma", "reconstruct"),
     ({"phantom": dict(BASE_CONFIG["phantom"], amplitude=math.nan)},
-     "phantom: amplitude", "reconstruct"),
+     "phantom.amplitude", "reconstruct"),
     ({"phantom": dict(BASE_CONFIG["phantom"], center=[math.nan, 0.45])},
-     "phantom: center", "reconstruct"),
+     "phantom.center", "reconstruct"),
     ({"phantom": dict(BASE_CONFIG["phantom"], width=math.inf)},
-     "phantom: width", "reconstruct"),
+     "phantom.width", "reconstruct"),
+    # keys the run would ignore: misspelt, or read only by another kind
+    ({"noise_sgima": 1.0e-3}, "noise_sgima", "reconstruct"),
+    ({"constants": {"simga": 2.0}}, "constants.simga", "reconstruct"),
+    ({"gama": 0.2}, "gama", "reconstruct"),
+    ({"weight": {"a": "0.5*sin_xi", "b": "0.5*cos_eta"}}, "weight.a",
+     "reconstruct"),
+    ({"test_function": {"kind": "hormander", "param": 8, "k_max": 8}},
+     "test_function.k_max", "reconstruct"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], poly_coeffs=[[0, 0, 1.0]])},
+     "phantom.poly_coeffs", "reconstruct"),
+    # a bool is not a number
+    ({"test_function": {"kind": "hormander", "param": True}},
+     "test_function.param", "reconstruct"),
+    ({"weight": {"kind": "constant", "level": True}}, "weight.level",
+     "reconstruct"),
+    ({"seed": True}, "seed", "reconstruct"),
+    ({"test_function": {"kind": "gevrey", "param": "2"}},
+     "test_function.param", "reconstruct"),
+    # every section is checked, also where this run does not read it
+    ({"kernels": {"grid_n": 1}}, "kernels.grid_n", "reconstruct"),
+    # sections that are not mappings
+    ({"constants": 2.0}, "constants", "reconstruct"),
+    ({"phantom": 3}, "phantom", "reconstruct"),
+    ({"test_function": 8}, "test_function", "reconstruct"),
+    ({"weight": "constant"}, "weight", "reconstruct"),
+    ({"weight": FROM_AB, "kernels": 3}, "kernels", "reconstruct"),
+    ({"lambdas": [80, 10]}, "lambdas", "counterexample"),
+    ({"lambdas": "many"}, "lambdas", "counterexample"),
+    ({"lambdas": [-1, 10]}, "lambdas", "counterexample"),
+    ({"noise_levels": []}, "noise_levels", "sweep"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], support_constant=math.nan)},
+     "phantom.support_constant", "reconstruct"),
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
@@ -332,7 +370,13 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
         "gamma_inf", "tolerance_inf", "noise_sigma_inf", "grid_reversed",
         "grid_n_one", "grid_n_zero", "mode_gevrey", "alpha_nan",
         "c_env_inf", "a0_nan", "sigma_half", "amplitude_nan", "center_nan",
-        "width_inf"])
+        "width_inf", "noise_sgima", "constants_simga", "gama",
+        "from_ab_without_kind", "hormander_k_max", "smooth_bump_poly",
+        "param_bool", "level_bool", "seed_bool", "gevrey_param_text",
+        "grid_n_constant_weight", "constants_scalar", "phantom_scalar",
+        "test_function_scalar", "weight_scalar", "kernels_scalar",
+        "lambdas_decreasing", "lambdas_text", "lambdas_negative",
+        "noise_levels_empty", "support_constant_nan"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)
@@ -340,6 +384,92 @@ def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                  str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sinogram", "--config", str(cfg), "--out", str(tmp_path / "o"),
+              "--seed", "-1", "--quiet"])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+
+
+def test_help_names_every_schema_key(capsys):
+    from localradon.cli import SCHEMA
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for section, keys in SCHEMA.items():
+        for key in keys:
+            path = f"{section}.{key.name}" if section else key.name
+            assert f"\n  {path}: {key.check.text}" in out, path
+
+
+# invalid mutations of BASE_CONFIG, each with the path it must name
+VALUE_PATHS = [("phantom", "kind"), ("phantom", "center"),
+               ("phantom", "width"), ("weight", "kind"), ("grid", "xi"),
+               ("grid", "eta"), ("test_function", "kind"),
+               ("test_function", "param"), (None, "eps"), (None, "gamma"),
+               (None, "seed"), (None, "tolerance")]
+OTHER_KIND = [("weight", {"kind": "constant", "a": "one"}, "a"),
+              ("weight", {"kind": "from_ab", "level": 2.0}, "level"),
+              ("test_function", {"kind": "hormander", "k_max": 4}, "k_max"),
+              ("phantom", dict(BASE_CONFIG["phantom"], path="f.csv"),
+               "path"),
+              ("phantom", dict(BASE_CONFIG["phantom"],
+                               poly_coeffs=[[0, 0, 1.0]]), "poly_coeffs")]
+
+
+@st.composite
+def invalid_configs(draw):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    how = draw(st.sampled_from(["misspelt", "scalar", "value", "kind"]))
+    if how == "misspelt":
+        section = draw(st.sampled_from([None, "phantom", "grid",
+                                        "test_function"]))
+        spec = cfg[section] if section else cfg
+        key = draw(st.sampled_from(sorted(spec)))
+        i = draw(st.integers(0, len(key) - 1))
+        typo = draw(st.sampled_from([key[:i] + key[i + 1:],
+                                     key[:i] + "x" + key[i:],
+                                     key[:i] + key[i] * 2 + key[i + 1:]]))
+        assume(typo and typo not in spec and typo != "mode"
+               and typo not in ("eps0", "lambdas"))
+        spec[typo] = spec.pop(key)
+        path = typo
+    elif how == "scalar":
+        section = draw(st.sampled_from(["phantom", "weight", "grid",
+                                        "test_function", "constants",
+                                        "kernels"]))
+        cfg[section] = draw(st.sampled_from([2.0, 3, "text", True, [1.0]]))
+        return cfg, section
+    elif how == "value":
+        section, key = draw(st.sampled_from(VALUE_PATHS))
+        spec = cfg[section] if section else cfg
+        spec[key] = draw(st.sampled_from([True, False, "text", math.nan,
+                                          [1.0]]))
+        path = key
+    else:
+        section, spec, path = draw(st.sampled_from(OTHER_KIND))
+        cfg[section] = spec
+    return cfg, f"{section}.{path}" if section else path
+
+
+@settings(max_examples=60, deadline=None)
+@given(invalid_configs())
+def test_invalid_config_mutations_exit_2(case):
+    cfg, path = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "c.yaml")
+        with open(config, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["reconstruct", "--config", config, "--out",
+                         os.path.join(tmp, "o"), "--quiet"])
+    # every message names the key first: "config error: <path> ..."
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith(f"config error: {path} "), path
 
 
 def test_cli_runtime_failure_exits_1(tmp_path):

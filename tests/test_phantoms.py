@@ -106,6 +106,18 @@ def test_cutoff_subnormal_gap_is_silent():
     assert v.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("name", ["support_constant", "holder_bound",
+                                  "oscillation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_values_refused(name, value):
+    # a NaN passes no comparison, so each range check alone lets it through
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PhantomSpec(**{name: value})
+    if name == "oscillation":
+        with pytest.raises(ValueError, match="oscillation must be finite"):
+            oscillatory_phantom(smooth_bump(), value)
+
+
 def test_oscillatory_scaling():
     q = smooth_bump(center=(0.0, 0.5), width=0.35)
     f10 = oscillatory_phantom(q, 10.0)
