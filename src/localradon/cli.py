@@ -124,7 +124,8 @@ SCHEMA = {
         Key("support_constant", Check(lambda v: _real(v) and v >= 1,
                                       "a number >= 1"), 1.0),
         Key("poly_coeffs", Check(lambda v: isinstance(v, list) and len(v) > 0,
-                                 "[i, j, c] rows"), kinds=BUMPS[1:]),
+                                 "[i, j, c] rows, i and j integers >= 0"),
+            kinds=BUMPS[1:]),
         Key("path", TEXT, kinds=("tabulated",)),
     ],
     "weight": [
@@ -212,11 +213,11 @@ def _check(spec: dict, name: str = "") -> _Values:
 
 @contextmanager
 def _config_key(key: str):
-    """Report a builder's ValueError or TypeError as a config error that
-    names ``key``."""
+    """Report a builder's ValueError, TypeError or OSError (a file it
+    cannot read) as a config error that names ``key``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -253,7 +254,8 @@ def build_phantom(cfg: dict):
     spec = _check(cfg)["phantom"]
     with _config_key("phantom"):
         if spec["kind"] == "tabulated":
-            xs, ys, vals, _ = read_grid_csv(spec["path"])
+            with _config_key("phantom.path"):
+                xs, ys, vals, _ = read_grid_csv(spec["path"])
             return tabulated_phantom(
                 xs, ys, vals, support_constant=spec["support_constant"])
         poly = spec["poly_coeffs"] if spec["kind"] in BUMPS[1:] else ()

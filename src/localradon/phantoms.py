@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval2d
 from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
@@ -50,10 +51,12 @@ class PhantomSpec:
     grid: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     _interp: object = field(init=False, default=None, repr=False,
                             compare=False)
+    _poly: Optional[np.ndarray] = field(init=False, default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         for name in ("center", "width", "amplitude", "support_constant",
-                     "holder_bound", "oscillation"):
+                     "holder_bound", "oscillation", "poly_coeffs"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.width <= 0:
@@ -66,6 +69,8 @@ class PhantomSpec:
             raise ValueError("support_constant must be >= 1")
         if self.oscillation < 0:
             raise ValueError("oscillation must be >= 0")
+        if self.poly_coeffs:
+            self._poly = _poly_matrix(self.poly_coeffs)
         if self.grid is not None:
             xs, ys, vals = self.grid
             self._interp = RegularGridInterpolator(
@@ -117,11 +122,9 @@ class PhantomSpec:
             out = np.where(y >= self.support_constant * x * x, out, 0.0)
         else:
             scale = self.amplitude
-            if self.poly_coeffs:
+            if self._poly is not None:
                 cx, cy = self.center
-                scale = scale * np.polynomial.polynomial.polyval2d(
-                    x - cx, y - cy, _poly_matrix(self.poly_coeffs)
-                )
+                scale = scale * polyval2d(x - cx, y - cy, self._poly)
             out = scale * self._bump(x, y) * self._cutoff(x, y)
             out /= self._center_norm()
             if self.oscillation > 0:
@@ -139,13 +142,16 @@ class PhantomSpec:
 
 
 def _poly_matrix(coeffs):
-    # flat (i, j, c) triples -> coefficient matrix for polyval2d
+    """Flat ``(i, j, c)`` triples as the coefficient matrix of ``polyval2d``;
+    an exponent that is not a nonnegative integer is refused."""
     triples = np.asarray(coeffs, dtype=float).reshape(-1, 3)
-    ni = int(triples[:, 0].max()) + 1
-    nj = int(triples[:, 1].max()) + 1
-    mat = np.zeros((ni, nj))
-    for i, j, c in triples:
-        mat[int(i), int(j)] = c
+    powers = triples[:, :2]
+    if not np.all((powers >= 0) & (powers == np.round(powers))):
+        raise ValueError("poly_coeffs exponents must be nonnegative integers")
+    powers = powers.astype(int)
+    mat = np.zeros(tuple(powers.max(axis=0) + 1))
+    for (i, j), c in zip(powers, triples[:, 2]):
+        mat[i, j] = c
     return mat
 
 
@@ -160,7 +166,7 @@ def smooth_bump(
 ) -> PhantomSpec:
     """Smooth bump phantom, times the polynomial with ``(i, j, c)`` triples
     ``poly_coeffs`` (``c (x - cx)^i (y - cy)^j`` terms) when given;
-    ``holder_bound`` defaults to a dense-grid gradient bound."""
+    ``holder_bound`` defaults to ``lipschitz_bound``."""
     p = PhantomSpec(
         center=center,
         width=width,
@@ -217,15 +223,38 @@ def _grid_sup(p: PhantomSpec, n: int = 301) -> float:
     return float(np.abs(p(X, Y)).max())
 
 
-def lipschitz_bound(p: PhantomSpec, n: int = 401, h: float = 1e-6) -> float:
-    """Dense-grid bound on ``sup |grad f|`` (central differences), padded 5%."""
+def lipschitz_bound(p: PhantomSpec, n: int = 401) -> float:
+    """``max |grad f|`` over an ``n`` x ``n`` grid on the square ``center +-
+    1.2 width``, padded 5%.
+
+    The gradient is the exact one of the phantom's formula.  With ``E`` the
+    bump times the cutoff, ``grad log E = -grad r^2 / (1 - r^2)^2 + grad gap
+    / gap^2``, ``gap = y - c x^2``; it is formed only where ``E`` is not 0,
+    since ``f`` is flat to every order at the edge of its support.
+    """
+    if p.kind not in ("smooth-bump", "polynomial-times-bump"):
+        raise ValueError(f"no gradient formula for a {p.kind} phantom")
     cx, cy = p.center
     xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, n)
     ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    fx = (p(X + h, Y) - p(X - h, Y)) / (2 * h)
-    fy = (p(X, Y + h) - p(X, Y - h)) / (2 * h)
-    return 1.05 * float(np.sqrt(fx**2 + fy**2).max())
+    u, v, w2 = xs - cx, ys - cy, p.width**2
+    s = 1.0 - (u[:, None] ** 2 + v**2) / w2
+    gap = ys - p.support_constant * xs[:, None] ** 2
+    i, j = np.nonzero((s > 0) & (gap > 0))
+    x, u, v, s, gap = xs[i], u[i], v[j], s[i, j], gap[i, j]
+    with np.errstate(over="ignore"):        # subnormal gaps: exp(-inf) = 0
+        e = np.exp(1.0 - 1.0 / s - 1.0 / gap)
+    nz = e > 0                              # and 1/gap^2 would be inf
+    x, u, v, s, gap = x[nz], u[nz], v[nz], s[nz], gap[nz]
+    f = p.amplitude / p._center_norm() * e[nz]
+    dr, dgap = -2.0 / (w2 * s * s), 1.0 / (gap * gap)
+    fx = f * (dr * u - 2.0 * p.support_constant * x * dgap)
+    fy = f * (dr * v + dgap)
+    if p._poly is not None:
+        poly = polyval2d(u, v, p._poly)
+        fx = poly * fx + f * polyval2d(u, v, polyder(p._poly, axis=0))
+        fy = poly * fy + f * polyval2d(u, v, polyder(p._poly, axis=1))
+    return 1.05 * float(np.sqrt((fx**2 + fy**2).max(initial=0.0)))
 
 
 def holder_seminorm_estimate(

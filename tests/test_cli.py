@@ -266,6 +266,17 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_cli_missing_tabulated_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    cfg = write_config(tmp_path, {"phantom": {"kind": "tabulated",
+                                              "path": str(missing)}})
+    assert main(["sinogram", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: phantom.path: ")
+    assert str(missing) in err
+
+
 @pytest.mark.parametrize("overrides, key, subcommand", [
     ({"weight": {"kind": "from_ab", "a": "bogus"}}, "weight.a",
      "reconstruct"),
@@ -362,6 +373,13 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
     ({"noise_levels": []}, "noise_levels", "sweep"),
     ({"phantom": dict(BASE_CONFIG["phantom"], support_constant=math.nan)},
      "phantom.support_constant", "reconstruct"),
+    # an exponent is a nonnegative integer, never truncated or wrapped
+    ({"phantom": dict(BASE_CONFIG["phantom"], kind="polynomial_times_bump",
+                      poly_coeffs=[[1.7, 0, 3.0]])},
+     "phantom: poly_coeffs", "sinogram"),
+    ({"phantom": dict(BASE_CONFIG["phantom"], kind="polynomial_times_bump",
+                      poly_coeffs=[[-1, 0, 2.0], [1, 0, 3.0]])},
+     "phantom: poly_coeffs", "sinogram"),
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
@@ -376,7 +394,8 @@ def test_cli_bad_key_exits_2(tmp_path, capsys):
         "grid_n_constant_weight", "constants_scalar", "phantom_scalar",
         "test_function_scalar", "weight_scalar", "kernels_scalar",
         "lambdas_decreasing", "lambdas_text", "lambdas_negative",
-        "noise_levels_empty", "support_constant_nan"])
+        "noise_levels_empty", "support_constant_nan", "poly_fraction",
+        "poly_negative"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)

@@ -61,6 +61,71 @@ def test_lipschitz_bound_positive(f_main):
     assert lipschitz_bound(f_main) > 0
 
 
+def central_difference_bound(p, n=401, h=1e-6):
+    """Oracle: ``max |grad f|`` from central differences of ``p`` itself on
+    the grid ``lipschitz_bound`` uses, padded 5% the same way."""
+    cx, cy = p.center
+    xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, n)
+    ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, n)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fx = (p(X + h, Y) - p(X - h, Y)) / (2 * h)
+    fy = (p(X, Y + h) - p(X, Y - h)) / (2 * h)
+    return 1.05 * float(np.sqrt(fx**2 + fy**2).max())
+
+
+@pytest.mark.parametrize("spec", [
+    dict(center=(0.0, 0.45), width=0.3),
+    dict(center=(0.0, 0.5), width=0.4),
+    dict(center=(0.1, 0.45), width=0.3, amplitude=2.0),
+    dict(center=(0.0, 0.5), width=0.3,
+         poly_coeffs=[(1, 0, 1.0), (0, 2, 3.0), (2, 1, -1.5)]),
+    # near the vertex: gaps down to subnormal, a bound of about 9e7
+    dict(center=(0.0, 0.05), width=0.3, support_constant=2.0),
+], ids=["gated", "wide", "shifted_amplitude", "polynomial", "vertex"])
+def test_lipschitz_bound_matches_central_differences(spec):
+    p = smooth_bump(**spec, holder_bound=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = lipschitz_bound(p)
+    assert bound == pytest.approx(central_difference_bound(p), rel=1e-8)
+
+
+def test_lipschitz_bound_only_of_bumps():
+    # these kinds declare their Hölder bound; there is no formula to
+    # differentiate
+    tab = tabulated_phantom(np.linspace(-0.5, 0.5, 5),
+                            np.linspace(0.0, 1.0, 5), np.ones((5, 5)))
+    for p in (tab, oscillatory_phantom(smooth_bump(), 10.0)):
+        with pytest.raises(ValueError, match=p.kind):
+            lipschitz_bound(p)
+
+
+def test_lipschitz_bound_evaluates_no_phantom(monkeypatch):
+    calls = []
+    call = PhantomSpec.__call__
+
+    def counted(self, x, y):
+        calls.append(np.size(x))
+        return call(self, x, y)
+
+    monkeypatch.setattr(PhantomSpec, "__call__", counted)
+    p = smooth_bump(center=(0.0, 0.45), width=0.3, holder_bound=1.0)
+    lipschitz_bound(p)
+    assert calls == []
+    central_difference_bound(p)             # the wrapper does count
+    assert calls == [401 * 401] * 4
+
+
+def test_poly_exponents_are_nonnegative_integers():
+    # a fraction was truncated and a negative index wrapped, so both rows
+    # silently evaluated as [(1, 0, 3.0)]
+    for rows in ([(-1, 0, 2.0), (1, 0, 3.0)], [(1.7, 0, 3.0)]):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            smooth_bump(poly_coeffs=rows)
+    f = smooth_bump(poly_coeffs=[(1, 0, 3.0)])
+    assert float(f(0.1, 0.5)) == 0.2541605485196375
+
+
 def test_polynomial_times_bump():
     # p(x, y) = (x - cx): odd factor kills the center value
     f = smooth_bump(center=(0.0, 0.5), width=0.3, poly_coeffs=[(1, 0, 1.0)])
