@@ -153,8 +153,9 @@ HELP = """\
 Config keys (YAML), each with its check, (its default; none: required where
 it is read) and [the kinds of its section that read it]:
 {}
-constants.c0 and .alpha default to the phantom's Hölder data, c_env is
-calibrated when absent, and sigma > 1 selects the Gevrey rule.  weight.a and
+constants.c0 defaults to the phantom's Lipschitz bound, computed when first
+read, and .alpha to 1; c_env is calibrated when absent, at the order the
+pipeline allows, and sigma > 1 selects the Gevrey rule.  weight.a and
 .b are field specs such as "0.5*sin_xi".  Only the kernels subcommand reads
 kernels.k_max.  A line integral stops when its error estimate is at most
 max(tolerance, tolerance*|value|).  An exponent needs no dot: 1e-8.
@@ -289,13 +290,14 @@ def build_grids(cfg: dict):
 
 
 def build_constants(cfg: dict, phantom) -> BoundConstants:
-    """The constants as configured; c0 and alpha default to the phantom's
-    Hölder data, the rest to ``BoundConstants``' defaults."""
+    """The constants as configured; c0 defaults to the phantom's Lipschitz
+    bound, read only then, the rest to ``BoundConstants``' defaults."""
     spec = _check(cfg)["constants"]
     given = {k: v for k, v in spec.items() if v is not None}
+    if "c0" not in given:
+        given["c0"] = phantom.holder_bound
     with _config_key("constants"):
-        return BoundConstants(**{"c0": phantom.holder_bound,
-                                 "alpha": phantom.holder_alpha, **given})
+        return BoundConstants(**given)
 
 
 def write_sinogram_csv(path, g: Sinogram):
@@ -411,7 +413,7 @@ def cmd_sinogram(cfg, out, seed, quiet):
 def _calibrated(cfg, g, f, phi, eps, gamma, fam):
     consts = build_constants(cfg, f)
     if _check(cfg)["constants"]["c_env"] is None:
-        n_cal = min(8, order_cap(phi, weighted=fam is not None))
+        n_cal = order_cap(phi, weighted=fam is not None)
         consts = calibrate_constants(g, phi, eps, gamma, n_cal, consts,
                                      fam=fam)
     return consts

@@ -64,9 +64,6 @@ class Jet:
     def __neg__(self):
         return Jet(-self.c)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other, self.order))
-
     def __rsub__(self, other):
         return (-self) + other
 
@@ -86,18 +83,6 @@ class Jet:
         return Jet(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, p: int):
-        if p < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Jet.constant(np.ones(self.c.shape[1:]), self.order)
-        base = self
-        while p:
-            if p & 1:
-                result = result * base
-            base = base * base
-            p >>= 1
-        return result
 
     def exp(self) -> "Jet":
         n = self.order
@@ -138,9 +123,6 @@ class Jet:
         if len(inputs) == 2 and inputs[1] is self and ufunc in _REFLECTED:
             return getattr(self, _REFLECTED[ufunc])(inputs[0])
         return NotImplemented
-
-    def value(self):
-        return self.c[0]
 
     def derivative(self, n: int):
         """n-th derivative at the base point."""

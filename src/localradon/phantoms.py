@@ -11,6 +11,7 @@ while staying C-infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,17 +36,15 @@ class PhantomSpec:
     values)``; otherwise it is the bump, times the polynomial with flat
     ``(i, j, c)`` triples ``poly_coeffs`` when these are given, times
     ``cos(oscillation*x)/oscillation`` when ``oscillation > 0``.
-    ``holder_alpha`` and ``holder_bound`` declare the a priori regularity
-    ``|f(p) - f(q)| <= holder_bound * |p - q|**holder_alpha`` that the
-    stability bounds consume.
+    ``declared_bound``, when given, is the a priori Lipschitz constant of
+    ``f`` that the stability bounds consume (``holder_bound``).
     """
 
     center: tuple[float, float] = (0.0, 0.5)
     width: float = 0.3
     amplitude: float = 1.0
     support_constant: float = 1.0
-    holder_alpha: float = 1.0
-    holder_bound: float = 1.0
+    declared_bound: Optional[float] = None
     oscillation: float = 0.0
     poly_coeffs: tuple[float, ...] = ()
     grid: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -56,15 +55,14 @@ class PhantomSpec:
 
     def __post_init__(self):
         for name in ("center", "width", "amplitude", "support_constant",
-                     "holder_bound", "oscillation", "poly_coeffs"):
-            if not np.all(np.isfinite(getattr(self, name))):
+                     "declared_bound", "oscillation", "poly_coeffs"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if not (0.0 < self.holder_alpha <= 1.0):
-            raise ValueError("holder_alpha must lie in (0, 1]")
-        if self.holder_bound <= 0:
-            raise ValueError("holder_bound must be positive")
+        if self.declared_bound is not None and self.declared_bound <= 0:
+            raise ValueError("declared_bound must be positive")
         if self.support_constant < 1.0:
             raise ValueError("support_constant must be >= 1")
         if self.oscillation < 0:
@@ -85,6 +83,19 @@ class PhantomSpec:
         if self.oscillation > 0:
             return "oscillatory"
         return "polynomial-times-bump" if self.poly_coeffs else "smooth-bump"
+
+    @cached_property
+    def holder_bound(self) -> float:
+        """The Lipschitz constant ``c0`` of ``f``, computed when first read:
+        ``declared_bound`` when given, else the sup of the base bump for an
+        oscillatory phantom (uniform in the oscillation) and
+        ``lipschitz_bound`` for a bump; a tabulated phantom must declare
+        it."""
+        if self.declared_bound is not None:
+            return self.declared_bound
+        if self.kind == "oscillatory":
+            return _grid_sup(replace(self, oscillation=0.0))
+        return lipschitz_bound(self)
 
     # -- evaluation -------------------------------------------------------
 
@@ -160,29 +171,25 @@ def smooth_bump(
     width=0.3,
     amplitude=1.0,
     support_constant=1.0,
-    holder_alpha=1.0,
     holder_bound=None,
     poly_coeffs=(),
 ) -> PhantomSpec:
     """Smooth bump phantom, times the polynomial with ``(i, j, c)`` triples
     ``poly_coeffs`` (``c (x - cx)^i (y - cy)^j`` terms) when given;
-    ``holder_bound`` defaults to ``lipschitz_bound``."""
-    p = PhantomSpec(
+    ``holder_bound`` defaults to ``lipschitz_bound``, computed when first
+    read."""
+    return PhantomSpec(
         center=center,
         width=width,
         amplitude=amplitude,
         support_constant=support_constant,
-        holder_alpha=holder_alpha,
-        holder_bound=1.0,
+        declared_bound=holder_bound,
         poly_coeffs=tuple(np.asarray(poly_coeffs, dtype=float).ravel()),
     )
-    if holder_bound is None:
-        holder_bound = lipschitz_bound(p)
-    return replace(p, holder_bound=holder_bound)
 
 
 def tabulated_phantom(
-    xs, ys, values, support_constant=1.0, holder_alpha=1.0, holder_bound=1.0
+    xs, ys, values, support_constant=1.0, holder_bound=1.0
 ) -> PhantomSpec:
     """Phantom from grid samples with bilinear interpolation.
 
@@ -195,8 +202,7 @@ def tabulated_phantom(
         center=(0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1])),
         width=max(xs[-1] - xs[0], ys[-1] - ys[0]),
         support_constant=support_constant,
-        holder_alpha=holder_alpha,
-        holder_bound=holder_bound,
+        declared_bound=holder_bound,
         grid=(xs, ys, values),
     )
 
@@ -204,28 +210,28 @@ def tabulated_phantom(
 def oscillatory_phantom(q: PhantomSpec, lam: float) -> PhantomSpec:
     """The counterexample family ``f_lam(x, y) = q(x, y) * cos(lam*x) / lam``.
 
-    The declared Hölder bound is the sup of ``q`` (a Lipschitz bound for
-    the whole family, uniform in ``lam``).
+    Its Hölder bound is the sup of ``q`` (a Lipschitz bound for the whole
+    family, uniform in ``lam``).
     """
     if lam <= 0:
         raise ValueError("oscillation parameter must be positive")
     if q.kind != "smooth-bump":
         raise ValueError("oscillatory phantoms are built from smooth bumps")
-    sup_q = _grid_sup(q)
-    return replace(q, oscillation=lam, holder_bound=sup_q, holder_alpha=1.0)
+    return replace(q, oscillation=lam, declared_bound=None)
 
 
-def _grid_sup(p: PhantomSpec, n: int = 301) -> float:
+def _grid_sup(p: PhantomSpec) -> float:
+    """``max |f|`` over a 301 x 301 grid on the square ``center +- width``."""
     cx, cy = p.center
-    xs = np.linspace(cx - p.width, cx + p.width, n)
-    ys = np.linspace(cy - p.width, cy + p.width, n)
+    xs = np.linspace(cx - p.width, cx + p.width, 301)
+    ys = np.linspace(cy - p.width, cy + p.width, 301)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     return float(np.abs(p(X, Y)).max())
 
 
-def lipschitz_bound(p: PhantomSpec, n: int = 401) -> float:
-    """``max |grad f|`` over an ``n`` x ``n`` grid on the square ``center +-
-    1.2 width``, padded 5%.
+def lipschitz_bound(p: PhantomSpec) -> float:
+    """``max |grad f|`` over a 401 x 401 grid on the square ``center +- 1.2
+    width``, padded 5%.
 
     The gradient is the exact one of the phantom's formula.  With ``E`` the
     bump times the cutoff, ``grad log E = -grad r^2 / (1 - r^2)^2 + grad gap
@@ -235,8 +241,8 @@ def lipschitz_bound(p: PhantomSpec, n: int = 401) -> float:
     if p.kind not in ("smooth-bump", "polynomial-times-bump"):
         raise ValueError(f"no gradient formula for a {p.kind} phantom")
     cx, cy = p.center
-    xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, n)
-    ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, n)
+    xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, 401)
+    ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, 401)
     u, v, w2 = xs - cx, ys - cy, p.width**2
     s = 1.0 - (u[:, None] ** 2 + v**2) / w2
     gap = ys - p.support_constant * xs[:, None] ** 2

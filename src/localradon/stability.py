@@ -54,15 +54,15 @@ WEIGHTED_K_MAX = 6
 class BoundConstants:
     """Constants entering the reconstruction estimates.
 
-    ``c0``/``alpha`` are the phantom's Hölder data, ``a0`` the Jackson
-    constant, ``c_env`` the envelope constant C in the moment bound
-    (fitted on calibration runs, then frozen), and ``sigma`` the Gevrey
-    index of the weight fields: None selects the analytic rule and bound,
-    a value in ``(1, inf)`` the Gevrey ones.
+    ``c0``/``alpha`` are the phantom's Hölder data (``alpha`` 1: Lipschitz),
+    ``a0`` the Jackson constant, ``c_env`` the envelope constant C in the
+    moment bound (fitted on calibration runs, then frozen), and ``sigma``
+    the Gevrey index of the weight fields: None selects the analytic rule
+    and bound, a value in ``(1, inf)`` the Gevrey ones.
     """
 
     c0: float
-    alpha: float
+    alpha: float = 1.0
     a0: float = 3.0
     c_env: float = 2.0
     sigma: Optional[float] = None
@@ -288,7 +288,7 @@ def reconstruct_mean(
             _moments_of(g, fam, phi, eps, gamma, N))
         values = np.asarray(series(x_grid), dtype=float)
     prof = MeanProfile(x=x_grid, values=values, eps=eps, gamma=gamma,
-                       weighted=fam is not None, test_function=phi)
+                       test_function=phi)
     return Reconstruction(prof, N, H, mean_bound(H, consts, eps))
 
 
@@ -316,7 +316,6 @@ def reconstruct_slice(
 class MomentAuditReport:
     fitted_c: float
     ratios: np.ndarray
-    moments: MomentVector
     H: float
 
 
@@ -339,24 +338,23 @@ def moment_bound_audit(
     fitted_c = float(max(base[k] ** (1.0 / (k + 1)) for k in ks)) * eps
     fitted_c = max(fitted_c, 1e-30)
     ratios = np.abs(moments.values) / ((fitted_c / eps) ** (ks + 1) * env * H)
-    return MomentAuditReport(fitted_c=fitted_c, ratios=ratios,
-                             moments=moments, H=H)
+    return MomentAuditReport(fitted_c=fitted_c, ratios=ratios, H=H)
 
 
 def calibrate_constants(
     g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
     consts: BoundConstants, fam: Optional[KernelFamily] = None,
 ) -> BoundConstants:
-    """Fit the envelope constant on a noiseless calibration run and freeze
-    it.
+    """Fit the envelope constant on the moments of ``g`` to order ``N``
+    and freeze it; ``g`` may be noisy.
 
     The fitted constant is floored at the value the moment-bound proof
     actually needs, ``sqrt(2) C_phi max(2 gamma, 1)`` with ``C_phi`` the
     derivative constant of the test function, certified on every call at
     order ``min(N, derivative_order_max)`` (the sqrt(2) absorbs
     ``k <= sqrt(2)^(k+1)``): that floor makes the moment inequality hold for
-    arbitrary data (noise included), not just for the calibration run.  A second floor ``e * eps`` keeps the truncation
-    rule's ``log(C/eps)`` positive.
+    arbitrary data (noise included), not just for ``g``.  A second floor
+    ``e * eps`` keeps the truncation rule's ``log(C/eps)`` positive.
     """
     rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam)
     C_phi = verify_derivative_bounds(

@@ -278,9 +278,10 @@ def fd_weights(k: int, n_points: int, h: float):
     return offsets * h, wts
 
 
-def _dxi_k_radon(f, m, k, xi, eta, h, n_points=11, tol=1e-10):
-    offs, wts = fd_weights(k, n_points, h)
-    return float(wts @ _checked_line_integrals(f, m, 0, xi + offs, eta, tol))
+def _dxi_k_radon(f, m, k, xi, eta, h):
+    offs, wts = fd_weights(k, 11, h)
+    return float(wts @ _checked_line_integrals(f, m, 0, xi + offs, eta,
+                                               1e-10))
 
 
 def check_moment_identity(f: PhantomSpec, k: int, points,

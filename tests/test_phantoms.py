@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localradon import phantoms
 from localradon.bumps import hormander_sequence
 from localradon.means import mean_profile
 from localradon.phantoms import (
@@ -116,6 +117,36 @@ def test_lipschitz_bound_evaluates_no_phantom(monkeypatch):
     assert calls == [401 * 401] * 4
 
 
+def test_holder_bound_computed_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p.kind)
+        return lipschitz_bound(p)
+
+    monkeypatch.setattr(phantoms, "lipschitz_bound", counted)
+    assert smooth_bump(holder_bound=2.0).holder_bound == 2.0
+    p = smooth_bump()
+    assert calls == []
+    assert p.holder_bound == p.holder_bound == lipschitz_bound(p)
+    assert calls == ["smooth-bump"]
+
+
+def test_oscillatory_holder_bound_is_the_sup_of_its_bump():
+    # frozen: max |q| over the 301 x 301 grid on center +- width, a
+    # Lipschitz bound of q cos(lam x) / lam for every lam
+    q = smooth_bump(center=(0.0, 0.5), width=0.35, holder_bound=5.0)
+    for lam in (10.0, 20.0):
+        assert oscillatory_phantom(q, lam).holder_bound == 1.2891262828066261
+
+
+def test_tabulated_holder_bound_must_be_declared():
+    xs = np.linspace(-0.5, 0.5, 5)
+    p = PhantomSpec(grid=(xs, xs + 0.5, np.ones((5, 5))))
+    with pytest.raises(ValueError, match="tabulated"):
+        p.holder_bound
+
+
 def test_poly_exponents_are_nonnegative_integers():
     # a fraction was truncated and a negative index wrapped, so both rows
     # silently evaluated as [(1, 0, 3.0)]
@@ -171,7 +202,7 @@ def test_cutoff_subnormal_gap_is_silent():
     assert v.tolist() == [0.0]
 
 
-@pytest.mark.parametrize("name", ["support_constant", "holder_bound",
+@pytest.mark.parametrize("name", ["support_constant", "declared_bound",
                                   "oscillation"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_values_refused(name, value):
