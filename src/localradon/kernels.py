@@ -34,6 +34,16 @@ Cauchy-multiplied over the xi-jet coefficients; xi-differentiation is an
 exact coefficient shift.  A family that serves levels up to ``k_max``
 builds the base jets to order ``k_max + 8``, which leaves at least eight
 usable Taylor terms after the recursion spends one order per level.
+
+A kernel may hold any subset of the grid rows (``KernelJet.rows``).  Row
+``i`` of ``s t`` reads only row ``i`` of ``s`` and every row of ``t``, and
+every recursion step has a family member on the left and ``P`` or ``Q'``
+on the right, so a family seeded with some rows of ``P`` and ``Q'`` grows
+those rows of every ``S_{j,k}`` at O(n^2) per product instead of O(n^3).
+The moments read only the top row, ``eta = gamma``, so the pipeline's
+family holds that row alone (``sjk_family(..., rows=[-1])``); the bound
+certification, ``apply_kernel`` and the ``kernels`` subcommand use full
+families from the same recursion.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
@@ -100,16 +111,23 @@ def interpolation_matrix(eta: np.ndarray, points) -> np.ndarray:
 
 @dataclass
 class KernelJet:
-    """A Volterra kernel as a Taylor-in-xi jet on a shared eta grid."""
+    """A Volterra kernel as a Taylor-in-xi jet on a shared eta grid, held
+    on the grid rows ``rows`` (every row when None)."""
 
     eta: np.ndarray                 # shape (n,)
-    coeffs: np.ndarray              # shape (order + 1, n, n)
+    coeffs: np.ndarray              # shape (order + 1, len(rows), n)
+    rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (self.eta.size,) * 2:
-            raise ValueError("coefficient stack must have shape (order+1, n, n)")
+        n = self.eta.size
+        self.rows = np.arange(n)[slice(None) if self.rows is None
+                                 else self.rows]
+        if self.coeffs.ndim != 3 or \
+                self.coeffs.shape[1:] != (self.rows.size, n):
+            raise ValueError(
+                "coefficient stack must have shape (order+1, rows, n)")
 
     @property
     def order(self) -> int:
@@ -118,6 +136,22 @@ class KernelJet:
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
+    def row(self, i: int) -> np.ndarray:
+        """The xi-jet of grid row ``i``, coefficients of shape
+        ``(order + 1, n)``."""
+        held = np.flatnonzero(self.rows == np.arange(self.eta.size)[i])
+        if held.size == 0:
+            raise ValueError(f"kernel does not hold grid row {i}")
+        return self.coeffs[:, held[0]]
+
+    @functools.cached_property
+    def _right(self) -> np.ndarray:
+        """``R_d = [t_d; C^T o t_d]`` of this kernel as the right factor of a
+        composition, laid out ``(2n, order + 1, n)``."""
+        C = _grid(self.eta)[1]
+        return np.ascontiguousarray(np.concatenate(
+            [self.coeffs, C.T * self.coeffs], axis=1).transpose(1, 0, 2))
+
     def deriv_xi(self) -> "KernelJet":
         """Exact xi-derivative; the truncation order drops by one."""
         if self.order == 0:
@@ -125,23 +159,24 @@ class KernelJet:
         else:
             n = np.arange(1, self.order + 1)[:, None, None]
             c = self.coeffs[1:] * n
-        return KernelJet(self.eta, c)
+        return KernelJet(self.eta, c, self.rows)
 
     def values(self, xi: float) -> np.ndarray:
-        """Kernel matrix ``s(xi, eta_i, eta'_j)`` by Horner evaluation."""
+        """Kernel matrix ``s(xi, eta_i, eta'_j)`` on the held rows ``i``, by
+        Horner evaluation."""
         out = np.zeros_like(self.coeffs[0])
         for ck in self.coeffs[::-1]:
             out = out * xi + ck
         return out
 
     def _binary(self, other: "KernelJet", sign: float) -> "KernelJet":
-        if other.eta.shape != self.eta.shape or \
-                not np.allclose(other.eta, self.eta):
-            raise ValueError("kernel grids differ")
+        if not np.array_equal(other.eta, self.eta) or \
+                not np.array_equal(other.rows, self.rows):
+            raise ValueError("kernel grids or rows differ")
         n = min(self.order, other.order)
         return KernelJet(
-            self.eta, self.coeffs[: n + 1] + sign * other.coeffs[: n + 1]
-        )
+            self.eta, self.coeffs[: n + 1] + sign * other.coeffs[: n + 1],
+            self.rows)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -151,8 +186,8 @@ class KernelJet:
 
 
 def _zero_like(k: KernelJet, order: int) -> KernelJet:
-    n = k.eta.size
-    return KernelJet(k.eta, np.zeros((order + 1, n, n)))
+    return KernelJet(k.eta, np.zeros((order + 1,) + k.coeffs.shape[1:]),
+                     k.rows)
 
 
 def compose(S: KernelJet, T: KernelJet) -> KernelJet:
@@ -162,20 +197,32 @@ def compose(S: KernelJet, T: KernelJet) -> KernelJet:
 
     applied coefficient-wise to the xi-jets (Cauchy product under the
     integral).  Splitting the integral at ``-gamma`` gives
-    ``(C o s) t - s (C^T o t)`` on the grid.
+    ``(C o s) t - s (C^T o t)`` on the grid, row by row of ``s``: ``S`` may
+    hold any rows, and the result holds the same ones; ``T`` holds every
+    row.  With ``L_d = [C o s_d, -s_d]`` and ``R_d = [t_d; C^T o t_d]``,
+    every product ``L_i R_e`` comes from one matmul of the stacked ``L``
+    with the stacked ``R``; coefficient ``d`` sums those with ``i + e = d``.
     """
-    if not np.allclose(S.eta, T.eta):
+    if not np.array_equal(S.eta, T.eta):     # grids come from lobatto_grid
         raise ValueError("kernel grids differ")
+    if T.rows.size != T.eta.size:
+        raise ValueError("the right factor must hold every grid row")
     order = min(S.order, T.order)
     if S.is_zero() or T.is_zero():
         return _zero_like(S, order)
     C = _grid(S.eta)[1]
-    ts = T.coeffs[: order + 1]
-    ct = C.T * ts
-    out = np.zeros((order + 1,) + C.shape)
-    for ds, s in enumerate(S.coeffs[: order + 1]):
-        out[ds:] += (C * s) @ ts[: order + 1 - ds] - s @ ct[: order + 1 - ds]
-    return KernelJet(S.eta, out)
+    o, (r, n) = order + 1, S.coeffs.shape[1:]
+    s = S.coeffs[:o]
+    left = np.concatenate([C[S.rows] * s, -s], axis=2)         # (i, r, 2n)
+    right = T._right                                           # (2n, e, n)
+    prod = (left.reshape(o * r, 2 * n) @ right.reshape(2 * n, -1)).reshape(
+        o, r, right.shape[1], n)
+    # the pairs (i, d - i), i <= d, grouped by d; group d starts at d(d+1)/2
+    starts = np.arange(o) * np.arange(1, o + 1) // 2
+    d = np.repeat(np.arange(o), np.arange(1, o + 1))
+    i = np.arange(d.size) - starts[d]
+    out = np.add.reduceat(prod[i, :, d - i], starts, axis=0)
+    return KernelJet(S.eta, out, S.rows)
 
 
 def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
@@ -197,14 +244,16 @@ def base_kernels(a: AnalyticField, b: AnalyticField, gamma: float,
 
 @dataclass
 class KernelFamily:
-    """Memoized ``S_{j,k}`` kernels for one field pair, for ``k <= k_max``;
-    each level is composed on first use.  ``q`` holds ``Q'``."""
+    """Memoized ``S_{j,k}`` kernels for one field pair, for ``k <= k_max``,
+    on the grid rows ``rows`` (every row when None); each level is composed
+    on first use.  ``p`` and ``q`` hold every row of ``P`` and ``Q'``."""
 
     a: AnalyticField
     b: AnalyticField
     gamma: float
     k_max: int
     grid_n: int = 96
+    rows: Optional[Sequence[int]] = None
     p: KernelJet = field(init=False)
     q: KernelJet = field(init=False)
     kernels: dict = field(init=False)
@@ -214,7 +263,10 @@ class KernelFamily:
             raise ValueError("k_max must be at least 1")
         self.p, self.q = base_kernels(self.a, self.b, self.gamma,
                                       self.k_max + 8, self.grid_n)
-        self.kernels = {(0, 1): self.q, (1, 1): self.p}
+        rows = np.arange(self.grid_n)[slice(None) if self.rows is None
+                                      else self.rows]
+        self.kernels = {(j, 1): KernelJet(kj.eta, kj.coeffs[:, rows], rows)
+                        for j, kj in ((0, self.q), (1, self.p))}
 
     def __getitem__(self, jk) -> KernelJet:
         j, k = jk
@@ -242,10 +294,13 @@ class KernelFamily:
 
 
 def sjk_family(a: AnalyticField, b: AnalyticField, gamma: float,
-               k_max: int, grid_n: int = 96) -> KernelFamily:
-    """The ``S_{j,k}`` family with ``k <= k_max``; levels above one are
-    composed when first read."""
-    return KernelFamily(a=a, b=b, gamma=gamma, k_max=k_max, grid_n=grid_n)
+               k_max: int, grid_n: int = 96,
+               rows: Optional[Sequence[int]] = None) -> KernelFamily:
+    """The ``S_{j,k}`` family with ``k <= k_max`` on the grid rows ``rows``
+    (every row when None; ``[-1]`` is the top row the moments read);
+    levels above one are composed when first read."""
+    return KernelFamily(a=a, b=b, gamma=gamma, k_max=k_max, grid_n=grid_n,
+                        rows=rows)
 
 
 def apply_kernel(S: KernelJet, g, xi: float, eta_val: float) -> float:
@@ -256,6 +311,8 @@ def apply_kernel(S: KernelJet, g, xi: float, eta_val: float) -> float:
     eta = S.eta
     if eta_val < eta[0] - 1e-12 or eta_val > eta[-1] + 1e-12:
         raise ValueError("eta outside the kernel grid")
+    if S.rows.size != eta.size:
+        raise ValueError("interpolating in eta needs every grid row")
     at = interpolation_matrix(eta, [eta_val])
     row = (at @ S.values(xi))[0]                       # s(xi, eta_val, .)
     gv = np.array([float(g(v)) for v in eta])
@@ -283,11 +340,12 @@ def certified_constant(p: KernelJet, q: KernelJet) -> float:
 def verify_kernel_bounds(fam: KernelFamily, xi: float,
                          k_max: int) -> KernelBoundReport:
     """Check ``|s_{j,k}| <= (beta C)^(2k-j) (k-j)! (eta-eta')^(k-1)/(k-1)!``
-    on the strict lower triangle of the grid at one xi, with ``beta = BETA``
-    and C the certified constant of the base kernels."""
+    on the strict lower triangle of the grid rows the family holds, at one
+    xi, with ``beta = BETA`` and C the certified constant of the base
+    kernels."""
     C = certified_constant(fam.p, fam.q)
     eta = fam.p.eta
-    gap = eta[:, None] - eta[None, :]
+    gap = eta[fam[(1, 1)].rows, None] - eta[None, :]
     tri = gap > 0
     ratios = {}
     worst = 0.0

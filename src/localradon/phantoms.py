@@ -93,6 +93,9 @@ class PhantomSpec:
         it."""
         if self.declared_bound is not None:
             return self.declared_bound
+        if self.grid is not None:
+            raise ValueError("a tabulated phantom has no Lipschitz bound "
+                             "unless one is declared")
         if self.kind == "oscillatory":
             return _grid_sup(replace(self, oscillation=0.0))
         return lipschitz_bound(self)
@@ -189,11 +192,12 @@ def smooth_bump(
 
 
 def tabulated_phantom(
-    xs, ys, values, support_constant=1.0, holder_bound=1.0
+    xs, ys, values, support_constant=1.0, holder_bound=None
 ) -> PhantomSpec:
     """Phantom from grid samples with bilinear interpolation.
 
-    Hölder metadata cannot be inferred from samples and must be supplied.
+    Hölder metadata cannot be inferred from samples: without a declared
+    ``holder_bound``, reading ``PhantomSpec.holder_bound`` raises.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

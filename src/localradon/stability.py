@@ -123,23 +123,35 @@ def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
 def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
              N: int, top_rows) -> MomentVector:
     """``m_0 = int g(xi, gamma) phi_eps(xi) dxi`` and ``m_k = sum_j (-1)^j
-    iint s_{j,k}(xi, gamma, eta) g(xi, eta) phi_eps^(j)(xi) deta dxi``,
-    summed over the ``(j, k, s)`` that ``top_rows(xi_n, eta_n)`` yields:
-    the top row ``s`` of each nonzero ``S_{j,k}``, k <= N, on the nodes."""
+    iint s_{j,k}(xi, gamma, eta) g(xi, eta) phi_eps^(j)(xi) deta dxi``.
+
+    ``top_rows(eta_n)`` returns ``(I, terms)``: the matrix ``I`` taking
+    values at some points to the values of their interpolant on the eta
+    nodes (None: the points are the eta nodes), and one ``(j, k, c)`` per
+    nonzero ``S_{j,k}``, k <= N, with ``c[d]`` the d-th xi-Taylor
+    coefficient of its top row at those points.  Eta is contracted once,
+    ``G = (g w_eta) I``; each term is then ``G c^T`` and a Horner step in
+    xi."""
     _check_moment_inputs(g, phi, eps, gamma, N)
     sp = g.interpolant()
     xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
     eta_n, eta_w = (a.ravel()
                     for a in panel_rule(np.linspace(-gamma, gamma, 13), 8))
-    gvals = sp(xi_n, eta_n)                         # (n_xi, n_eta)
+    to_nodes, terms = top_rows(eta_n)
+    G = sp(xi_n, eta_n) * eta_w                     # (n_xi, n_eta)
+    if to_nodes is not None:
+        G = G @ to_nodes                            # (n_xi, points)
     moments = np.zeros(N + 1)
     row_g = sp(xi_n, [gamma])[:, 0]
     moments[0] = float(np.sum(xi_w * phi(xi_n / eps) / eps * row_g))
     phij = {}                                       # j -> phi_eps^(j) on xi_n
-    for j, k, s in top_rows(xi_n, eta_n):
+    for j, k, c in terms:
         if j not in phij:
             phij[j] = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
-        sg = (s * gvals) @ eta_w                    # (n_xi,)
+        h = G @ c.T                                 # (n_xi, order + 1)
+        sg = h[:, -1]
+        for col in h[:, -2::-1].T:
+            sg = sg * xi_n + col
         moments[k] += (-1) ** j * float(np.sum(xi_w * phij[j] * sg))
     return MomentVector(moments)
 
@@ -151,9 +163,10 @@ def moments_from_sinogram_unweighted(
     ``m_k = (-1)^k iint (gamma - eta)^(k-1)/(k-1)! g(xi, eta)
     phi_eps^(k)(xi) deta dxi``, since only ``S_{k,k}`` is nonzero."""
 
-    def closed_form(xi_n, eta_n):
-        for k in range(1, N + 1):
-            yield k, k, (gamma - eta_n) ** (k - 1) / math.factorial(k - 1)
+    def closed_form(eta_n):
+        return None, [
+            (k, k, (gamma - eta_n)[None] ** (k - 1) / math.factorial(k - 1))
+            for k in range(1, N + 1)]
 
     return _moments(g, phi, eps, gamma, N, closed_form)
 
@@ -163,22 +176,18 @@ def moments_from_sinogram_weighted(
     gamma: float, N: int,
 ) -> MomentVector:
     """Weighted moments ``m_k = sum_j (-1)^j int (S_{j,k} g)(xi, gamma)
-    d_xi^j phi_eps(xi) dxi``; degenerates to the unweighted formula when
+    d_xi^j phi_eps(xi) dxi``, from the top rows of the family (which may
+    hold that row alone); degenerates to the unweighted formula when
     a = b = 0."""
 
-    def family_rows(xi_n, eta_n):
+    def family_rows(eta_n):
         # runs after the shared input checks, which take precedence
         if abs(fam.gamma - gamma) > 1e-12:
             raise ValueError("kernel family built for a different gamma")
-        to_nodes = interpolation_matrix(fam.p.eta, eta_n).T
-        for k in range(1, N + 1):
-            for j in range(k + 1):
-                S = fam[(j, k)]
-                if not S.is_zero():     # Horner in xi, then interpolate
-                    rows = np.zeros((xi_n.size, fam.p.eta.size))
-                    for cd in S.coeffs[::-1, -1, :]:
-                        rows = rows * xi_n[:, None] + cd[None, :]
-                    yield j, k, rows @ to_nodes
+        S = {(j, k): fam[(j, k)] for k in range(1, N + 1)
+             for j in range(k + 1)}
+        return interpolation_matrix(fam.p.eta, eta_n), [
+            (j, k, s.row(-1)) for (j, k), s in S.items() if not s.is_zero()]
 
     return _moments(g, phi, eps, gamma, N, family_rows)
 

@@ -40,6 +40,11 @@ def gauss_nodes(n: int):
     return _GAUSS_CACHE[n]
 
 
+# A from_ab exponent is kept only where its 6- and 12-point Gauss values
+# differ by at most PAIR_TOL * max(1, |exponent|)
+PAIR_TOL = 1e-13
+
+
 def panel_rule(edges, n: int):
     """``(nodes, weights)`` of the ``n``-point Gauss rule on every panel
     between consecutive ``edges`` (along the last axis); both have shape
@@ -144,14 +149,27 @@ class Weight:
 
     def _from_ab(self, x, xi, eta):
         # m = exp(int_0^xi [x a(s, eta + x(xi - s))
-        #                   + b(s, eta + x(xi - s))] ds)
-        t, w = gauss_nodes(24)
-        flat_x, flat_xi, flat_eta = (v.ravel() for v in (x, xi, eta))
-        # nodes s along [0, xi] for every point at once
-        s = 0.5 * flat_xi[:, None] * (1.0 + t[None, :])
-        etas = flat_eta[:, None] + flat_x[:, None] * (flat_xi[:, None] - s)
-        vals = flat_x[:, None] * self.a(s, etas) + self.b(s, etas)
-        expo = 0.5 * flat_xi * (w[None, :] * vals).sum(axis=1)
+        #                   + b(s, eta + x(xi - s))] ds): the 12-point Gauss
+        # value of the exponent, checked against the 6-point one
+        t6, w6 = gauss_nodes(6)
+        t12, w12 = gauss_nodes(12)
+        flat_x, flat_xi, flat_eta = (v.ravel()[:, None] for v in (x, xi, eta))
+        # the 18 nodes s along [0, xi] for every point at once
+        s = 0.5 * flat_xi * (1.0 + np.concatenate([t6, t12]))
+        etas = flat_eta + flat_x * (flat_xi - s)
+        vals = flat_x * self.a(s, etas) + self.b(s, etas)
+        half = 0.5 * flat_xi[:, 0]
+        coarse, expo = half * (vals[:, :6] @ w6), half * (vals[:, 6:] @ w12)
+        gap = np.abs(coarse - expo)
+        bad = gap > PAIR_TOL * np.maximum(1.0, np.abs(expo))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(
+                f"{self.label}: the 6- and 12-point Gauss exponents differ "
+                f"by {gap[i]:.3g} at (x, xi, eta) = ({flat_x[i, 0]:.6g}, "
+                f"{flat_xi[i, 0]:.6g}, {flat_eta[i, 0]:.6g}), over "
+                f"{PAIR_TOL:g} relative; the fields vary too fast along "
+                f"this characteristic")
         return np.exp(expo).reshape(x.shape)
 
 

@@ -274,11 +274,40 @@ def test_cli_counterexample(tmp_path):
     assert slopes[1] < slopes[0] and slopes[-1] < -3
 
 
-def test_cli_verify_generic_weight(tmp_path):
-    out, res = run_cli(tmp_path, "verify", {"weight": {
-        "kind": "from_ab", "a": "0.5*sin_xi", "b": "0.5*cos_eta"}})
+def verify_orders(tmp_path, monkeypatch, overrides):
+    """``verify`` on the base config with ``overrides``: its results and
+    the orders it certified the test function to."""
+    orders = []
+    certify = cli.verify_derivative_bounds
+
+    def recorded(phi, order):
+        orders.append(order)
+        return certify(phi, order)
+
+    monkeypatch.setattr(cli, "verify_derivative_bounds", recorded)
+    out, res = run_cli(tmp_path, "verify", overrides)
     assert json.loads((out / "verify.json").read_text())["ok"]
-    assert res["verify"]["transport_residual"] <= 1e-4
+    return res["verify"], orders
+
+
+def test_cli_verify_generic_weight(tmp_path, monkeypatch):
+    # the weighted moments, from the top rows of the family, are checked
+    # against the mean profile's, and the test function is certified to the
+    # order the weighted pipeline may reconstruct at
+    res, orders = verify_orders(tmp_path, monkeypatch, {"weight": {
+        "kind": "from_ab", "a": "0.5*sin_xi", "b": "0.5*cos_eta"}})
+    assert res["transport_residual"] <= 1e-4
+    assert res["moment_oracle_rel"] <= 1e-4
+    assert orders == [order_cap(hormander_sequence(8), weighted=True)] == [6]
+
+
+def test_cli_verify_certifies_to_order_cap(tmp_path, monkeypatch):
+    res, orders = verify_orders(
+        tmp_path, monkeypatch,
+        {"test_function": {"kind": "hormander", "param": 12}})
+    assert res["moment_oracle_rel"] <= 1e-4
+    assert orders == [order_cap(hormander_sequence(12), weighted=False)] \
+        == [12]
 
 
 def test_cli_verify(tmp_path):
@@ -362,6 +391,29 @@ def test_cli_missing_tabulated_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: phantom.path: ")
     assert str(missing) in err
+
+
+def test_tabulated_phantom_needs_c0(tmp_path, capsys):
+    # samples carry no Lipschitz bound: a run that reads c0 must be given it
+    f = build_phantom(BASE_CONFIG)
+    xs, ys = np.linspace(-0.4, 0.4, 17), np.linspace(0.1, 0.8, 15)
+    values = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+    path = tmp_path / "phantom.csv"
+    with open(path, "w") as fh:
+        fh.write("# xi: -0.4 0.4 17\n# eta: 0.1 0.8 15\n")
+        for row in values:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    tab = {"phantom": {"kind": "tabulated", "path": str(path)}}
+    run_cli(tmp_path, "sinogram", tab)
+    for subcommand, extra in (("reconstruct", {}), ("sweep", SWEEP),
+                              ("slice", SLICE)):
+        cfg = write_config(tmp_path, dict(tab, **extra),
+                           name=f"{subcommand}.yaml")
+        assert main([subcommand, "--config", str(cfg), "--out",
+                     str(tmp_path / subcommand), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: constants.c0: ")
+    run_cli(tmp_path, "reconstruct", dict(tab, constants={"c0": 16.0}))
 
 
 @pytest.mark.parametrize("overrides, key, subcommand", [

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from localradon.kernels import (
     BETA,
+    KernelJet,
     apply_kernel,
     certified_constant,
     commutator_check,
@@ -142,6 +143,51 @@ def test_apply_kernel_closed_form(fam_zero):
     # to eta is sin(eta) + sin(gamma)
     val = apply_kernel(fam_zero[(1, 1)], math.cos, 0.0, 0.25)
     assert val == pytest.approx(math.sin(0.25) + math.sin(GAMMA), abs=1e-11)
+
+
+@pytest.mark.parametrize("a, b", [("0.5*sin_xi", "0.5*cos_eta"),
+                                  ("2.0*exp_xi", "2.0*xi_eta")])
+def test_top_rows_match_full_family(a, b):
+    # the pipeline's family grows the top row alone, by the same recursion
+    fields = field_from_spec(a), field_from_spec(b)
+    full = sjk_family(*fields, GAMMA, 6)
+    top = sjk_family(*fields, GAMMA, 6, rows=[-1])
+    for k in range(1, 7):
+        for j in range(k + 1):
+            ref = full[(j, k)].coeffs[:, -1]
+            got = top[(j, k)].row(-1)
+            assert top[(j, k)].coeffs.shape == (ref.shape[0], 1, 96)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), \
+                (j, k)
+
+
+def test_row_subset_compose(fam_generic):
+    # the stacked Cauchy product against the per-coefficient loop
+    S, T = fam_generic[(1, 2)], fam_generic.q
+    full = compose(S, T)
+    C = lobatto_grid(96, GAMMA)[1]
+    o = full.order + 1
+    ref = np.zeros_like(full.coeffs)
+    for ds, s in enumerate(S.coeffs[:o]):
+        t = T.coeffs[: o - ds]
+        ref[ds:] += (C * s) @ t - s @ (C.T * t)
+    assert np.abs(full.coeffs - ref).max() <= 1e-14 * np.abs(ref).max()
+    # any rows of S compose with every row of T: row i of S T reads row i
+    # of S only
+    rows = [0, 40, 95]
+    part = compose(KernelJet(S.eta, S.coeffs[:, rows], rows), T)
+    assert np.array_equal(part.rows, rows)
+    assert np.abs(part.coeffs - full.coeffs[:, rows]).max() \
+        <= 1e-14 * np.abs(full.coeffs).max()
+    top = compose(KernelJet(S.eta, S.coeffs[:, -1:], [-1]), T)
+    assert np.abs(top.row(-1) - full.coeffs[:, -1]).max() \
+        <= 1e-14 * np.abs(full.coeffs[:, -1]).max()
+    with pytest.raises(ValueError, match="every grid row"):
+        compose(S, top)
+    with pytest.raises(ValueError, match="every grid row"):
+        apply_kernel(top, math.cos, 0.0, 0.25)
+    with pytest.raises(ValueError, match="row 3"):
+        top.row(3)
 
 
 class MatrixOracle:

@@ -11,6 +11,7 @@ from localradon.weights import (
     constant_weight,
     corrected_weight,
     field_from_spec,
+    gauss_nodes,
     panel_rule,
     pde_residual,
     weight_from_ab,
@@ -84,6 +85,33 @@ def test_from_ab_b_only_closed_form():
     x, xi, eta = 0.25, 0.15, 0.3
     expo = (math.sin(eta + x * xi) - math.sin(eta)) / x
     assert m(x, xi, eta) == pytest.approx(math.exp(expo), rel=1e-11)
+
+
+@pytest.mark.parametrize("a, b", [("0.5*sin_xi", "0.5*cos_eta"),
+                                  ("2.0*exp_xi", "2.0*xi_eta")])
+def test_from_ab_matches_24_point_exponent(a, b):
+    # the kept 12-point exponent against 24 Gauss nodes on [0, xi]
+    fa, fb = field_from_spec(a), field_from_spec(b)
+    m = weight_from_ab(fa, fb)
+    x, xi, eta = (v.ravel() for v in np.meshgrid(
+        np.linspace(-1.5, 1.5, 13), np.linspace(-1.0, 1.0, 11),
+        np.linspace(-0.35, 1.2, 5), indexing="ij"))
+    t, w = gauss_nodes(24)
+    s = 0.5 * xi[:, None] * (1.0 + t)
+    etas = eta[:, None] + x[:, None] * (xi[:, None] - s)
+    expo = 0.5 * xi * ((x[:, None] * fa(s, etas) + fb(s, etas)) @ w)
+    ref = np.exp(expo)
+    assert np.abs(m(x, xi, eta) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_from_ab_refuses_unresolved_exponent():
+    # sin(s) over s in [0, 3] scaled by 20: the 6- and 12-point exponents
+    # differ by 1.4e-10 relative, so no value is returned
+    m = weight_from_ab(field_from_spec("20*sin_xi"), zero_field())
+    with pytest.raises(ValueError, match="6- and 12-point"):
+        m(1.0, 3.0, 0.3)
+    assert m(1.0, 0.3, 0.3) == pytest.approx(
+        math.exp(20.0 * (1.0 - math.cos(0.3))), rel=1e-13)
 
 
 def test_corrected_weight(m_exp):
