@@ -137,8 +137,6 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
 @dataclass
 class BoundReport:
     certified_constant: float
-    sups: np.ndarray          # sup |phi^(k)| for k = 0..k_max
-    rates: np.ndarray         # N^k or (k!)^sigma
     ratios: np.ndarray        # sup / (C^(k+1) rate) under the certified C
 
 
@@ -165,5 +163,4 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int,
         rates[k] = _rate(tf, k)
     C = max((sups[k] / rates[k]) ** (1.0 / (k + 1)) for k in range(k_max + 1))
     ratios = sups / (C ** (np.arange(k_max + 1) + 1) * rates)
-    return BoundReport(certified_constant=float(C), sups=sups, rates=rates,
-                       ratios=ratios)
+    return BoundReport(certified_constant=float(C), ratios=ratios)

@@ -27,7 +27,7 @@ import yaml
 from . import __version__
 from .bumps import gevrey_bump, hormander_sequence, verify_derivative_bounds
 from .kernels import sjk_family, verify_kernel_bounds
-from .legendre import MomentVector, fl_coefficients, moments_to_coefficients
+from .legendre import fl_coefficients, moments_to_coefficients
 from .means import mean_profile
 from .phantoms import smooth_bump, tabulated_phantom
 from .stability import (
@@ -236,8 +236,9 @@ _ConfigLoader.add_implicit_resolver(
     list("-+0123456789."))
 
 
-def load_config(path: str) -> dict:
-    """The config as written, once it passes ``SCHEMA``."""
+def load_config(path: str) -> _Values:
+    """The config's values, checked against ``SCHEMA`` once, with the
+    defaults filled in; every builder and subcommand reads them."""
     try:
         with open(path) as fh:
             cfg = yaml.load(fh, Loader=_ConfigLoader)
@@ -250,12 +251,11 @@ def load_config(path: str) -> dict:
     if "mode" in cfg:
         raise ConfigError("mode is not a config key: constants.sigma > 1 "
                           "selects the Gevrey rule")
-    _check(cfg)
-    return cfg
+    return _check(cfg)
 
 
-def build_phantom(cfg: dict):
-    spec = _check(cfg)["phantom"]
+def build_phantom(cfg: _Values):
+    spec = cfg["phantom"]
     with _config_key("phantom"):
         if spec["kind"] == "tabulated":
             with _config_key("phantom.path"):
@@ -267,8 +267,8 @@ def build_phantom(cfg: dict):
                            spec["support_constant"], poly_coeffs=poly)
 
 
-def build_weight(cfg: dict):
-    spec = _check(cfg)["weight"]
+def build_weight(cfg: _Values):
+    spec = cfg["weight"]
     if spec["kind"] == "constant":
         return constant_weight(spec["level"])
     with _config_key("weight.a"):
@@ -278,25 +278,25 @@ def build_weight(cfg: dict):
     return weight_from_ab(a, b)
 
 
-def build_test_function(cfg: dict):
-    spec = _check(cfg)["test_function"]
+def build_test_function(cfg: _Values):
+    spec = cfg["test_function"]
     with _config_key("test_function.param"):
         if spec["kind"] == "hormander":
             return hormander_sequence(spec["param"])
         return gevrey_bump(spec["param"], derivative_order_max=spec["k_max"])
 
 
-def build_grids(cfg: dict):
-    grid = _check(cfg)["grid"]
+def build_grids(cfg: _Values):
+    grid = cfg["grid"]
     return tuple(np.linspace(lo, hi, int(n))
                  for lo, hi, n in (grid["xi"], grid["eta"]))
 
 
-def build_constants(cfg: dict, phantom) -> BoundConstants:
+def build_constants(cfg: _Values, phantom) -> BoundConstants:
     """The constants as configured; c0 defaults to the phantom's Lipschitz
     bound, read only then (a tabulated phantom has none), the rest to
     ``BoundConstants``' defaults."""
-    spec = _check(cfg)["constants"]
+    spec = cfg["constants"]
     given = {k: v for k, v in spec.items() if v is not None}
     if "c0" not in given:
         with _config_key("constants.c0"):
@@ -400,9 +400,8 @@ def _sinogram_from_config(cfg, seed):
     f = build_phantom(cfg)
     m = build_weight(cfg)
     xi, eta = build_grids(cfg)
-    values = _check(cfg)
-    g = synthesize_sinogram(f, m, xi, eta, noise_sigma=values["noise_sigma"],
-                            seed=seed, tol=values["tolerance"])
+    g = synthesize_sinogram(f, m, xi, eta, noise_sigma=cfg["noise_sigma"],
+                            seed=seed, tol=cfg["tolerance"])
     return f, m, g
 
 
@@ -417,7 +416,7 @@ def cmd_sinogram(cfg, out, seed, quiet):
 
 def _calibrated(cfg, g, f, phi, eps, gamma, fam):
     consts = build_constants(cfg, f)
-    if _check(cfg)["constants"]["c_env"] is None:
+    if cfg["constants"]["c_env"] is None:
         n_cal = order_cap(phi, weighted=fam is not None)
         consts = calibrate_constants(g, phi, eps, gamma, n_cal, consts,
                                      fam=fam)
@@ -431,17 +430,16 @@ def _pipeline(cfg, seed, eps):
     level that calibration and reconstruction read, and the constants
     calibrated at ``eps``."""
     f, m, g = _sinogram_from_config(cfg, seed)
-    values = _check(cfg)
-    gamma, phi = values["gamma"], build_test_function(cfg)
+    gamma, phi = cfg["gamma"], build_test_function(cfg)
     fam = None if m.a is None else sjk_family(
         m.a, m.b, gamma, order_cap(phi, weighted=True),
-        grid_n=values["kernels"]["grid_n"], rows=[-1])
+        grid_n=cfg["kernels"]["grid_n"], rows=[-1])
     consts = _calibrated(cfg, g, f, phi, eps, gamma, fam)
     return f, m, g, gamma, phi, fam, consts
 
 
 def cmd_reconstruct(cfg, out, seed, quiet):
-    eps = _check(cfg)["eps"]
+    eps = cfg["eps"]
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
     rec = reconstruct_mean(g, phi, eps, gamma, consts, fam=fam)
     true = mean_profile(f, m, rec.profile.test_function, eps, gamma,
@@ -461,7 +459,7 @@ def cmd_reconstruct(cfg, out, seed, quiet):
 
 
 def cmd_slice(cfg, out, seed, quiet):
-    eps0 = _check(cfg)["eps0"]
+    eps0 = cfg["eps0"]
     _, _, g, gamma, phi, fam, consts = _pipeline(
         cfg, seed, min(eps0, 0.5 * eps0 + 0.05))
     rec = reconstruct_slice(g, phi, gamma, consts, eps0, fam=fam)
@@ -477,8 +475,7 @@ def cmd_slice(cfg, out, seed, quiet):
 
 
 def cmd_sweep(cfg, out, seed, quiet):
-    values = _check(cfg)
-    eps, levels = values["eps"], values["noise_levels"]
+    eps, levels = cfg["eps"], cfg["noise_levels"]
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
     report = stability_curve(g, f, m, phi, levels, eps, gamma, consts,
                              fam=fam, seed=seed)
@@ -501,10 +498,9 @@ def cmd_sweep(cfg, out, seed, quiet):
 
 def cmd_counterexample(cfg, out, seed, quiet):
     q = build_phantom(cfg)
-    values = _check(cfg)
     xi, eta = build_grids(cfg)
-    rows, slopes = counterexample_experiment(q, values["lambdas"], xi, eta,
-                                             tol=values["tolerance"])
+    rows, slopes = counterexample_experiment(q, cfg["lambdas"], xi, eta,
+                                             tol=cfg["tolerance"])
     path = out / "counterexample.csv"
     _write_rows_csv(path, ["lambda", "f_norm", "data_norm"], rows)
     if not quiet:
@@ -519,11 +515,10 @@ def cmd_kernels(cfg, out, seed, quiet):
     m = build_weight(cfg)
     if m.a is None:
         m = weight_from_ab(zero_field(), zero_field())
-    values = _check(cfg)
-    k_max = values["kernels"]["k_max"]
-    fam = sjk_family(m.a, m.b, values["gamma"], k_max,
-                     grid_n=values["kernels"]["grid_n"])
-    rep = verify_kernel_bounds(fam, values["eps"] / 2.0, k_max)
+    k_max = cfg["kernels"]["k_max"]
+    fam = sjk_family(m.a, m.b, cfg["gamma"], k_max,
+                     grid_n=cfg["kernels"]["grid_n"])
+    rep = verify_kernel_bounds(fam, cfg["eps"] / 2.0, k_max)
     path = out / "kernels.csv"
     rows = [{"j": j, "k": k, "ratio": r} for (j, k), r in
             sorted(rep.ratios.items(), key=lambda t: (t[0][1], t[0][0]))]
@@ -539,8 +534,7 @@ def cmd_verify(cfg, out, seed, quiet):
     """Small invariant suite over the configured corpus."""
     results = {}
     f, m, g = _sinogram_from_config(cfg, seed)
-    values = _check(cfg)
-    eps, gamma = values["eps"], values["gamma"]
+    eps, gamma = cfg["eps"], cfg["gamma"]
     phi = build_test_function(cfg)
 
     # test function certification, to the order the pipeline may use
@@ -558,7 +552,7 @@ def cmd_verify(cfg, out, seed, quiet):
     # those of the mean profile
     if weighted:
         fam = sjk_family(m.a, m.b, gamma, 2,
-                         grid_n=values["kernels"]["grid_n"], rows=[-1])
+                         grid_n=cfg["kernels"]["grid_n"], rows=[-1])
         mom = moments_from_sinogram_weighted(g, fam, phi, eps, gamma, 2)
     else:
         mom = moments_from_sinogram_unweighted(g, phi, eps, gamma, 2)
@@ -570,7 +564,7 @@ def cmd_verify(cfg, out, seed, quiet):
         max(abs(mv - ov) for mv, ov in zip(mom.values, oracle)) / scale)
 
     # legendre round trip on the extracted moments
-    series = moments_to_coefficients(MomentVector(np.array([0.5, 0.1, 0.2])))
+    series = moments_to_coefficients(mom)
     back = fl_coefficients(series, 2)
     results["legendre_roundtrip"] = float(
         np.abs(series.coeffs - back.coeffs).max())
@@ -630,10 +624,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        values = _check(cfg)
-        out = Path(args.out or values["out_dir"])
+        out = Path(args.out or cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        seed = values["seed"] if args.seed is None else args.seed
+        seed = cfg["seed"] if args.seed is None else args.seed
         artifacts, extra = COMMANDS[args.subcommand](cfg, out, seed,
                                                      args.quiet)
     except ConfigError as exc:

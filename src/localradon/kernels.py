@@ -360,10 +360,12 @@ def verify_kernel_bounds(fam: KernelFamily, xi: float,
     return KernelBoundReport(constant=C, beta=BETA, ratios=ratios, worst=worst)
 
 
-def commutator_check(a: AnalyticField, b: AnalyticField, g, points,
-                     h: float = 1e-4) -> float:
+def commutator_check(a: AnalyticField, b: AnalyticField, g,
+                     points) -> float:
     """Residual of ``[D_a, D_b] g = -g (d_eta b + d_xi a)`` with
-    ``D_a = d_eta + a`` and ``D_b = d_xi - b``, for a smooth callable g."""
+    ``D_a = d_eta + a`` and ``D_b = d_xi - b``, for a smooth callable g
+    (central differences, step 1e-4)."""
+    h = 1e-4
 
     def Da(fn):
         def out(xi, eta):

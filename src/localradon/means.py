@@ -144,13 +144,13 @@ def convergence_gap(
     return float(gap.max()), float(ratios.max())
 
 
-def holder_check_of_mean(prof: MeanProfile, alpha: float, c0: float,
-                         seed: int = 1) -> float:
-    """Empirical Hölder quotient of the mean profile, 10000 random pairs.
+def holder_check_of_mean(prof: MeanProfile, alpha: float, c0: float) -> float:
+    """Empirical Hölder quotient of the mean profile, 10000 random pairs
+    (seed 1).
 
     The profile of a ``C^{0,alpha}`` function stays below ``sqrt(2)*c0``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     n = prof.x.size
     i = rng.integers(0, n, 10000)
     j = rng.integers(0, n, 10000)

@@ -121,26 +121,33 @@ def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
 
 
 def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
-             N: int, top_rows) -> MomentVector:
+             N: int, fam: Optional[KernelFamily] = None) -> MomentVector:
     """``m_0 = int g(xi, gamma) phi_eps(xi) dxi`` and ``m_k = sum_j (-1)^j
     iint s_{j,k}(xi, gamma, eta) g(xi, eta) phi_eps^(j)(xi) deta dxi``.
 
-    ``top_rows(eta_n)`` returns ``(I, terms)``: the matrix ``I`` taking
-    values at some points to the values of their interpolant on the eta
-    nodes (None: the points are the eta nodes), and one ``(j, k, c)`` per
-    nonzero ``S_{j,k}``, k <= N, with ``c[d]`` the d-th xi-Taylor
-    coefficient of its top row at those points.  Eta is contracted once,
-    ``G = (g w_eta) I``; each term is then ``G c^T`` and a Horner step in
-    xi."""
+    With ``fam`` None (a = b = 0) only ``s_{k,k} = (gamma - eta)^(k-1) /
+    (k-1)!`` is nonzero, on the eta nodes; otherwise each nonzero ``S_{j,k}``
+    gives the xi-Taylor coefficients ``c[d]`` of its top row on the family's
+    grid, and the spline through them is read on the eta nodes.  Eta is
+    contracted once, ``G = (g w_eta) I``; each term is then ``G c^T`` and a
+    Horner step in xi."""
     _check_moment_inputs(g, phi, eps, gamma, N)
+    if fam is not None and abs(fam.gamma - gamma) > 1e-12:
+        raise ValueError("kernel family built for a different gamma")
     sp = g.interpolant()
     xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
     eta_n, eta_w = (a.ravel()
                     for a in panel_rule(np.linspace(-gamma, gamma, 13), 8))
-    to_nodes, terms = top_rows(eta_n)
     G = sp(xi_n, eta_n) * eta_w                     # (n_xi, n_eta)
-    if to_nodes is not None:
-        G = G @ to_nodes                            # (n_xi, points)
+    if fam is None:
+        terms = [(k, k, (gamma - eta_n)[None] ** (k - 1)
+                  / math.factorial(k - 1)) for k in range(1, N + 1)]
+    else:
+        S = {(j, k): fam[(j, k)] for k in range(1, N + 1)
+             for j in range(k + 1)}
+        terms = [(j, k, s.row(-1)) for (j, k), s in S.items()
+                 if not s.is_zero()]
+        G = G @ interpolation_matrix(fam.p.eta, eta_n)  # (n_xi, grid_n)
     moments = np.zeros(N + 1)
     row_g = sp(xi_n, [gamma])[:, 0]
     moments[0] = float(np.sum(xi_w * phi(xi_n / eps) / eps * row_g))
@@ -162,13 +169,7 @@ def moments_from_sinogram_unweighted(
     """Moments of the mean profile directly from data: the a = b = 0 case,
     ``m_k = (-1)^k iint (gamma - eta)^(k-1)/(k-1)! g(xi, eta)
     phi_eps^(k)(xi) deta dxi``, since only ``S_{k,k}`` is nonzero."""
-
-    def closed_form(eta_n):
-        return None, [
-            (k, k, (gamma - eta_n)[None] ** (k - 1) / math.factorial(k - 1))
-            for k in range(1, N + 1)]
-
-    return _moments(g, phi, eps, gamma, N, closed_form)
+    return _moments(g, phi, eps, gamma, N)
 
 
 def moments_from_sinogram_weighted(
@@ -179,17 +180,7 @@ def moments_from_sinogram_weighted(
     d_xi^j phi_eps(xi) dxi``, from the top rows of the family (which may
     hold that row alone); degenerates to the unweighted formula when
     a = b = 0."""
-
-    def family_rows(eta_n):
-        # runs after the shared input checks, which take precedence
-        if abs(fam.gamma - gamma) > 1e-12:
-            raise ValueError("kernel family built for a different gamma")
-        S = {(j, k): fam[(j, k)] for k in range(1, N + 1)
-             for j in range(k + 1)}
-        return interpolation_matrix(fam.p.eta, eta_n), [
-            (j, k, s.row(-1)) for (j, k), s in S.items() if not s.is_zero()]
-
-    return _moments(g, phi, eps, gamma, N, family_rows)
+    return _moments(g, phi, eps, gamma, N, fam)
 
 
 def truncation_order(H: float, consts: BoundConstants, eps: float) -> int:
@@ -325,7 +316,6 @@ def reconstruct_slice(
 class MomentAuditReport:
     fitted_c: float
     ratios: np.ndarray
-    H: float
 
 
 def moment_bound_audit(
@@ -347,7 +337,7 @@ def moment_bound_audit(
     fitted_c = float(max(base[k] ** (1.0 / (k + 1)) for k in ks)) * eps
     fitted_c = max(fitted_c, 1e-30)
     ratios = np.abs(moments.values) / ((fitted_c / eps) ** (ks + 1) * env * H)
-    return MomentAuditReport(fitted_c=fitted_c, ratios=ratios, H=H)
+    return MomentAuditReport(fitted_c=fitted_c, ratios=ratios)
 
 
 def calibrate_constants(

@@ -278,19 +278,18 @@ def fd_weights(k: int, n_points: int, h: float):
     return offsets * h, wts
 
 
-def _dxi_k_radon(f, m, k, xi, eta, h):
-    offs, wts = fd_weights(k, 11, h)
+def _dxi_k_radon(f, m, k, xi, eta):
+    offs, wts = fd_weights(k, 11, 1e-2)
     return float(wts @ _checked_line_integrals(f, m, 0, xi + offs, eta,
                                                1e-10))
 
 
-def check_moment_identity(f: PhantomSpec, k: int, points,
-                          h: float = 1e-2, tol: float = 1e-9) -> float:
+def check_moment_identity(f: PhantomSpec, k: int, points) -> float:
     """Residual of ``H_k (*)_eta  d_xi^k R[f] = R[x^k f]`` for m = 1.
 
-    The xi-derivative uses a dedicated fine stencil, never the experiment
-    grid; the eta-convolution is adaptive quadrature from the dual
-    parabola up to eta.
+    The xi-derivative uses a dedicated fine stencil (step 1e-2), never the
+    experiment grid; the eta-convolution is adaptive quadrature from the
+    dual parabola up to eta; ``R[x^k f]`` is integrated to 1e-9.
     """
     if k > 4:
         raise ValueError("finite-difference depth limited to k <= 4")
@@ -301,21 +300,22 @@ def check_moment_identity(f: PhantomSpec, k: int, points,
         eta_lo = -(xi**2 + 2 * abs(xi) * 1.0) / (4 * f.support_constant) - 0.3
         lhs, _ = integrate.quad(
             lambda s: (eta - s) ** (k - 1) / fact
-            * _dxi_k_radon(f, m, k, xi, s, h),
+            * _dxi_k_radon(f, m, k, xi, s),
             eta_lo, eta, epsabs=1e-8, epsrel=1e-8, limit=100,
         )
-        rhs = radon_moment(f, m, k, xi, eta, tol)
+        rhs = radon_moment(f, m, k, xi, eta, 1e-9)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def check_transport_identity(f: PhantomSpec, m: Weight, a: AnalyticField,
-                             b: AnalyticField, points, h: float = 1e-4) -> float:
+                             b: AnalyticField, points) -> float:
     """Residual of ``D_b R_m[f] = D_a R_m[x f]``, i.e.
 
-    ``|d_xi R_m[f] - b R_m[f] - d_eta R_m[x f] - a R_m[x f]|`` max over points.
+    ``|d_xi R_m[f] - b R_m[f] - d_eta R_m[x f] - a R_m[x f]|`` max over points,
+    with 7-point stencils of step 1e-4.
     """
-    offs, wts = fd_weights(1, 7, h)
+    offs, wts = fd_weights(1, 7, 1e-4)
     xi, eta = np.asarray(points, dtype=float).T[..., None]
     # one stencil along xi of R_m[f] and one along eta of R_m[x f]; their
     # centre lines (offset 0) are R_m[f] and R_m[x f] themselves

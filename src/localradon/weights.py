@@ -184,10 +184,11 @@ def weight_from_ab(a: AnalyticField, b: AnalyticField) -> Weight:
     return Weight(a=a, b=b)
 
 
-def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField, points,
-                 h: float = 1e-5) -> float:
-    """Max transport-PDE residual over sample points (central differences)."""
-    worst = 0.0
+def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField,
+                 points) -> float:
+    """Max transport-PDE residual over sample points (central differences,
+    step 1e-5)."""
+    h, worst = 1e-5, 0.0
     for (x, xi, eta) in points:
         d_xi = (m(x, xi + h, eta) - m(x, xi - h, eta)) / (2 * h)
         d_eta = (m(x, xi, eta + h) - m(x, xi, eta - h)) / (2 * h)

@@ -17,6 +17,7 @@ from localradon.cli import (
     ConfigError,
     _ConfigLoader,
     _calibrated,
+    _check,
     _config_hash,
     build_constants,
     build_phantom,
@@ -87,20 +88,21 @@ def test_load_config_errors(tmp_path):
 
 
 def test_builders():
-    f = build_phantom(BASE_CONFIG)
+    cfg = _check(BASE_CONFIG)
+    f = build_phantom(cfg)
     assert f.kind == "smooth-bump"
-    m = build_weight(BASE_CONFIG)
+    m = build_weight(cfg)
     assert m.a is None and m.label == "const(1.0)"
-    m2 = build_weight({"weight": FROM_AB})
+    m2 = build_weight(_check({"weight": FROM_AB}))
     assert m2.a is not None and m2.label == "from_ab(one,zero)"
-    phi = build_test_function(BASE_CONFIG)
+    phi = build_test_function(cfg)
     assert phi.kind == "hormander" and phi.param == 8
-    consts = build_constants(BASE_CONFIG, f)
+    consts = build_constants(cfg, f)
     assert consts.c0 == f.holder_bound
     with pytest.raises(ConfigError, match="phantom.kind"):
-        build_phantom({"phantom": {"kind": "torus"}})
+        build_phantom(_check({"phantom": {"kind": "torus"}}))
     with pytest.raises(ConfigError, match="missing config key"):
-        build_phantom({})
+        build_phantom(_check({}))
 
 
 def test_sinogram_csv_roundtrip(tmp_path):
@@ -142,6 +144,48 @@ def test_config_hash_stable():
     assert _config_hash({"a": 2}) != h1
 
 
+def test_config_hash_of_the_checked_values(tmp_path):
+    # the manifest hashes the checked config, so writing out the defaults
+    # (and an integer as a whole float) keeps the hash; BASE_CONFIG sets
+    # seed 3, so its twin here leaves the seed at its default 0
+    base = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
+    twin = dict(base, seed=0, noise_sigma=0.0,
+                weight={"kind": "constant", "level": 1.0},
+                test_function={"kind": "hormander", "param": 8.0})
+    hashes = []
+    for name, cfg in (("base", base), ("twin", twin), ("seeded", BASE_CONFIG)):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / name
+        assert main(["sinogram", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        hashes.append(
+            json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("reconstruct", None),
+    ("sweep", SWEEP),
+    ("verify", None),
+    ("kernels", {"weight": FROM_AB, "kernels": {"k_max": 2, "grid_n": 24}}),
+], ids=["reconstruct", "sweep", "verify", "kernels"])
+def test_cli_checks_config_once(tmp_path, monkeypatch, subcommand,
+                                overrides):
+    # load_config checks the whole config once; the builders and the
+    # subcommand read the checked values
+    roots, check = [], cli._check
+
+    def spy(spec, name=""):
+        if not name:
+            roots.append(spec)
+        return check(spec, name)
+
+    monkeypatch.setattr(cli, "_check", spy)
+    run_cli(tmp_path, subcommand, overrides)
+    assert len(roots) == 1
+
+
 def test_cli_sinogram_deterministic(tmp_path):
     cfg = write_config(tmp_path, {"noise_sigma": 1e-4})
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -180,7 +224,8 @@ def test_cli_reconstruct(tmp_path):
     rows = np.loadtxt(out / "reconstruction.csv", delimiter=",",
                       skiprows=1)
     assert res["N"] != BASE_CONFIG["test_function"]["param"]
-    truth = mean_profile(build_phantom(BASE_CONFIG), build_weight(BASE_CONFIG),
+    checked = _check(BASE_CONFIG)
+    truth = mean_profile(build_phantom(checked), build_weight(checked),
                          hormander_sequence(res["N"]), 0.1, 0.3,
                          x_grid=rows[:, 0])
     assert np.array_equal(rows[:, 2], truth.values)
@@ -208,7 +253,7 @@ def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
     assert k_max == WEIGHTED_K_MAX
     fam = sjk_family(field_from_spec("one"), zero_field(), 0.3, k_max,
                      grid_n=24)
-    _calibrated({}, sino_weighted, f_main, phi12, 0.1, 0.3, fam)
+    _calibrated(_check({}), sino_weighted, f_main, phi12, 0.1, 0.3, fam)
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
     with pytest.raises(KeyError, match="k_max"):
         fam[(0, WEIGHTED_K_MAX + 1)]
@@ -225,7 +270,7 @@ def test_calibration_at_the_pipelines_order(monkeypatch, sino_clean, f_main,
         return calibrate(g, phi, eps, gamma, N, consts, fam=fam)
 
     monkeypatch.setattr(cli, "calibrate_constants", spy)
-    _calibrated({}, sino_clean, f_main, phi12, 0.1, 0.3, None)
+    _calibrated(_check({}), sino_clean, f_main, phi12, 0.1, 0.3, None)
     assert orders == [order_cap(phi12, weighted=False)] == [12]
 
 
@@ -395,7 +440,7 @@ def test_cli_missing_tabulated_file_exits_2(tmp_path, capsys):
 
 def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     # samples carry no Lipschitz bound: a run that reads c0 must be given it
-    f = build_phantom(BASE_CONFIG)
+    f = build_phantom(_check(BASE_CONFIG))
     xs, ys = np.linspace(-0.4, 0.4, 17), np.linspace(0.1, 0.8, 15)
     values = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
     path = tmp_path / "phantom.csv"
