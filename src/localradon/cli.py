@@ -27,7 +27,7 @@ import yaml
 from . import __version__
 from .bumps import gevrey_bump, hormander_sequence, verify_derivative_bounds
 from .kernels import sjk_family, verify_kernel_bounds
-from .legendre import fl_coefficients, moments_to_coefficients
+from .legendre import moments_to_coefficients
 from .means import mean_profile
 from .phantoms import smooth_bump, tabulated_phantom
 from .stability import (
@@ -88,6 +88,10 @@ TEXT = Check(lambda v: isinstance(v, str), "a string")
 SECTION = Check(lambda v: isinstance(v, dict), "a mapping")
 AXIS = _numbers(3, "[min, max, n], min < max, integer n >= 2",
                 lambda v: v[0] < v[1] and _whole(2).test(v[2]))
+POLY_ROWS = Check(lambda v: isinstance(v, list) and len(v) > 0 and all(
+    isinstance(r, list) and len(r) == 3 and _whole(0).test(r[0])
+    and _whole(0).test(r[1]) and _real(r[2]) for r in v),
+    "[i, j, c] rows, i and j integers >= 0, c a number")
 BUMPS = ("smooth_bump", "polynomial_times_bump")
 
 
@@ -126,9 +130,7 @@ SCHEMA = {
         Key("amplitude", Check(_real, "a number"), 1.0, BUMPS),
         Key("support_constant", Check(lambda v: _real(v) and v >= 1,
                                       "a number >= 1"), 1.0),
-        Key("poly_coeffs", Check(lambda v: isinstance(v, list) and len(v) > 0,
-                                 "[i, j, c] rows, i and j integers >= 0"),
-            kinds=BUMPS[1:]),
+        Key("poly_coeffs", POLY_ROWS, kinds=BUMPS[1:]),
         Key("path", TEXT, kinds=("tabulated",)),
     ],
     "weight": [
@@ -556,18 +558,20 @@ def cmd_verify(cfg, out, seed, quiet):
         mom = moments_from_sinogram_weighted(g, fam, phi, eps, gamma, 2)
     else:
         mom = moments_from_sinogram_unweighted(g, phi, eps, gamma, 2)
-    sp = mean_profile(f, m, phi, eps, gamma).interpolant()
     t, w = gauss_nodes(200)
-    oracle = [float(np.sum(w * t**k * sp(t))) for k in range(3)]
-    scale = max(abs(v) for v in oracle)
-    results["moment_oracle_rel"] = float(
-        max(abs(mv - ov) for mv, ov in zip(mom.values, oracle)) / scale)
 
-    # legendre round trip on the extracted moments
-    series = moments_to_coefficients(mom)
-    back = fl_coefficients(series, 2)
-    results["legendre_roundtrip"] = float(
-        np.abs(series.coeffs - back.coeffs).max())
+    def moments(values):
+        return np.array([np.sum(w * t**k * values) for k in range(3)])
+
+    def rel(a, b):
+        return float(np.abs(a - b).max() / np.abs(b).max())
+
+    sp = mean_profile(f, m, phi, eps, gamma).interpolant()
+    results["moment_oracle_rel"] = rel(mom.values, moments(sp(t)))
+
+    # legendre map: the moments of the series against the extracted ones
+    back = moments(moments_to_coefficients(mom)(t))
+    results["legendre_roundtrip"] = rel(back, mom.values)
 
     # zero data soundness
     zero = Sinogram(xi=g.xi, eta=g.eta, values=np.zeros_like(g.values))

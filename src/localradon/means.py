@@ -144,11 +144,12 @@ def convergence_gap(
     return float(gap.max()), float(ratios.max())
 
 
-def holder_check_of_mean(prof: MeanProfile, alpha: float, c0: float) -> float:
+def holder_check_of_mean(prof: MeanProfile, alpha: float) -> float:
     """Empirical Hölder quotient of the mean profile, 10000 random pairs
     (seed 1).
 
-    The profile of a ``C^{0,alpha}`` function stays below ``sqrt(2)*c0``.
+    The profile of a ``C^{0,alpha}`` function with constant ``c0`` stays
+    below ``sqrt(2)*c0``.
     """
     rng = np.random.default_rng(1)
     n = prof.x.size

@@ -36,15 +36,12 @@ class PhantomSpec:
     values)``; otherwise it is the bump, times the polynomial with flat
     ``(i, j, c)`` triples ``poly_coeffs`` when these are given, times
     ``cos(oscillation*x)/oscillation`` when ``oscillation > 0``.
-    ``declared_bound``, when given, is the a priori Lipschitz constant of
-    ``f`` that the stability bounds consume (``holder_bound``).
     """
 
     center: tuple[float, float] = (0.0, 0.5)
     width: float = 0.3
     amplitude: float = 1.0
     support_constant: float = 1.0
-    declared_bound: Optional[float] = None
     oscillation: float = 0.0
     poly_coeffs: tuple[float, ...] = ()
     grid: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -55,14 +52,11 @@ class PhantomSpec:
 
     def __post_init__(self):
         for name in ("center", "width", "amplitude", "support_constant",
-                     "declared_bound", "oscillation", "poly_coeffs"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+                     "oscillation", "poly_coeffs"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if self.declared_bound is not None and self.declared_bound <= 0:
-            raise ValueError("declared_bound must be positive")
         if self.support_constant < 1.0:
             raise ValueError("support_constant must be >= 1")
         if self.oscillation < 0:
@@ -86,18 +80,9 @@ class PhantomSpec:
 
     @cached_property
     def holder_bound(self) -> float:
-        """The Lipschitz constant ``c0`` of ``f``, computed when first read:
-        ``declared_bound`` when given, else the sup of the base bump for an
-        oscillatory phantom (uniform in the oscillation) and
-        ``lipschitz_bound`` for a bump; a tabulated phantom must declare
-        it."""
-        if self.declared_bound is not None:
-            return self.declared_bound
-        if self.grid is not None:
-            raise ValueError("a tabulated phantom has no Lipschitz bound "
-                             "unless one is declared")
-        if self.kind == "oscillatory":
-            return _grid_sup(replace(self, oscillation=0.0))
+        """The Lipschitz constant ``c0`` of ``f``, ``lipschitz_bound``,
+        computed when first read; a tabulated phantom has none (a declared
+        ``c0`` goes to ``BoundConstants``)."""
         return lipschitz_bound(self)
 
     # -- evaluation -------------------------------------------------------
@@ -174,30 +159,24 @@ def smooth_bump(
     width=0.3,
     amplitude=1.0,
     support_constant=1.0,
-    holder_bound=None,
     poly_coeffs=(),
 ) -> PhantomSpec:
     """Smooth bump phantom, times the polynomial with ``(i, j, c)`` triples
-    ``poly_coeffs`` (``c (x - cx)^i (y - cy)^j`` terms) when given;
-    ``holder_bound`` defaults to ``lipschitz_bound``, computed when first
-    read."""
+    ``poly_coeffs`` (``c (x - cx)^i (y - cy)^j`` terms) when given."""
     return PhantomSpec(
         center=center,
         width=width,
         amplitude=amplitude,
         support_constant=support_constant,
-        declared_bound=holder_bound,
         poly_coeffs=tuple(np.asarray(poly_coeffs, dtype=float).ravel()),
     )
 
 
-def tabulated_phantom(
-    xs, ys, values, support_constant=1.0, holder_bound=None
-) -> PhantomSpec:
+def tabulated_phantom(xs, ys, values, support_constant=1.0) -> PhantomSpec:
     """Phantom from grid samples with bilinear interpolation.
 
-    Hölder metadata cannot be inferred from samples: without a declared
-    ``holder_bound``, reading ``PhantomSpec.holder_bound`` raises.
+    Its Lipschitz constant cannot be inferred from samples: reading
+    ``PhantomSpec.holder_bound`` raises.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -206,31 +185,17 @@ def tabulated_phantom(
         center=(0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1])),
         width=max(xs[-1] - xs[0], ys[-1] - ys[0]),
         support_constant=support_constant,
-        declared_bound=holder_bound,
         grid=(xs, ys, values),
     )
 
 
 def oscillatory_phantom(q: PhantomSpec, lam: float) -> PhantomSpec:
-    """The counterexample family ``f_lam(x, y) = q(x, y) * cos(lam*x) / lam``.
-
-    Its Hölder bound is the sup of ``q`` (a Lipschitz bound for the whole
-    family, uniform in ``lam``).
-    """
+    """The counterexample family ``f_lam(x, y) = q(x, y) cos(lam x) / lam``."""
     if lam <= 0:
         raise ValueError("oscillation parameter must be positive")
     if q.kind != "smooth-bump":
         raise ValueError("oscillatory phantoms are built from smooth bumps")
-    return replace(q, oscillation=lam, declared_bound=None)
-
-
-def _grid_sup(p: PhantomSpec) -> float:
-    """``max |f|`` over a 301 x 301 grid on the square ``center +- width``."""
-    cx, cy = p.center
-    xs = np.linspace(cx - p.width, cx + p.width, 301)
-    ys = np.linspace(cy - p.width, cy + p.width, 301)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return float(np.abs(p(X, Y)).max())
+    return replace(q, oscillation=lam)
 
 
 def lipschitz_bound(p: PhantomSpec) -> float:
@@ -240,10 +205,12 @@ def lipschitz_bound(p: PhantomSpec) -> float:
     The gradient is the exact one of the phantom's formula.  With ``E`` the
     bump times the cutoff, ``grad log E = -grad r^2 / (1 - r^2)^2 + grad gap
     / gap^2``, ``gap = y - c x^2``; it is formed only where ``E`` is not 0,
-    since ``f`` is flat to every order at the edge of its support.
+    since ``f`` is flat to every order at the edge of its support.  For
+    ``f = q cos(lam x) / lam`` it is the pointwise bound ``|grad q| / lam +
+    |q|``, which does not depend on the phase of the cosine.
     """
-    if p.kind not in ("smooth-bump", "polynomial-times-bump"):
-        raise ValueError(f"no gradient formula for a {p.kind} phantom")
+    if p.grid is not None:
+        raise ValueError("no gradient formula for a tabulated phantom")
     cx, cy = p.center
     xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, 401)
     ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, 401)
@@ -264,7 +231,12 @@ def lipschitz_bound(p: PhantomSpec) -> float:
         poly = polyval2d(u, v, p._poly)
         fx = poly * fx + f * polyval2d(u, v, polyder(p._poly, axis=0))
         fy = poly * fy + f * polyval2d(u, v, polyder(p._poly, axis=1))
-    return 1.05 * float(np.sqrt((fx**2 + fy**2).max(initial=0.0)))
+        f = poly * f
+    g2 = fx**2 + fy**2
+    if p.oscillation > 0:
+        g = np.sqrt(g2) / p.oscillation + np.abs(f)
+        return 1.05 * float(g.max(initial=0.0))
+    return 1.05 * float(np.sqrt(g2.max(initial=0.0)))
 
 
 def holder_seminorm_estimate(

@@ -32,6 +32,7 @@ import localradon
 from localradon import cli, phantoms
 from localradon.bumps import hormander_sequence
 from localradon.kernels import sjk_family
+from localradon.legendre import LegendreSeries
 from localradon.means import mean_profile
 from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
 from localradon.transform import Sinogram
@@ -283,13 +284,15 @@ def test_calibration_at_the_pipelines_order(monkeypatch, sino_clean, f_main,
 def test_phantom_bound_computed_only_where_read(tmp_path, monkeypatch,
                                                 subcommand, overrides, reads):
     calls = []
-    for name in ("lipschitz_bound", "_grid_sup"):
-        def counted(p, name=name, fn=getattr(phantoms, name)):
-            calls.append(name)
-            return fn(p)
-        monkeypatch.setattr(phantoms, name, counted)
+    bound = phantoms.lipschitz_bound
+
+    def counted(p):
+        calls.append(p.kind)
+        return bound(p)
+
+    monkeypatch.setattr(phantoms, "lipschitz_bound", counted)
     run_cli(tmp_path, subcommand, overrides)
-    assert calls == ["lipschitz_bound"] * reads
+    assert calls == ["smooth-bump"] * reads
 
 
 def test_cli_sweep(tmp_path):
@@ -363,6 +366,20 @@ def test_cli_verify(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     assert report["ok"]
     assert report["results"]["zero_data"] == 0.0
+
+
+def test_cli_verify_fails_a_wrong_legendre_map(tmp_path, monkeypatch):
+    # the series is taken back to moments, so a map that returns wrong
+    # coefficients fails; projecting its own series would return them
+    right = cli.moments_to_coefficients
+    monkeypatch.setattr(cli, "moments_to_coefficients", lambda mom: (
+        LegendreSeries(right(mom).coeffs * [1.0, -3.0, 7.0])))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 1
+    report = json.loads((out / "verify.json").read_text())
+    assert not report["ok"] and report["results"]["legendre_roundtrip"] > 1
 
 
 def test_constant_level_scored_against_its_truth(tmp_path):
@@ -560,10 +577,15 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     # an exponent is a nonnegative integer, never truncated or wrapped
     ({"phantom": dict(BASE_CONFIG["phantom"], kind="polynomial_times_bump",
                       poly_coeffs=[[1.7, 0, 3.0]])},
-     "phantom: poly_coeffs", "sinogram"),
+     "phantom.poly_coeffs", "sinogram"),
     ({"phantom": dict(BASE_CONFIG["phantom"], kind="polynomial_times_bump",
                       poly_coeffs=[[-1, 0, 2.0], [1, 0, 3.0]])},
-     "phantom: poly_coeffs", "sinogram"),
+     "phantom.poly_coeffs", "sinogram"),
+    # each row is [i, j, c]
+    *[({"phantom": dict(BASE_CONFIG["phantom"], kind="polynomial_times_bump",
+                        poly_coeffs=rows)}, "phantom.poly_coeffs", "sinogram")
+      for rows in ([[True, 0, 1.0]], [1, 0, 1.0], [[1, 0]],
+                   [[1, 0, 1.0], [0, 1]], [["a", 0, 1.0]])],
 ], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
@@ -579,7 +601,8 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
         "test_function_scalar", "weight_scalar", "kernels_scalar",
         "lambdas_decreasing", "lambdas_text", "lambdas_negative",
         "noise_levels_empty", "support_constant_nan", "poly_fraction",
-        "poly_negative"])
+        "poly_negative", "poly_bool", "poly_flat", "poly_short",
+        "poly_ragged", "poly_text"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)

@@ -139,5 +139,5 @@ def test_l2_norm_positive(f_main, phi12):
 
 def test_holder_check_of_mean(f_main, phi12):
     prof = mean_profile(f_main, None, phi12, EPS, GAMMA)
-    q = holder_check_of_mean(prof, 1.0, f_main.holder_bound)
+    q = holder_check_of_mean(prof, 1.0)
     assert q <= math.sqrt(2.0) * f_main.holder_bound
