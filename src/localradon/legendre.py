@@ -24,7 +24,6 @@ __all__ = [
     "normalized_legendre",
     "fl_coefficients",
     "moments_to_coefficients",
-    "series_eval",
     "coefficient_bound_check",
     "tail_bound",
     "normalized_sup_bound",
@@ -65,7 +64,9 @@ class LegendreSeries:
         return self.coeffs.size - 1
 
     def __call__(self, x):
-        return series_eval(self.coeffs, x)
+        N = self.order
+        out = legendre_vandermonde(N, x) @ (_norms(N) * self.coeffs)
+        return out if out.shape else float(out)
 
 
 def legendre_vandermonde(N: int, x) -> np.ndarray:
@@ -140,14 +141,6 @@ def moments_to_coefficients(m: MomentVector) -> LegendreSeries:
         ]
         coeffs[n] = math.sqrt((2 * n + 1) / 2.0) * math.fsum(terms) / 2**n
     return LegendreSeries(coeffs)
-
-
-def series_eval(coeffs, x):
-    """Evaluate ``sum_n a_n Pt_n(x)``."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    N = coeffs.size - 1
-    out = legendre_vandermonde(N, x) @ (_norms(N) * coeffs)
-    return out if out.shape else float(out)
 
 
 def coefficient_bound_check(m: MomentVector, a: LegendreSeries) -> np.ndarray:

@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 
 from .bumps import TestFunction
 from .phantoms import PhantomSpec
-from .weights import Weight, corrected_weight, gauss_nodes
+from .weights import Weight, gauss_nodes
 
 __all__ = [
     "MeanProfile",
@@ -82,15 +82,14 @@ def mean_profile(
     if x_grid is None:
         x_grid = chebyshev_grid()
     x_grid = np.asarray(x_grid, dtype=float)
-    mg = corrected_weight(m, gamma) if m is not None else None
     t, w = gauss_nodes(14)
     u_edges = phi.panel_edges()
     values = np.empty(x_grid.size)
     at_zero = np.abs(x_grid) < 1e-13
     if np.any(at_zero):
         v = float(f(0.0, gamma))
-        if mg is not None:
-            v *= mg(0.0, gamma)
+        if m is not None:
+            v *= m(0.0, 0.0, gamma)
         values[at_zero] = v
     rows = np.flatnonzero(~at_zero)
     for start in range(0, rows.size, _ROW_BLOCK):
@@ -103,8 +102,9 @@ def mean_profile(
         ys = mid[..., None] + half[..., None] * t
         xs = np.broadcast_to(x[..., None], ys.shape)
         fy = np.asarray(f(xs, ys), dtype=float)
-        if mg is not None:
-            fy = fy * mg(xs, ys)
+        if m is not None:
+            # m_gamma(x, y) = m(x, (y - gamma)/x, gamma); no row has x = 0
+            fy = fy * m(xs, (ys - gamma) / xs, gamma)
         hw = half_width[..., None]
         phy = phi((gamma - ys) / hw) / hw
         panels = half * np.sum(w * fy * phy, axis=-1)
@@ -133,10 +133,10 @@ def convergence_gap(
     honest Lipschitz constant ``C_0``.
     """
     prof = mean_profile(f, m, phi, eps, gamma, x_grid=x_grid)
-    mg = corrected_weight(m, gamma) if m is not None else None
     target = np.asarray(f(prof.x, np.full_like(prof.x, gamma)), dtype=float)
-    if mg is not None:
-        target = target * mg(prof.x, np.full_like(prof.x, gamma))
+    if m is not None:
+        # on y = gamma, m_gamma(x, gamma) = m(x, 0, gamma) for every x
+        target = target * m(prof.x, 0.0, gamma)
     gap = np.abs(prof.values - target)
     envelope = f.holder_bound * eps * np.abs(prof.x)
     with np.errstate(divide="ignore", invalid="ignore"):

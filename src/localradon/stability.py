@@ -80,19 +80,25 @@ class BoundConstants:
         return 4.0 * self.a0 * self.c0
 
 
+def _check_data(g: Sinogram, eps: float, gamma: float):
+    """Data the moments and ``H`` may read: positive sizes, no failed
+    cell, and a grid over ``[-eps, eps] x [-gamma, gamma]``."""
+    if eps <= 0 or gamma <= 0:
+        raise ValueError("eps and gamma must be positive")
+    if g.failed is not None and g.failed.any():
+        raise ValueError(f"sinogram has {int(g.failed.sum())} failed "
+                         "quadrature cells")
+    if g.xi[0] > -eps or g.xi[-1] < eps:
+        raise ValueError("sinogram xi grid does not cover [-eps, eps]")
+    if g.eta[0] > -gamma or g.eta[-1] < gamma:
+        raise ValueError("sinogram eta grid does not cover [-gamma, gamma]")
+
+
 def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
     """``sup over |eta| <= gamma of int |g(xi, eta)| over |xi| <= eps``, read
     from the spline the moments read: on the grid rows with ``|eta| <
     gamma`` and the rows ``eta = +-gamma``, by the Gauss panel rule."""
-    if eps <= 0 or gamma <= 0:
-        raise ValueError("eps and gamma must be positive")
-    if g.failed is not None and g.failed.any():
-        raise ValueError(
-            f"sinogram has {int(g.failed.sum())} failed quadrature cells"
-        )
-    if g.xi[0] > -eps or g.xi[-1] < eps or g.eta[0] > -gamma or \
-            g.eta[-1] < gamma:
-        raise ValueError("rectangle [-eps,eps] x [-gamma,gamma] exceeds grid")
+    _check_data(g, eps, gamma)
     rows = np.unique(np.append(g.eta[np.abs(g.eta) < gamma], [-gamma, gamma]))
     xs, ws = (a.ravel() for a in panel_rule(np.linspace(-eps, eps, 33), 10))
     return float((ws @ np.abs(g.interpolant()(xs, rows))).max())
@@ -105,8 +111,7 @@ def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
         raise ValueError("derivative order of the test function exceeded")
     if gamma < eps * eps / 4.0 - 1e-12:
         raise ValueError("gamma must be at least eps^2/4")
-    if g.eta[0] > -gamma or g.eta[-1] < gamma:
-        raise ValueError("sinogram eta grid does not cover [-gamma, gamma]")
+    _check_data(g, eps, gamma)
     inside = np.abs(g.xi) <= eps + 1e-12
     if inside.sum() < 2:
         raise ValueError("sinogram xi grid does not resolve [-eps, eps]")

@@ -25,7 +25,6 @@ __all__ = [
     "weight_from_ab",
     "constant_weight",
     "pde_residual",
-    "corrected_weight",
     "field_from_spec",
     "zero_field",
     "panel_rule",
@@ -195,25 +194,3 @@ def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField,
         rhs = (x * float(a(xi, eta)) + float(b(xi, eta))) * m(x, xi, eta)
         worst = max(worst, abs(d_xi - x * d_eta - rhs))
     return worst
-
-
-def corrected_weight(m: Weight, gamma: float):
-    """The weight in line coordinates through ``(0, gamma)``:
-    ``m_gamma(x, y) = m(x, (y - gamma)/x, gamma)``, with the defining
-    point value ``m(0, 0, gamma)`` at ``x = 0``.
-    """
-
-    def m_gamma(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        out = np.empty(x.shape)
-        zero = np.abs(x) < 1e-300
-        if np.any(zero):
-            out[zero] = m(0.0, 0.0, gamma)
-        nz = ~zero
-        if np.any(nz):
-            out[nz] = m(x[nz], (y[nz] - gamma) / x[nz], gamma)
-        return out if out.shape else float(out)
-
-    return m_gamma

@@ -20,7 +20,6 @@ from localradon.legendre import (
     normalized_legendre,
     normalized_sup_bound,
     parseval_defect,
-    series_eval,
     tail_bound,
 )
 
@@ -110,7 +109,7 @@ def test_series_eval_matches_direct():
     direct = sum(
         coeffs[n] * normalized_legendre(n, xs) for n in range(coeffs.size)
     )
-    assert np.allclose(series_eval(coeffs, xs), direct, atol=1e-13)
+    assert np.allclose(LegendreSeries(coeffs)(xs), direct, atol=1e-13)
 
 
 def test_normalized_sup_bound():

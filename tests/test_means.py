@@ -10,7 +10,7 @@ from localradon.means import (
     mean_profile,
     support_halfwidth,
 )
-from localradon.weights import corrected_weight, gauss_nodes
+from localradon.weights import gauss_nodes
 
 EPS = 0.1
 GAMMA = 0.3
@@ -47,8 +47,8 @@ def test_mean_frozen_values(f_main, phi12):
 
 
 def _scalar_loop_profile(f, m, phi, eps, gamma, xs, nodes_per_panel=14):
-    """Reference: the profile one x-point and one panel at a time."""
-    mg = corrected_weight(m, gamma) if m is not None else None
+    """Reference: the profile one x-point and one panel at a time, with
+    the weight in line coordinates ``m(x, (y - gamma)/x, gamma)``."""
     t, w = gauss_nodes(nodes_per_panel)
     bp = phi.breakpoints
     u_edges = np.append(
@@ -63,8 +63,8 @@ def _scalar_loop_profile(f, m, phi, eps, gamma, xs, nodes_per_panel=14):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             ys = mid + half * t
             fy = np.asarray(f(np.full_like(ys, x), ys), dtype=float)
-            if mg is not None:
-                fy = fy * mg(np.full_like(ys, x), ys)
+            if m is not None:
+                fy = fy * m(np.full_like(ys, x), (ys - gamma) / x, gamma)
             phy = phi((gamma - ys) / half_width) / half_width
             total += half * np.sum(w * fy * phy)
         out.append(total)

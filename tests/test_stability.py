@@ -178,6 +178,13 @@ def test_moment_input_guards(sino_clean, phi12, fam_exp, weighted):
     # xi step 0.0195 against the 2 eps / 14 = 0.0143 that phi12 needs
     coarse = Sinogram(xi=sino_clean.xi[::3], eta=sino_clean.eta,
                       values=sino_clean.values[::3])
+    # xi on [-0.046, 0.046] only: the spline would extrapolate to +-eps
+    near = np.abs(sino_clean.xi) <= 0.05
+    narrow = Sinogram(xi=sino_clean.xi[near], eta=sino_clean.eta,
+                      values=sino_clean.values[near])
+    flagged = with_noise(sino_clean, 0.0, 0)
+    flagged.failed = np.zeros(flagged.values.shape, dtype=bool)
+    flagged.failed[3, 5] = True
     with pytest.raises(ValueError, match="derivative order"):
         moments(sino_clean, EPS, GAMMA, 13)
     with pytest.raises(ValueError, match="eps\\^2/4"):
@@ -186,6 +193,10 @@ def test_moment_input_guards(sino_clean, phi12, fam_exp, weighted):
         moments(cut, EPS, GAMMA, 2)
     with pytest.raises(ValueError, match="too coarse"):
         moments(coarse, EPS, GAMMA, 2)
+    with pytest.raises(ValueError, match="xi grid does not cover"):
+        moments(narrow, EPS, GAMMA, 2)
+    with pytest.raises(ValueError, match="1 failed"):
+        moments(flagged, EPS, GAMMA, 2)
     if weighted:
         with pytest.raises(ValueError, match="different gamma"):
             moments(sino_clean, EPS, 0.25, 2)

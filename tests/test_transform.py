@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from localradon.bumps import hormander_sequence
@@ -62,6 +64,41 @@ def test_radon_weight_scaling(f_main, m_const):
     v1 = radon(f_main, m_const, 0.05, 0.3, tol=1e-11)
     v3 = radon(f_main, constant_weight(3.0), 0.05, 0.3, tol=1e-11)
     assert v3 == pytest.approx(3.0 * v1, rel=1e-10)
+
+
+def test_radon_moment_on_arrays_matches_sinogram(f_main, m_const, m_exp):
+    xi = np.linspace(-0.13, 0.13, 5)
+    eta = np.linspace(0.2, 0.7, 6)
+    for m in (m_const, m_exp):
+        g = synthesize_sinogram(f_main, m, xi, eta, tol=1e-10)
+        values = radon_moment(f_main, m, 0, xi[:, None], eta[None, :], 1e-10)
+        assert values.shape == (5, 6)
+        assert np.array_equal(values, g.values)
+
+
+@pytest.mark.parametrize("m", [
+    constant_weight(),
+    weight_from_ab(field_from_spec("0.5*sin_xi"),
+                   field_from_spec("0.5*cos_eta")),
+], ids=["constant", "from_ab"])
+@settings(max_examples=20, deadline=None)
+@given(c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0))
+def test_radon_is_linear_in_f(m, c1, c2):
+    # p1 = x and p2 = (y - 0.45)^2, each times the README bump.  Each line
+    # stops at error max(tol, tol |value|) with |value| < 1, so the three
+    # transforms differ from exact ones by a few tol at most
+    tol = 1e-10
+    xi = np.linspace(-0.13, 0.13, 5)[:, None]
+    eta = np.linspace(0.2, 0.7, 6)[None, :]
+
+    def transform(*terms):
+        f = smooth_bump(center=(0.0, 0.45), width=0.3, poly_coeffs=terms)
+        return radon_moment(f, m, 0, xi, eta, tol)
+
+    combined = transform((1, 0, c1), (0, 2, c2))
+    parts = c1 * transform((1, 0, 1.0)) + c2 * transform((0, 2, 1.0))
+    assert np.abs(combined - parts).max() <= \
+        10 * tol * (1 + abs(c1) + abs(c2))
 
 
 def test_radon_input_validation(f_main, m_const):
@@ -144,6 +181,8 @@ def test_refinement_budget_failure_is_flagged(f_main):
     noisy = NoisyWeight()
     with pytest.raises(QuadratureError):
         radon(f_main, noisy, 0.0, 0.45, tol=1e-10)
+    with pytest.raises(QuadratureError):
+        radon_moment(f_main, noisy, 0, 0.0, np.array([-0.2, 0.45]), 1e-10)
     g = synthesize_sinogram(f_main, noisy, [0.0], [-0.2, 0.45], tol=1e-10)
     assert g.failed is not None
     assert g.failed.tolist() == [[False, True]]
@@ -189,7 +228,7 @@ def test_adjoint_identity(f_main, m_const, m_exp, phi12):
 
     for m in (m_const, m_exp):
         res = check_adjoint(f_main, m, phi_xi, phi_eta,
-                            (-0.1, 0.1), (0.25, 0.65), n_nodes=32)
+                            (-0.1, 0.1), (0.25, 0.65))
         assert res < 1e-5
 
 

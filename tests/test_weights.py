@@ -9,7 +9,6 @@ from numpy.polynomial import Polynomial
 from localradon.weights import (
     _FIELD_REGISTRY,
     constant_weight,
-    corrected_weight,
     field_from_spec,
     gauss_nodes,
     panel_rule,
@@ -112,15 +111,6 @@ def test_from_ab_refuses_unresolved_exponent():
         m(1.0, 3.0, 0.3)
     assert m(1.0, 0.3, 0.3) == pytest.approx(
         math.exp(20.0 * (1.0 - math.cos(0.3))), rel=1e-13)
-
-
-def test_corrected_weight(m_exp):
-    gamma = 0.3
-    mg = corrected_weight(m_exp, gamma)
-    x, y = 0.2, 0.5
-    # m(x, (y - gamma)/x, gamma) = exp(y - gamma)
-    assert mg(x, y) == pytest.approx(math.exp(y - gamma), rel=1e-12)
-    assert mg(0.0, 0.7) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_weight_broadcasts(m_exp):
