@@ -227,9 +227,9 @@ def _config_key(key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """The safe loader, also reading exponent numbers without a dot
-    (``1e-6``, which YAML 1.1 leaves a string) as floats."""
+class _ConfigLoader(yaml.CSafeLoader):
+    """The safe loader on libyaml's parser, also reading exponent numbers
+    without a dot (``1e-6``, which YAML 1.1 leaves a string) as floats."""
 
 
 _ConfigLoader.add_implicit_resolver(

@@ -88,7 +88,7 @@ def mean_profile(
     at_zero = np.abs(x_grid) < 1e-13
     if np.any(at_zero):
         v = float(f(0.0, gamma))
-        if m is not None:
+        if m is not None and v != 0:
             v *= m(0.0, 0.0, gamma)
         values[at_zero] = v
     rows = np.flatnonzero(~at_zero)
@@ -101,13 +101,20 @@ def mean_profile(
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         ys = mid[..., None] + half[..., None] * t
         xs = np.broadcast_to(x[..., None], ys.shape)
-        fy = np.asarray(f(xs, ys), dtype=float)
+        # f on every node, so the leak check below sees every row; the
+        # weight and phi only where f is nonzero.  There each term is the
+        # product it would be on every node; elsewhere it keeps f's zero
+        terms = np.array(f(xs, ys), dtype=float)
+        nz = terms != 0
+        xn, yn = xs[nz], ys[nz]
+        fm = terms[nz]
         if m is not None:
             # m_gamma(x, y) = m(x, (y - gamma)/x, gamma); no row has x = 0
-            fy = fy * m(xs, (ys - gamma) / xs, gamma)
-        hw = half_width[..., None]
-        phy = phi((gamma - ys) / hw) / hw
-        panels = half * np.sum(w * fy * phy, axis=-1)
+            fm = fm * m(xn, (yn - gamma) / xn, gamma)
+        hw = eps * np.abs(xn)
+        terms[nz] = np.broadcast_to(w, ys.shape)[nz] * fm \
+            * (phi((gamma - yn) / hw) / hw)
+        panels = half * np.sum(terms, axis=-1)
         # cumsum adds the panels left to right, one at a time: the
         # summation order the frozen profile values were computed in
         values[block] = np.cumsum(panels, axis=1)[:, -1]
@@ -133,10 +140,12 @@ def convergence_gap(
     honest Lipschitz constant ``C_0``.
     """
     prof = mean_profile(f, m, phi, eps, gamma, x_grid=x_grid)
-    target = np.asarray(f(prof.x, np.full_like(prof.x, gamma)), dtype=float)
+    target = np.array(f(prof.x, np.full_like(prof.x, gamma)), dtype=float)
     if m is not None:
-        # on y = gamma, m_gamma(x, gamma) = m(x, 0, gamma) for every x
-        target = target * m(prof.x, 0.0, gamma)
+        # on y = gamma, m_gamma(x, gamma) = m(x, 0, gamma) for every x;
+        # the weight only where f is nonzero
+        nz = target != 0
+        target[nz] *= m(prof.x[nz], 0.0, gamma)
     gap = np.abs(prof.values - target)
     envelope = f.holder_bound * eps * np.abs(prof.x)
     with np.errstate(divide="ignore", invalid="ignore"):

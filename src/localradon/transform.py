@@ -134,8 +134,15 @@ def _line_integrals(f: PhantomSpec, m: Weight, k: int, xi, eta, tol: float):
     failed = np.zeros(n, dtype=bool)
 
     def integrand(x, line):
+        # the weight only where x^k f is nonzero: the product is the same
+        # there, and the same (signed) zero elsewhere
         xl, el = xi[line], eta[line]
-        return x**k * f(x, xl * x + el) * m(x, xl, el)
+        v = x**k * f(x, xl * x + el)
+        nz = v != 0
+        # the line of each nonzero node: x has one row per panel
+        on = np.repeat(line[:, 0], np.count_nonzero(nz, axis=1))
+        v[nz] *= m(x[nz], xi[on], eta[on])
+        return v
 
     live = np.flatnonzero(lo < hi)
     line = np.repeat(live, _START_PANELS)

@@ -118,3 +118,30 @@ def fam_zero():
 def fam_generic():
     return sjk_family(field_from_spec("0.5*sin_xi"),
                       field_from_spec("0.5*cos_eta"), GAMMA, 4)
+
+
+class Recorder:
+    """Stands in for a phantom or a weight: delegates every call and
+    attribute to ``inner`` and keeps the broadcast arguments of each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __call__(self, *args):
+        self.calls.append(np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in args)))
+        return self.inner(*args)
+
+    def points(self) -> int:
+        """The number of points evaluated over every call."""
+        return sum(args[0].size for args in self.calls)
+
+
+@pytest.fixture(scope="session")
+def record():
+    """``record(obj)`` wraps a phantom or a weight in a :class:`Recorder`."""
+    return Recorder

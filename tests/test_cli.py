@@ -86,6 +86,9 @@ def test_load_config_errors(tmp_path):
     bad.write_text("- just\n- a list\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_config(str(bad))
+    bad.write_text("a: [1, 2\n")
+    with pytest.raises(ConfigError, match="parse error"):
+        load_config(str(bad))
 
 
 def test_builders():

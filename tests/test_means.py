@@ -81,6 +81,29 @@ def test_mean_profile_matches_scalar_loop(f_main, m_exp, phi12, weighted):
         prof.values, _scalar_loop_profile(f_main, m, phi12, EPS, GAMMA, xs))
 
 
+def test_mean_evaluates_the_weight_only_where_f_is_nonzero(
+        record, f_main, m_generic, phi12):
+    f, m = record(f_main), record(m_generic)
+    xs = chebyshev_grid(41)
+    gap, _ = convergence_gap(f, m, phi12, EPS, GAMMA, x_grid=xs)
+    # the weight sees the x of every point where f is nonzero, in order
+    needed = np.concatenate([np.asarray(x)[f_main(x, y) != 0].ravel()
+                             for x, y in f.calls])
+    seen = np.concatenate([x.ravel() for x, _, _ in m.calls])
+    assert np.array_equal(seen, needed)
+    assert 0 < seen.size < sum(x.size for x, _ in f.calls)
+
+    # the same profile and gap as with the weight on every node
+    prof = mean_profile(f_main, m_generic, phi12, EPS, GAMMA, x_grid=xs)
+    off = xs != 0.0
+    assert np.array_equal(prof.values[off], _scalar_loop_profile(
+        f_main, m_generic, phi12, EPS, GAMMA, xs[off]))
+    assert prof.values[~off] == \
+        f_main(0.0, GAMMA) * m_generic(0.0, 0.0, GAMMA)
+    target = f_main(xs, np.full_like(xs, GAMMA)) * m_generic(xs, 0.0, GAMMA)
+    assert gap == np.abs(prof.values - target).max()
+
+
 def test_mean_point_value_at_origin(f_main, phi12):
     prof = mean_profile(f_main, None, phi12, EPS, GAMMA)
     i0 = np.argmin(np.abs(prof.x))

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from localradon import transform
 from localradon.bumps import hormander_sequence
+from localradon.means import chebyshev_grid, mean_profile
 from localradon.phantoms import oscillatory_phantom, smooth_bump
 from localradon.transform import (
     QuadratureError,
@@ -99,6 +101,91 @@ def test_radon_is_linear_in_f(m, c1, c2):
     parts = c1 * transform((1, 0, 1.0)) + c2 * transform((0, 2, 1.0))
     assert np.abs(combined - parts).max() <= \
         10 * tol * (1 + abs(c1) + abs(c2))
+
+
+@pytest.mark.parametrize("m", [
+    constant_weight(),
+    weight_from_ab(field_from_spec("0.5*sin_xi"),
+                   field_from_spec("0.5*cos_eta")),
+], ids=["constant", "from_ab"])
+@settings(max_examples=15, deadline=None)
+@given(n_xi=st.integers(1, 4), n_eta=st.integers(1, 6),
+       n_x=st.integers(2, 9), cx=st.floats(-0.2, 0.2),
+       cy=st.floats(0.3, 0.6), width=st.floats(0.1, 0.4),
+       eps=st.floats(0.05, 0.3), gamma=st.floats(0.1, 0.5))
+def test_zero_data_gives_exact_zeros(record, m, n_xi, n_eta, n_x, cx, cy,
+                                     width, eps, gamma):
+    # with f = 0 every integrand value is an exact zero; the weight may be
+    # called on empty input, but it is evaluated at no point
+    f = smooth_bump(center=(cx, cy), width=width, amplitude=0.0)
+    rec = record(m)
+    g = synthesize_sinogram(f, rec, np.linspace(-0.13, 0.13, n_xi),
+                            np.linspace(-0.35, 0.35, n_eta), tol=1e-10)
+    prof = mean_profile(f, rec, hormander_sequence(4), eps, gamma,
+                        x_grid=chebyshev_grid(n_x))
+    assert np.all(g.values == 0.0) and np.all(prof.values == 0.0)
+    assert rec.points() == 0
+
+
+def _spy_on_panels(monkeypatch):
+    """The line engine's panel evaluation, and a list that receives
+    ``(a, b, line, (values, estimates))`` of each of its calls."""
+    engine = transform._embedded_panels
+    calls = []
+
+    def spy(integrand, a, b, line):
+        out = engine(integrand, a, b, line)
+        calls.append((a, b, line, out))
+        return out
+
+    monkeypatch.setattr(transform, "_embedded_panels", spy)
+    return engine, calls
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_line_engine_evaluates_the_weight_only_where_needed(
+        monkeypatch, record, m_generic, k):
+    f = smooth_bump(center=(0.0, 0.45), width=0.3)
+    m = record(m_generic)
+    xi = np.linspace(-0.13, 0.13, 7)[:, None]
+    eta = np.linspace(-0.35, 0.35, 9)[None, :]
+    engine, calls = _spy_on_panels(monkeypatch)
+    if k == 0:
+        synthesize_sinogram(f, m, xi[:, 0], eta[0], tol=1e-10)
+    else:
+        radon_moment(f, m, k, xi, eta, 1e-10)
+    x, xl, el = (np.concatenate([c[i].ravel() for c in m.calls])
+                 for i in range(3))
+    assert x.size > 0 and np.all(x**k * f(x, xl * x + el) != 0)
+
+    # the weight on every node gives every panel the same value and
+    # estimate, and was needed on exactly the points it saw
+    lines_xi, lines_eta = (v.ravel() for v in np.broadcast_arrays(xi, eta))
+    nonzero, nodes = [], []
+
+    def everywhere(x, line):
+        xl, el = lines_xi[line], lines_eta[line]
+        v = x**k * f(x, xl * x + el) * m_generic(x, xl, el)
+        nonzero.append(np.count_nonzero(v))
+        nodes.append(v.size)
+        return v
+
+    for a, b, line, (values, estimates) in calls:
+        ref_values, ref_estimates = engine(everywhere, a, b, line)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(estimates, ref_estimates)
+    assert x.size == sum(nonzero) < sum(nodes)
+
+
+def test_from_ab_pair_check_runs_only_where_f_is_nonzero():
+    # 20 sin(s) is unresolved by the 6/12-point pair on [0, xi] at these
+    # xi.  The chord [0.293, 0.3] of (2.0, -0.5) misses the bump, so its
+    # weight is never evaluated and the line is 0; (3.0, 0.3) crosses it
+    f = smooth_bump(center=(0.0, 0.45), width=0.3)
+    m = weight_from_ab(field_from_spec("20*sin_xi"), zero_field())
+    assert radon(f, m, 2.0, -0.5) == 0.0
+    with pytest.raises(ValueError, match="6- and 12-point"):
+        radon(f, m, 3.0, 0.3)
 
 
 def test_radon_input_validation(f_main, m_const):

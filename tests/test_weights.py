@@ -113,6 +113,16 @@ def test_from_ab_refuses_unresolved_exponent():
         math.exp(20.0 * (1.0 - math.cos(0.3))), rel=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_weight_on_empty_input(m_exp, m_generic, shape):
+    # the line engine and the means call the weight on no point where a
+    # block of panels or rows misses the phantom
+    empty = np.empty(shape)
+    for m in (constant_weight(2.0), m_exp, m_generic):
+        out = m(empty, empty, 0.3)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+
 def test_weight_broadcasts(m_exp):
     x = np.linspace(-0.3, 0.3, 7)
     out = m_exp(x, 0.1, 0.2)
