@@ -10,7 +10,7 @@ import numpy as np
 from localradon.cli import write_sinogram_csv
 from localradon.phantoms import smooth_bump
 from localradon.transform import synthesize_sinogram
-from localradon.weights import field_from_spec, weight_from_ab, zero_field
+from localradon.weights import Weight, field_from_spec
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
 
     # weight m = exp(x xi), realized through the transport equation
     # d_xi m - x d_eta m = (x a + b) m with a = 1, b = 0
-    m = weight_from_ab(field_from_spec("one"), zero_field())
+    m = Weight(field_from_spec("one"), field_from_spec("zero"))
 
     xi = np.linspace(-0.15, 0.15, 31)
     eta = np.linspace(-0.3, 0.6, 46)

@@ -17,7 +17,7 @@ from localradon.transform import (
     check_moment_identity,
     check_transport_identity,
 )
-from localradon.weights import field_from_spec, pde_residual, weight_from_ab
+from localradon.weights import Weight, field_from_spec, pde_residual
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
 
     a = field_from_spec("0.5*sin_xi")
     b = field_from_spec("0.5*cos_eta")
-    m = weight_from_ab(a, b)
+    m = Weight(a, b)
     pde = pde_residual(m, a, b, [(0.2, 0.1, 0.3), (-0.3, -0.05, 0.25)])
     print(f"transport PDE residual of the synthesized weight: {pde:.2e}")
 

@@ -17,15 +17,20 @@ import math
 
 from scipy.integrate import quad
 
-from localradon.kernels import apply_kernel, sjk_family, verify_kernel_bounds
-from localradon.weights import field_from_spec, zero_field
+from localradon.kernels import (
+    BETA,
+    apply_kernel,
+    sjk_family,
+    verify_kernel_bounds,
+)
+from localradon.weights import field_from_spec
 
 GAMMA = 0.3
 
 
 def main():
-    fam_exp = sjk_family(field_from_spec("one"), zero_field(), GAMMA,
-                         k_max=4)
+    fam_exp = sjk_family(field_from_spec("one"), field_from_spec("zero"),
+                         GAMMA, k_max=4)
     xi0, eta0 = 0.1, 0.2
 
     def g(eta):
@@ -46,7 +51,7 @@ def main():
     b = field_from_spec("0.5*cos_eta")
     fam = sjk_family(a, b, GAMMA, k_max=4)
     rep = verify_kernel_bounds(fam, xi0, 4)
-    print(f"\ngeneric family envelope: beta={rep.beta:.6f}, "
+    print(f"\ngeneric family envelope: beta={BETA:.6f}, "
           f"C={rep.constant:.4f}")
     print(f"worst observed/allowed ratio: {rep.worst:.4f} (must be <= 1)")
 

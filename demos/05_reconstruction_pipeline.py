@@ -11,6 +11,7 @@ import numpy as np
 from localradon.bumps import hormander_sequence
 from localradon.phantoms import smooth_bump
 from localradon.stability import (
+    A0,
     BoundConstants,
     calibrate_constants,
     stability_curve,
@@ -31,8 +32,8 @@ def main():
 
     base = BoundConstants(c0=f.holder_bound, alpha=1.0)
     consts = calibrate_constants(clean, phi, EPS, GAMMA, 4, base)
-    print(f"calibrated constants: A0={consts.a0:.4f}, "
-          f"C_env={consts.c_env:.4f}")
+    print(f"constants: A0={A0:.4f} (fixed), "
+          f"C_env={consts.c_env:.4f} (calibrated)")
 
     # each row is scored against the mean under the test function its
     # reconstruction used

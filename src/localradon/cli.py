@@ -43,13 +43,7 @@ from .stability import (
     stability_curve,
 )
 from .transform import Sinogram, check_transport_identity, synthesize_sinogram
-from .weights import (
-    constant_weight,
-    field_from_spec,
-    gauss_nodes,
-    weight_from_ab,
-    zero_field,
-)
+from .weights import Weight, constant_weight, field_from_spec, gauss_nodes
 
 
 class ConfigError(Exception):
@@ -148,9 +142,8 @@ SCHEMA = {
         Key("param", POSITIVE._replace(cast=float), 2.0, ("gevrey",)),
         Key("k_max", _whole(0), 14, ("gevrey",)),
     ],
-    "constants": [Key("a0", POSITIVE, 3.0)] + [
-        Key(name, POSITIVE, None) for name in ("c0", "alpha", "c_env",
-                                               "sigma")],
+    "constants": [Key(name, POSITIVE, None)
+                  for name in ("c0", "alpha", "c_env", "sigma")],
     "kernels": [Key("k_max", _whole(1), 4), Key("grid_n", _whole(2), 96)],
 }
 
@@ -277,7 +270,7 @@ def build_weight(cfg: _Values):
         a = field_from_spec(spec["a"])
     with _config_key("weight.b"):
         b = field_from_spec(spec["b"])
-    return weight_from_ab(a, b)
+    return Weight(a, b)
 
 
 def build_test_function(cfg: _Values):
@@ -516,7 +509,7 @@ def cmd_counterexample(cfg, out, seed, quiet):
 def cmd_kernels(cfg, out, seed, quiet):
     m = build_weight(cfg)
     if m.a is None:
-        m = weight_from_ab(zero_field(), zero_field())
+        m = Weight(field_from_spec("zero"), field_from_spec("zero"))
     k_max = cfg["kernels"]["k_max"]
     fam = sjk_family(m.a, m.b, cfg["gamma"], k_max,
                      grid_n=cfg["kernels"]["grid_n"])

@@ -71,7 +71,6 @@ __all__ = [
     "apply_kernel",
     "verify_kernel_bounds",
     "KernelBoundReport",
-    "commutator_check",
     "BETA",
 ]
 
@@ -322,7 +321,6 @@ def apply_kernel(S: KernelJet, g, xi: float, eta_val: float) -> float:
 @dataclass
 class KernelBoundReport:
     constant: float
-    beta: float
     ratios: dict                    # (j, k) -> max bound ratio
     worst: float
 
@@ -357,35 +355,5 @@ def verify_kernel_bounds(fam: KernelFamily, xi: float,
             r = float((vals[tri] / den).max())
             ratios[(j, k)] = r
             worst = max(worst, r)
-    return KernelBoundReport(constant=C, beta=BETA, ratios=ratios, worst=worst)
+    return KernelBoundReport(constant=C, ratios=ratios, worst=worst)
 
-
-def commutator_check(a: AnalyticField, b: AnalyticField, g,
-                     points) -> float:
-    """Residual of ``[D_a, D_b] g = -g (d_eta b + d_xi a)`` with
-    ``D_a = d_eta + a`` and ``D_b = d_xi - b``, for a smooth callable g
-    (central differences, step 1e-4)."""
-    h = 1e-4
-
-    def Da(fn):
-        def out(xi, eta):
-            return (fn(xi, eta + h) - fn(xi, eta - h)) / (2 * h) \
-                + float(a(xi, eta)) * fn(xi, eta)
-        return out
-
-    def Db(fn):
-        def out(xi, eta):
-            return (fn(xi + h, eta) - fn(xi - h, eta)) / (2 * h) \
-                - float(b(xi, eta)) * fn(xi, eta)
-        return out
-
-    lhs_fn = Da(Db(g))
-    rhs_fn = Db(Da(g))
-    worst = 0.0
-    for xi, eta in points:
-        lhs = lhs_fn(xi, eta) - rhs_fn(xi, eta)
-        d_eta_b = (float(b(xi, eta + h)) - float(b(xi, eta - h))) / (2 * h)
-        d_xi_a = float(a.jet(xi, eta, 1).derivative(1))
-        rhs = -g(xi, eta) * (d_eta_b + d_xi_a)
-        worst = max(worst, abs(lhs - rhs))
-    return worst

@@ -18,20 +18,14 @@ from .weights import gauss_nodes
 __all__ = [
     "MomentVector",
     "LegendreSeries",
-    "legendre_poly",
-    "legendre_poly_explicit",
     "legendre_vandermonde",
-    "normalized_legendre",
     "fl_coefficients",
     "moments_to_coefficients",
     "coefficient_bound_check",
-    "tail_bound",
     "normalized_sup_bound",
-    "UNIFORM_HALF_INTERVAL_BOUND",
 ]
 
 MOMENT_MAP_N_CAP = 40
-UNIFORM_HALF_INTERVAL_BOUND = 2.0**0.25 * math.sqrt(3.0 / math.pi)
 
 
 @dataclass
@@ -87,29 +81,6 @@ def _norms(N: int) -> np.ndarray:
     return np.sqrt((2 * np.arange(N + 1) + 1) / 2.0)
 
 
-def legendre_poly(n: int, x):
-    """``P_n(x)``."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    p = legendre_vandermonde(n, x)[..., n]
-    return p if p.shape else float(p)
-
-
-def legendre_poly_explicit(n: int, x):
-    """``P_n`` by the explicit alternating sum; cross-validation only."""
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    for k in range(n // 2 + 1):
-        acc += (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n) \
-            * x ** (n - 2 * k)
-    out = acc / 2**n
-    return out if out.shape else float(out)
-
-
-def normalized_legendre(n: int, x):
-    return legendre_poly(n, x) * math.sqrt((2 * n + 1) / 2.0)
-
-
 def fl_coefficients(g, N: int) -> LegendreSeries:
     """Fourier-Legendre coefficients of a callable by Gauss quadrature."""
     t, w = gauss_nodes(max(4 * N + 40, 160))
@@ -154,13 +125,6 @@ def coefficient_bound_check(m: MomentVector, a: LegendreSeries) -> np.ndarray:
         bound = (4.0 * math.sqrt(2.0)) ** n * running
         ratios[n] = abs(a.coeffs[n]) / bound if bound > 0 else 0.0
     return ratios
-
-
-def tail_bound(N: int, alpha: float, c0: float, a0: float = 3.0) -> float:
-    """Jackson-type tail: ``||g - S_N[g]||_2 <= sqrt(2) a0 c0 (2/N)^alpha``."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return math.sqrt(2.0) * a0 * c0 * (2.0 / N) ** alpha
 
 
 def normalized_sup_bound(n: int) -> float:

@@ -87,22 +87,20 @@ class PhantomSpec:
 
     # -- evaluation -------------------------------------------------------
 
-    def _cutoff(self, x, y):
-        """exp(-1/(y - c x^2)) above the parabola, 0 at or below it."""
-        gap = y - self.support_constant * x * x
-        out = np.zeros_like(gap, dtype=float)
-        pos = gap > 0
-        with np.errstate(over="ignore"):        # subnormal gaps: exp(-inf) = 0
-            out[pos] = np.exp(-1.0 / gap[pos])
-        return out
-
-    def _bump(self, x, y):
+    def _envelope(self, x, y):
+        """``(bump, cutoff)``: ``exp(1 - 1/s)`` with ``s = 1 - r^2`` and
+        ``exp(-1/gap)`` with ``gap = y - c x^2``, both taken only where
+        ``s > 0`` and ``gap > 0`` and 0 elsewhere, where their product is 0
+        anyway."""
         cx, cy = self.center
-        r2 = ((x - cx) ** 2 + (y - cy) ** 2) / self.width**2
-        out = np.zeros_like(r2, dtype=float)
-        inside = r2 < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-        return out
+        s = 1.0 - ((x - cx) ** 2 + (y - cy) ** 2) / self.width**2
+        gap = y - self.support_constant * x * x
+        bump, cutoff = np.zeros_like(s), np.zeros_like(gap)
+        on = (s > 0) & (gap > 0)
+        bump[on] = np.exp(1.0 - 1.0 / s[on])
+        with np.errstate(over="ignore"):        # subnormal gaps: exp(-inf) = 0
+            cutoff[on] = np.exp(-1.0 / gap[on])
+        return bump, cutoff
 
     def _center_norm(self) -> float:
         cx, cy = self.center
@@ -124,7 +122,8 @@ class PhantomSpec:
             if self._poly is not None:
                 cx, cy = self.center
                 scale = scale * polyval2d(x - cx, y - cy, self._poly)
-            out = scale * self._bump(x, y) * self._cutoff(x, y)
+            bump, cutoff = self._envelope(x, y)
+            out = scale * bump * cutoff
             out /= self._center_norm()
             if self.oscillation > 0:
                 out = out * np.cos(self.oscillation * x) / self.oscillation

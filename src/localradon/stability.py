@@ -28,6 +28,7 @@ __all__ = [
     "StabilityReport",
     "MomentAuditReport",
     "Reconstruction",
+    "A0",
     "H_FLOOR",
     "data_norm",
     "moments_from_sinogram_unweighted",
@@ -42,11 +43,13 @@ __all__ = [
     "calibrate_constants",
     "stability_curve",
     "counterexample_experiment",
-    "with_noise",
     "profile_errors",
 ]
 
 H_FLOOR = 1e-14
+# The Jackson constant: the Legendre tail of a g with Hölder data (c0, alpha)
+# is ||g - S_N[g]||_2 <= sqrt(2) A0 c0 (2/N)^alpha
+A0 = 3.0
 WEIGHTED_K_MAX = 6
 
 
@@ -55,29 +58,28 @@ class BoundConstants:
     """Constants entering the reconstruction estimates.
 
     ``c0``/``alpha`` are the phantom's Hölder data (``alpha`` 1: Lipschitz),
-    ``a0`` the Jackson constant, ``c_env`` the envelope constant C in the
-    moment bound (fitted on calibration runs, then frozen), and ``sigma``
-    the Gevrey index of the weight fields: None selects the analytic rule
-    and bound, a value in ``(1, inf)`` the Gevrey ones.
+    ``c_env`` the envelope constant C in the moment bound (fitted on
+    calibration runs, then frozen), and ``sigma`` the Gevrey index of the
+    weight fields: None selects the analytic rule and bound, a value in
+    ``(1, inf)`` the Gevrey ones.  ``M = 4 A0 c0``.
     """
 
     c0: float
     alpha: float = 1.0
-    a0: float = 3.0
     c_env: float = 2.0
     sigma: Optional[float] = None
 
     def __post_init__(self):
         # a NaN fails every comparison, so each value must pass one
         if not all(0 < v < math.inf
-                   for v in (self.c0, self.alpha, self.a0, self.c_env)):
+                   for v in (self.c0, self.alpha, self.c_env)):
             raise ValueError("constants must be finite and positive")
         if self.sigma is not None and not 1 < self.sigma < math.inf:
             raise ValueError(f"sigma must be in (1, inf), not {self.sigma}")
 
     @property
     def M(self) -> float:
-        return 4.0 * self.a0 * self.c0
+        return 4.0 * A0 * self.c0
 
 
 def _check_data(g: Sinogram, eps: float, gamma: float):

@@ -57,6 +57,11 @@ class Sinogram:
         self.values = np.asarray(self.values, dtype=float)
         if np.any(np.diff(self.xi) <= 0) or np.any(np.diff(self.eta) <= 0):
             raise ValueError("sinogram grid must be strictly increasing")
+        grid = (self.xi.size, self.eta.size)
+        for name, cells in (("values", self.values), ("failed", self.failed)):
+            if cells is not None and np.shape(cells) != grid:
+                raise ValueError(f"sinogram {name} have shape "
+                                 f"{np.shape(cells)}, not the grid's {grid}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sinogram contains non-finite values")
 

@@ -22,11 +22,9 @@ from .jets import Jet
 __all__ = [
     "AnalyticField",
     "Weight",
-    "weight_from_ab",
     "constant_weight",
     "pde_residual",
     "field_from_spec",
-    "zero_field",
     "panel_rule",
 ]
 
@@ -119,10 +117,6 @@ def field_from_spec(spec: str) -> AnalyticField:
     return AnalyticField(lambda xi, eta: coef * fn(xi, eta), name=spec)
 
 
-def zero_field() -> AnalyticField:
-    return field_from_spec("zero")
-
-
 @dataclass
 class Weight:
     """Positive weight ``m(x, xi, eta)``: the constant ``level`` when ``a``
@@ -140,10 +134,12 @@ class Weight:
         return f"from_ab({self.a.name},{self.b.name})"
 
     def __call__(self, x, xi, eta):
-        x, xi, eta = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x, xi, eta)))
-        out = np.full(x.shape, self.level) if self.a is None \
-            else self._from_ab(x, xi, eta)
+        if self.a is None:              # only the broadcast shape is needed
+            out = np.full(np.broadcast_shapes(
+                np.shape(x), np.shape(xi), np.shape(eta)), self.level)
+        else:
+            out = self._from_ab(*np.broadcast_arrays(
+                *(np.asarray(v, dtype=float) for v in (x, xi, eta))))
         return out if out.shape else float(out)
 
     def _from_ab(self, x, xi, eta):
@@ -176,11 +172,6 @@ def constant_weight(level: float = 1.0) -> Weight:
     if not 0 < level < np.inf:
         raise ValueError("weight must be positive and finite")
     return Weight(level=level)
-
-
-def weight_from_ab(a: AnalyticField, b: AnalyticField) -> Weight:
-    """Weight solving the transport PDE, equal to 1 on ``xi = 0``."""
-    return Weight(a=a, b=b)
 
 
 def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField,

@@ -5,12 +5,7 @@ from localradon.bumps import gevrey_bump, hormander_sequence
 from localradon.kernels import sjk_family
 from localradon.phantoms import smooth_bump
 from localradon.transform import synthesize_sinogram
-from localradon.weights import (
-    constant_weight,
-    field_from_spec,
-    weight_from_ab,
-    zero_field,
-)
+from localradon.weights import Weight, constant_weight, field_from_spec
 
 EPS = 0.1
 GAMMA = 0.3
@@ -29,7 +24,7 @@ def m_const():
 @pytest.fixture(scope="session")
 def m_exp():
     # m = e^{x xi}: a = 1, b = 0
-    return weight_from_ab(field_from_spec("one"), zero_field())
+    return Weight(field_from_spec("one"), field_from_spec("zero"))
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +66,7 @@ def sino_sym_weighted(f_sym, m_exp):
 @pytest.fixture(scope="session")
 def m_generic():
     # generic xi-dependent fields: d_xi psi and S_{0,1} = Q - d_xi P matter
-    return weight_from_ab(field_from_spec("0.5*sin_xi"),
+    return Weight(field_from_spec("0.5*sin_xi"),
                           field_from_spec("0.5*cos_eta"))
 
 
@@ -106,12 +101,14 @@ def sino_wide(f_main, m_const):
 @pytest.fixture(scope="session")
 def fam_exp():
     # kernels for the m = e^{x xi} weight family
-    return sjk_family(field_from_spec("one"), zero_field(), GAMMA, 6)
+    return sjk_family(field_from_spec("one"), field_from_spec("zero"),
+                      GAMMA, 6)
 
 
 @pytest.fixture(scope="session")
 def fam_zero():
-    return sjk_family(zero_field(), zero_field(), GAMMA, 4)
+    return sjk_family(field_from_spec("zero"), field_from_spec("zero"),
+                      GAMMA, 4)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from localradon.legendre import LegendreSeries
 from localradon.means import mean_profile
 from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
 from localradon.transform import Sinogram
-from localradon.weights import field_from_spec, zero_field
+from localradon.weights import field_from_spec
 
 FROM_AB = {"kind": "from_ab", "a": "one", "b": "zero"}
 BASE_CONFIG = {
@@ -255,8 +255,8 @@ def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
     # the pipeline's family stops there, and calibration stays inside it
     k_max = order_cap(phi12, weighted=True)
     assert k_max == WEIGHTED_K_MAX
-    fam = sjk_family(field_from_spec("one"), zero_field(), 0.3, k_max,
-                     grid_n=24)
+    fam = sjk_family(field_from_spec("one"), field_from_spec("zero"), 0.3,
+                     k_max, grid_n=24)
     _calibrated(_check({}), sino_weighted, f_main, phi12, 0.1, 0.3, fam)
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
     with pytest.raises(KeyError, match="k_max"):
@@ -537,7 +537,9 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     ({"mode": "gevrey"}, "constants.sigma", "reconstruct"),
     ({"constants": {"alpha": math.nan}}, "constants.alpha", "reconstruct"),
     ({"constants": {"c_env": math.inf}}, "constants.c_env", "reconstruct"),
-    ({"constants": {"a0": math.nan}}, "constants.a0", "reconstruct"),
+    # the Jackson constant is stability.A0, not a config key
+    ({"constants": {"a0": 3.0}}, "constants.a0 is not a config key",
+     "reconstruct"),
     ({"constants": {"sigma": 0.5}}, "constants: sigma", "reconstruct"),
     ({"phantom": dict(BASE_CONFIG["phantom"], amplitude=math.nan)},
      "phantom.amplitude", "reconstruct"),
@@ -596,8 +598,8 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
         "noise_levels_text", "level_nan", "level_inf", "coef_nan", "eps_inf",
         "gamma_inf", "tolerance_inf", "noise_sigma_inf", "grid_reversed",
         "grid_n_one", "grid_n_zero", "mode_gevrey", "alpha_nan",
-        "c_env_inf", "a0_nan", "sigma_half", "amplitude_nan", "center_nan",
-        "width_inf", "noise_sgima", "constants_simga", "gama",
+        "c_env_inf", "a0_not_a_key", "sigma_half", "amplitude_nan",
+        "center_nan", "width_inf", "noise_sgima", "constants_simga", "gama",
         "from_ab_without_kind", "hormander_k_max", "smooth_bump_poly",
         "param_bool", "level_bool", "seed_bool", "gevrey_param_text",
         "grid_n_constant_weight", "constants_scalar", "phantom_scalar",

@@ -5,18 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 from localradon.kernels import (
-    BETA,
     KernelJet,
     apply_kernel,
     certified_constant,
-    commutator_check,
     compose,
     interpolation_matrix,
     lobatto_grid,
     sjk_family,
     verify_kernel_bounds,
 )
-from localradon.weights import field_from_spec, zero_field
+from localradon.weights import field_from_spec
 
 GAMMA = 0.3
 
@@ -56,7 +54,7 @@ def test_xi_field_family_closed_form():
     # a = xi, b = 0: psi = exp(xi (eta' - eta)), Q = 0 and d_xi psi =
     # -gap psi, so S_{0,1} = Q - d_xi P = gap psi; the recursion then gives
     # S_{0,2} = gap^3/2 psi, S_{1,2} = 3/2 gap^2 psi and S_{2,2} = gap psi
-    fam = sjk_family(field_from_spec("xi"), zero_field(), GAMMA, 2)
+    fam = sjk_family(field_from_spec("xi"), field_from_spec("zero"), GAMMA, 2)
     eta, gap, tri = lower_triangle(fam)
     xi = 0.12
     base = np.exp(-xi * gap[tri])
@@ -73,7 +71,7 @@ def test_xi_field_family_closed_form():
 
 def test_families_exact_on_small_grid():
     # the spectral composition is exact to rounding already at 24 points
-    fam = sjk_family(field_from_spec("xi"), zero_field(), GAMMA, 2,
+    fam = sjk_family(field_from_spec("xi"), field_from_spec("zero"), GAMMA, 2,
                      grid_n=24)
     eta, gap, tri = lower_triangle(fam)
     xi = 0.12
@@ -84,8 +82,8 @@ def test_families_exact_on_small_grid():
         assert np.abs(fam[(j, k)].values(xi)[tri] - ref * base).max() < 1e-13
     # a = 2 sin(eta): A = 2 cos(gamma) - 2 cos(eta), so
     # psi = exp(2 cos(eta) - 2 cos(eta')) and S_{k,k} = gap^(k-1)/(k-1)! psi
-    fam = sjk_family(field_from_spec("2*sin_eta"), zero_field(), GAMMA, 4,
-                     grid_n=24)
+    fam = sjk_family(field_from_spec("2*sin_eta"), field_from_spec("zero"),
+                     GAMMA, 4, grid_n=24)
     psi = np.exp(2 * np.cos(eta)[:, None] - 2 * np.cos(eta)[None, :])[tri]
     for k in range(1, 5):
         ref = gap[tri] ** (k - 1) / math.factorial(k - 1) * psi
@@ -107,7 +105,7 @@ def test_lobatto_integration_matrix_exact_on_polynomials():
 def test_constant_b_family_closed_form():
     # a = 0, b = 1: psi = 1 and the recursion gives polynomial kernels
     # S_{0,1} = -1, S_{0,2} = gap, S_{1,2} = -2 gap, S_{2,2} = gap
-    fam = sjk_family(zero_field(), field_from_spec("one"), GAMMA, 2)
+    fam = sjk_family(field_from_spec("zero"), field_from_spec("one"), GAMMA, 2)
     eta, gap, tri = lower_triangle(fam)
     xi = 0.2
     assert np.abs(fam[(0, 1)].values(xi)[tri] + 1.0).max() < 1e-11
@@ -124,13 +122,14 @@ def test_family_index_guard(fam_zero):
 
 
 def test_compose_grid_mismatch(fam_zero):
-    other = sjk_family(zero_field(), zero_field(), 0.2, 1)
+    other = sjk_family(field_from_spec("zero"), field_from_spec("zero"),
+                       0.2, 1)
     with pytest.raises(ValueError):
         compose(fam_zero.p, other.p)
 
 
 def test_deriv_xi_shifts_taylor_coefficients():
-    fam = sjk_family(field_from_spec("xi"), zero_field(), GAMMA, 1)
+    fam = sjk_family(field_from_spec("xi"), field_from_spec("zero"), GAMMA, 1)
     d = fam.p.deriv_xi()
     # d_xi exp(xi (eta' - eta)) at xi = 0 equals eta' - eta
     eta = fam.p.eta
@@ -279,7 +278,6 @@ def test_certified_constant_floor(fam_zero):
 def test_kernel_bounds_exp_family(fam_exp):
     rep = verify_kernel_bounds(fam_exp, 0.1, 4)
     assert rep.worst <= 1.0
-    assert rep.beta == BETA
 
 
 def test_kernel_bounds_generic_family(fam_generic):
@@ -287,13 +285,3 @@ def test_kernel_bounds_generic_family(fam_generic):
     assert rep.worst <= 1.0
     assert rep.constant >= 1.0
 
-
-def test_commutator_identity():
-    a = field_from_spec("0.5*sin_xi")
-    b = field_from_spec("0.5*cos_eta")
-
-    def g(xi, eta):
-        return math.exp(0.3 * xi) * math.cos(eta)
-
-    points = [(0.0, 0.1), (0.1, -0.2), (-0.05, 0.25)]
-    assert commutator_check(a, b, g, points) < 1e-6

@@ -10,18 +10,18 @@ from scipy.integrate import quad
 from localradon.legendre import (
     LegendreSeries,
     MomentVector,
-    UNIFORM_HALF_INTERVAL_BOUND,
     coefficient_bound_check,
     fl_coefficients,
-    legendre_poly,
-    legendre_poly_explicit,
     legendre_vandermonde,
     moments_to_coefficients,
-    normalized_legendre,
     normalized_sup_bound,
     parseval_defect,
-    tail_bound,
 )
+
+
+def normalized_legendre(n, x):
+    """``P_n(x) sqrt((2n+1)/2)``, the last column of the Vandermonde."""
+    return legendre_vandermonde(n, x)[..., n] * math.sqrt((2 * n + 1) / 2.0)
 
 
 def poly_moments(coeffs, N):
@@ -35,19 +35,11 @@ def poly_moments(coeffs, N):
     return MomentVector(out)
 
 
-def test_recurrence_matches_explicit():
-    x = np.linspace(-1, 1, 41)
-    for n in range(0, 16):
-        assert np.allclose(legendre_poly(n, x),
-                           legendre_poly_explicit(n, x), atol=1e-10)
-
-
 def test_known_values():
-    assert legendre_poly(2, 0.5) == pytest.approx(-0.125, rel=1e-14)
-    assert legendre_poly(3, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert legendre_poly(4, 0.0) == pytest.approx(3.0 / 8.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        legendre_poly(-1, 0.0)
+    V = legendre_vandermonde(4, np.array([0.5, 1.0, 0.0]))
+    assert V[0, 2] == pytest.approx(-0.125, rel=1e-14)
+    assert V[1, 3] == pytest.approx(1.0, rel=1e-14)
+    assert V[2, 4] == pytest.approx(3.0 / 8.0, rel=1e-14)
 
 
 def test_orthonormality():
@@ -118,16 +110,6 @@ def test_normalized_sup_bound():
         sup = np.abs(normalized_legendre(n, xs)).max()
         assert sup <= normalized_sup_bound(n) + 1e-12
     assert normalized_sup_bound(0) == pytest.approx(1 / math.sqrt(2))
-    assert UNIFORM_HALF_INTERVAL_BOUND == pytest.approx(
-        2.0**0.25 * math.sqrt(3.0 / math.pi), rel=1e-14)
-
-
-def test_tail_bound_monotone():
-    assert tail_bound(10, 1.0, 2.0) < tail_bound(5, 1.0, 2.0)
-    assert tail_bound(4, 1.0, 1.0) == pytest.approx(
-        math.sqrt(2.0) * 3.0 * 0.5, rel=1e-14)
-    with pytest.raises(ValueError):
-        tail_bound(0, 1.0, 1.0)
 
 
 def test_moment_vector_validation():
@@ -140,7 +122,7 @@ def test_moment_vector_validation():
        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_legendre_bounded_by_one(n, x):
-    assert abs(legendre_poly(n, x)) <= 1.0 + 1e-12
+    assert abs(legendre_vandermonde(n, x)[n]) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 7, 40])

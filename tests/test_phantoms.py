@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval2d
 
 from localradon import phantoms
 from localradon.bumps import hormander_sequence
@@ -203,10 +204,63 @@ def test_tabulated_scalar_call_and_mean_profile(f_main):
 
 
 def test_cutoff_subnormal_gap_is_silent():
+    # (0, 5e-324) lies inside the bump's disc, so the cutoff is taken there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = smooth_bump()(np.array([0.0]), np.array([5e-324]))
+        v = smooth_bump(center=(0.0, 0.1))(np.array([0.0]),
+                                           np.array([5e-324]))
     assert v.tolist() == [0.0]
+
+
+def two_factor_product(center, width, amplitude, c, poly, lam, x, y):
+    """``f`` as the bump on every point of its disc times the cutoff on
+    every point above the parabola, each a factor of its own; ``poly`` is
+    the ``polyval2d`` matrix or None."""
+    cx, cy = center
+    r2 = ((x - cx) ** 2 + (y - cy) ** 2) / width**2
+    bump = np.zeros_like(r2)
+    inside = r2 < 1.0
+    bump[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    gap = y - c * x * x
+    cutoff = np.zeros_like(gap)
+    pos = gap > 0
+    with np.errstate(over="ignore"):
+        cutoff[pos] = np.exp(-1.0 / gap[pos])
+    scale = amplitude if poly is None \
+        else amplitude * polyval2d(x - cx, y - cy, poly)
+    out = scale * bump * cutoff
+    out /= np.exp(-1.0 / (cy - c * cx * cx))
+    return out * np.cos(lam * x) / lam if lam > 0 else out
+
+
+@pytest.mark.parametrize("amplitude, triples, lam", [
+    (-1.3, [(0, 0, 1.0), (1, 0, -2.0), (0, 1, 0.5), (2, 1, 3.0)], 0.0),
+    (1.0, [], 0.0),
+    (-0.7, [], 30.0),
+], ids=["negative_polynomial", "bump", "oscillatory"])
+def test_envelope_only_where_both_factors_are_positive(amplitude, triples,
+                                                       lam):
+    # the disc reaches below the parabola y = 1.5 x^2, so the points cover
+    # the disc above it, the disc below it, and both outside the disc
+    center, width, c = (0.1, 0.2), 0.35, 1.5
+    q = smooth_bump(center, width, amplitude, c, poly_coeffs=triples)
+    f = oscillatory_phantom(q, lam) if lam > 0 else q
+    poly = np.zeros((3, 2)) if triples else None
+    for i, j, coef in triples:
+        poly[i, j] = coef
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-0.5, 0.7, 100_000),
+                        np.zeros(5), [1e-170, -1e-170]])
+    y = np.concatenate([rng.uniform(-0.3, 0.7, 100_000),
+                        [5e-324, 1e-310, 2.2e-308, 0.0, -0.0], [0.0, 0.0]])
+    got = f(x, y)
+    ref = two_factor_product(center, width, amplitude, c, poly, lam, x, y)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    zero = ref == 0
+    assert zero.sum() > 50_000
+    assert np.signbit(ref[zero]).any() == (amplitude < 0)
+    assert np.all(got[-7:] == 0.0)
 
 
 @pytest.mark.parametrize("name", ["support_constant", "oscillation"])

@@ -23,9 +23,8 @@ from localradon.stability import (
     reconstruct_slice,
     slice_bound,
     truncation_order,
-    with_noise,
 )
-from localradon.transform import Sinogram, synthesize_sinogram
+from localradon.transform import Sinogram, synthesize_sinogram, with_noise
 from localradon.weights import gauss_nodes, panel_rule
 
 EPS = 0.1
@@ -82,13 +81,12 @@ def test_data_norm_validation():
 
 
 def test_bound_constants_validation():
-    c = BoundConstants(c0=2.0, alpha=1.0, a0=3.0)
+    c = BoundConstants(c0=2.0, alpha=1.0)
     assert c.M == 24.0
     with pytest.raises(ValueError):
         BoundConstants(c0=-1.0, alpha=1.0)
-    for bad in ({"alpha": math.nan}, {"c_env": math.inf}, {"a0": math.nan},
-                {"sigma": 1.0}, {"sigma": 0.5}, {"sigma": math.inf},
-                {"sigma": math.nan}):
+    for bad in ({"alpha": math.nan}, {"c_env": math.inf}, {"sigma": 1.0},
+                {"sigma": 0.5}, {"sigma": math.inf}, {"sigma": math.nan}):
         with pytest.raises(ValueError):
             BoundConstants(**{"c0": 1.0, "alpha": 1.0, **bad})
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -22,12 +23,7 @@ from localradon.transform import (
     radon_moment,
     synthesize_sinogram,
 )
-from localradon.weights import (
-    constant_weight,
-    field_from_spec,
-    weight_from_ab,
-    zero_field,
-)
+from localradon.weights import Weight, constant_weight, field_from_spec
 
 # Frozen line-integral values for the reference phantom under m = 1,
 # computed independently with dense composite Simpson quadrature along
@@ -80,7 +76,7 @@ def test_radon_moment_on_arrays_matches_sinogram(f_main, m_const, m_exp):
 
 @pytest.mark.parametrize("m", [
     constant_weight(),
-    weight_from_ab(field_from_spec("0.5*sin_xi"),
+    Weight(field_from_spec("0.5*sin_xi"),
                    field_from_spec("0.5*cos_eta")),
 ], ids=["constant", "from_ab"])
 @settings(max_examples=20, deadline=None)
@@ -105,7 +101,7 @@ def test_radon_is_linear_in_f(m, c1, c2):
 
 @pytest.mark.parametrize("m", [
     constant_weight(),
-    weight_from_ab(field_from_spec("0.5*sin_xi"),
+    Weight(field_from_spec("0.5*sin_xi"),
                    field_from_spec("0.5*cos_eta")),
 ], ids=["constant", "from_ab"])
 @settings(max_examples=15, deadline=None)
@@ -182,7 +178,7 @@ def test_from_ab_pair_check_runs_only_where_f_is_nonzero():
     # xi.  The chord [0.293, 0.3] of (2.0, -0.5) misses the bump, so its
     # weight is never evaluated and the line is 0; (3.0, 0.3) crosses it
     f = smooth_bump(center=(0.0, 0.45), width=0.3)
-    m = weight_from_ab(field_from_spec("20*sin_xi"), zero_field())
+    m = Weight(field_from_spec("20*sin_xi"), field_from_spec("zero"))
     assert radon(f, m, 2.0, -0.5) == 0.0
     with pytest.raises(ValueError, match="6- and 12-point"):
         radon(f, m, 3.0, 0.3)
@@ -218,7 +214,7 @@ def _quad_line(f, m, xi, eta, tol):
 def _oracle_cases():
     main = smooth_bump(center=(0.0, 0.45), width=0.3)
     q = smooth_bump(center=(0.0, 0.5), width=0.4)
-    generic = weight_from_ab(field_from_spec("0.5*sin_xi"),
+    generic = Weight(field_from_spec("0.5*sin_xi"),
                              field_from_spec("0.5*cos_eta"))
     # (phantom, weight, xi grid, eta grid, tol, extra cells); on the extra
     # lambda = 10 line (xi 0.25, eta 0.35) scipy quad asked for 1e-9
@@ -283,6 +279,19 @@ def test_sinogram_validation():
     with pytest.raises(ValueError):
         Sinogram(xi=np.array([0.0, 0.1]), eta=np.array([0.0, 0.1]),
                  values=np.array([[0.0, np.nan], [0.0, 0.0]]))
+    # mis-shaped values or masks would otherwise fail later, in the spline
+    xi, eta = np.linspace(-0.1, 0.1, 5), np.linspace(0.0, 0.3, 7)
+    for values in (np.zeros((7, 5)), np.zeros(35)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"values have shape {values.shape}, not the grid's (5, 7)")):
+            Sinogram(xi=xi, eta=eta, values=values)
+    with pytest.raises(ValueError, match=re.escape(
+            "failed have shape (7, 5), not the grid's (5, 7)")):
+        Sinogram(xi=xi, eta=eta, values=np.zeros((5, 7)),
+                 failed=np.zeros((7, 5), dtype=bool))
+    g = Sinogram(xi=xi, eta=eta, values=np.zeros((5, 7)),
+                 failed=np.zeros((5, 7), dtype=bool))
+    assert g.values.shape == g.failed.shape == (5, 7)
 
 
 def test_sinogram_interpolant_matches_samples(sino_clean):
@@ -336,6 +345,6 @@ def test_moment_identity(f_main):
 
 def test_transport_identity(f_main, m_exp):
     a = field_from_spec("one")
-    b = zero_field()
+    b = field_from_spec("zero")
     points = [(0.0, 0.4), (0.04, 0.35), (-0.06, 0.45)]
     assert check_transport_identity(f_main, m_exp, a, b, points) < 1e-6

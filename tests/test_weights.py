@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from localradon.weights import (
+    Weight,
     _FIELD_REGISTRY,
     constant_weight,
     field_from_spec,
     gauss_nodes,
     panel_rule,
     pde_residual,
-    weight_from_ab,
-    zero_field,
 )
 
 POINTS = [(0.2, 0.1, 0.3), (-0.3, -0.05, 0.25), (0.4, 0.12, 0.1),
@@ -64,14 +63,14 @@ def test_exp_weight_closed_form(m_exp):
 
 def test_from_ab_satisfies_pde(m_exp):
     a = field_from_spec("one")
-    b = zero_field()
+    b = field_from_spec("zero")
     assert pde_residual(m_exp, a, b, POINTS) < 1e-8
 
 
 def test_from_ab_generic_pde():
     a = field_from_spec("0.5*sin_xi")
     b = field_from_spec("0.5*cos_eta")
-    m = weight_from_ab(a, b)
+    m = Weight(a, b)
     assert pde_residual(m, a, b, POINTS) < 1e-7
     # the Cauchy data on xi = 0 defaults to 1
     assert m(0.3, 0.0, 0.2) == pytest.approx(1.0, rel=1e-13)
@@ -80,7 +79,7 @@ def test_from_ab_generic_pde():
 def test_from_ab_b_only_closed_form():
     # a = 0, b = cos(eta): m = exp(int_0^xi cos(eta + x(xi - s)) ds)
     b = field_from_spec("cos_eta")
-    m = weight_from_ab(zero_field(), b)
+    m = Weight(field_from_spec("zero"), b)
     x, xi, eta = 0.25, 0.15, 0.3
     expo = (math.sin(eta + x * xi) - math.sin(eta)) / x
     assert m(x, xi, eta) == pytest.approx(math.exp(expo), rel=1e-11)
@@ -91,7 +90,7 @@ def test_from_ab_b_only_closed_form():
 def test_from_ab_matches_24_point_exponent(a, b):
     # the kept 12-point exponent against 24 Gauss nodes on [0, xi]
     fa, fb = field_from_spec(a), field_from_spec(b)
-    m = weight_from_ab(fa, fb)
+    m = Weight(fa, fb)
     x, xi, eta = (v.ravel() for v in np.meshgrid(
         np.linspace(-1.5, 1.5, 13), np.linspace(-1.0, 1.0, 11),
         np.linspace(-0.35, 1.2, 5), indexing="ij"))
@@ -106,7 +105,7 @@ def test_from_ab_matches_24_point_exponent(a, b):
 def test_from_ab_refuses_unresolved_exponent():
     # sin(s) over s in [0, 3] scaled by 20: the 6- and 12-point exponents
     # differ by 1.4e-10 relative, so no value is returned
-    m = weight_from_ab(field_from_spec("20*sin_xi"), zero_field())
+    m = Weight(field_from_spec("20*sin_xi"), field_from_spec("zero"))
     with pytest.raises(ValueError, match="6- and 12-point"):
         m(1.0, 3.0, 0.3)
     assert m(1.0, 0.3, 0.3) == pytest.approx(
@@ -119,8 +118,10 @@ def test_weight_on_empty_input(m_exp, m_generic, shape):
     # block of panels or rows misses the phantom
     empty = np.empty(shape)
     for m in (constant_weight(2.0), m_exp, m_generic):
-        out = m(empty, empty, 0.3)
-        assert isinstance(out, np.ndarray) and out.shape == shape
+        for args in ((empty, empty, 0.3), (0.2, empty, 0.3),
+                     (empty, 0.1, [0.3])):
+            out = m(*args)
+            assert isinstance(out, np.ndarray) and out.shape == shape
 
 
 def test_weight_broadcasts(m_exp):
@@ -128,6 +129,17 @@ def test_weight_broadcasts(m_exp):
     out = m_exp(x, 0.1, 0.2)
     assert out.shape == (7,)
     assert np.allclose(out, np.exp(0.1 * x), rtol=1e-12)
+    xi = np.array([[0.0], [0.1], [-0.2]])
+    assert np.allclose(m_exp(x, xi, 0.2), np.exp(xi * x), rtol=1e-12)
+    # the constant weight forms only the broadcast shape of its arguments
+    const = constant_weight(2.0)
+    assert np.array_equal(const(x, xi, 0.2), np.full((3, 7), 2.0))
+    assert np.array_equal(const(0.1, xi, [[0.2]]), np.full((3, 1), 2.0))
+    assert const(0.1, 0.2, 0.3) == 2.0 and isinstance(const(0.1, 0.2, 0.3),
+                                                      float)
+    for m in (const, m_exp):
+        with pytest.raises(ValueError):
+            m(x, np.zeros(3), 0.2)
 
 
 @st.composite
