@@ -26,7 +26,6 @@ from .weights import Weight, constant_weight, panel_rule
 __all__ = [
     "BoundConstants",
     "StabilityReport",
-    "MomentAuditReport",
     "Reconstruction",
     "A0",
     "H_FLOOR",
@@ -36,6 +35,7 @@ __all__ = [
     "truncation_order",
     "order_cap",
     "reconstruct_mean",
+    "slice_eps",
     "reconstruct_slice",
     "mean_bound",
     "slice_bound",
@@ -57,9 +57,9 @@ WEIGHTED_K_MAX = 6
 class BoundConstants:
     """Constants entering the reconstruction estimates.
 
-    ``c0``/``alpha`` are the phantom's Hölder data (``alpha`` 1: Lipschitz),
-    ``c_env`` the envelope constant C in the moment bound (fitted on
-    calibration runs, then frozen), and ``sigma`` the Gevrey index of the
+    ``c0``/``alpha`` are the phantom's Hölder data (``alpha`` in (0, 1], 1:
+    Lipschitz), ``c_env`` the envelope constant C in the moment bound (set
+    only by ``calibrate_constants``), and ``sigma`` the Gevrey index of the
     weight fields: None selects the analytic rule and bound, a value in
     ``(1, inf)`` the Gevrey ones.  ``M = 4 A0 c0``.
     """
@@ -71,9 +71,10 @@ class BoundConstants:
 
     def __post_init__(self):
         # a NaN fails every comparison, so each value must pass one
-        if not all(0 < v < math.inf
-                   for v in (self.c0, self.alpha, self.c_env)):
+        if not all(0 < v < math.inf for v in (self.c0, self.c_env)):
             raise ValueError("constants must be finite and positive")
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must be in (0, 1], not {self.alpha}")
         if self.sigma is not None and not 1 < self.sigma < math.inf:
             raise ValueError(f"sigma must be in (1, inf), not {self.sigma}")
 
@@ -307,44 +308,41 @@ def reconstruct_slice(
     eps0: float,
     fam: Optional[KernelFamily] = None,
 ) -> Reconstruction:
-    """Slice estimate ``f(., gamma)`` (or ``f m_gamma``): pick eps in
-    ``[1/log(M/H), 2/log(M/H)]``, require the window below eps0, then
-    reconstruct the mean at that eps (``profile.eps``) under the slice
-    bound."""
-    H0 = max(data_norm(g, eps0, gamma), H_FLOOR)
-    t = math.log(consts.M / H0)
-    if t <= 0 or 2.0 / t >= eps0:
-        raise ValueError("H too large for eps-selection rule")
-    rec = reconstruct_mean(g, phi, 1.5 / t, gamma, consts, fam=fam)
+    """Slice estimate ``f(., gamma)`` (or ``f m_gamma``): the mean at
+    ``slice_eps`` (``profile.eps``) under the slice bound."""
+    rec = reconstruct_mean(g, phi, slice_eps(g, gamma, consts, eps0), gamma,
+                           consts, fam=fam)
     return replace(rec, bound=slice_bound(rec.H, consts))
 
 
-@dataclass
-class MomentAuditReport:
-    fitted_c: float
-    ratios: np.ndarray
+def slice_eps(g: Sinogram, gamma: float, consts: BoundConstants,
+              eps0: float) -> float:
+    """The eps of the slice estimate, ``1.5/log(M/H0)`` with ``H0`` the data
+    norm at ``eps0``: in ``[1/log(M/H0), 2/log(M/H0)]``, with the window
+    required below eps0.  Only ``consts.c0`` enters."""
+    t = math.log(consts.M / max(data_norm(g, eps0, gamma), H_FLOOR))
+    if t <= 0 or 2.0 / t >= eps0:
+        raise ValueError("H too large for eps-selection rule")
+    return 1.5 / t
 
 
 def moment_bound_audit(
     g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
     consts: BoundConstants, fam: Optional[KernelFamily] = None,
-) -> MomentAuditReport:
-    """Audit ``|m_k| <= (C/eps)^(k+1) env_k H`` with ``env_k = e^N``
-    (analytic) or ``k!^(sigma - 1)`` (Gevrey); C is fitted as the smallest
-    constant making every ratio at most one, and reported for reuse."""
+) -> float:
+    """The smallest C (floored at 1e-30) with ``|m_k| <= (C/eps)^(k+1)
+    env_k H`` for every ``k <= N`` on the moments of ``g``, where ``env_k =
+    e^N`` (analytic) or ``k!^(sigma - 1)`` (Gevrey)."""
     H = max(data_norm(g, eps, gamma), H_FLOOR)
     moments = _moments_of(g, fam, phi, eps, gamma, N)
-    ks = np.arange(N + 1)
     if consts.sigma is None:
         env = np.full(N + 1, math.exp(N))
     else:
-        env = np.array([math.factorial(k) for k in ks],
+        env = np.array([math.factorial(k) for k in range(N + 1)],
                        dtype=float) ** (consts.sigma - 1.0)
     base = np.abs(moments.values) / (env * H)
-    fitted_c = float(max(base[k] ** (1.0 / (k + 1)) for k in ks)) * eps
-    fitted_c = max(fitted_c, 1e-30)
-    ratios = np.abs(moments.values) / ((fitted_c / eps) ** (ks + 1) * env * H)
-    return MomentAuditReport(fitted_c=fitted_c, ratios=ratios)
+    fitted = float(max(base[k] ** (1.0 / (k + 1)) for k in range(N + 1)))
+    return max(fitted * eps, 1e-30)
 
 
 def calibrate_constants(
@@ -362,11 +360,10 @@ def calibrate_constants(
     arbitrary data (noise included), not just for ``g``.  A second floor
     ``e * eps`` keeps the truncation rule's ``log(C/eps)`` positive.
     """
-    rep = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam)
-    C_phi = verify_derivative_bounds(
-        phi, min(N, phi.derivative_order_max)).certified_constant
+    fitted = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam)
+    C_phi = verify_derivative_bounds(phi, min(N, phi.derivative_order_max))
     floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)
-    return replace(consts, c_env=max(rep.fitted_c, floor, math.e * eps))
+    return replace(consts, c_env=max(fitted, floor, math.e * eps))
 
 
 def profile_errors(est: MeanProfile, ref: MeanProfile):

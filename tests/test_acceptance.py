@@ -39,6 +39,7 @@ from localradon.transform import (
 )
 from localradon.weights import Weight, field_from_spec, gauss_nodes
 
+from test_bumps import order_constants
 from test_kernels import MatrixOracle
 
 EPS = 0.1
@@ -172,13 +173,20 @@ def test_04_legendre_suite():
 
 def test_05_test_function_certification():
     """Derivative-growth envelopes for both bump families."""
+    # Hörmander: sound on the knots and on Chebyshev points denser than
+    # the certificate's grid everywhere, and minimal there
+    cheb = np.cos(np.pi * (np.arange(10001) + 0.5) / 10001)
     for N in range(1, 25):
-        rep = verify_derivative_bounds(hormander_sequence(N), N)
-        assert rep.ratios.max() <= 1.0 + 1e-12, N
+        phi = hormander_sequence(N)
+        C = verify_derivative_bounds(phi, N)
+        ref = order_constants(phi, N, np.append(cheb, phi.breakpoints))
+        assert 0.999 * C < ref.max() <= C * (1 + 1e-12), N
+    # Gevrey: minimal on the certificate's grid
+    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 1501)
     for sigma in (1.5, 2.0, 3.0):
         phi = gevrey_bump(sigma, derivative_order_max=12)
-        rep = verify_derivative_bounds(phi, 12, grid_n=1501)
-        assert rep.ratios.max() <= 1.0 + 1e-12, sigma
+        C = verify_derivative_bounds(phi, 12, grid_n=1501)
+        assert order_constants(phi, 12, xs).max() > 0.999 * C, sigma
 
 
 def _sweep(clean, f, m, phi, consts, fam=None):

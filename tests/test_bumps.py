@@ -12,6 +12,18 @@ from localradon.bumps import (
 )
 
 
+def order_constants(tf, k_max, xs):
+    """For each ``k <= k_max`` the least C with ``|phi^(k)| <= C^(k+1)
+    rate_k`` on ``xs``, ``rate_k = N^k`` (Hörmander) or ``k!^sigma``
+    (Gevrey).  A certificate C is sound on ``xs`` when no entry exceeds it,
+    and minimal when one exceeds 0.999 C."""
+    ks = np.arange(k_max + 1)
+    rates = float(tf.param) ** ks if tf.kind == "hormander" else np.array(
+        [math.factorial(k) for k in ks], dtype=float) ** tf.param
+    sups = np.array([np.abs(tf.derivative_values(xs, k)).max() for k in ks])
+    return (sups / rates) ** (1.0 / (ks + 1))
+
+
 def mass(fn):
     val, _ = quad(fn, -1.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
@@ -77,12 +89,22 @@ def test_hormander_derivative_integrates_back(phi12):
 
 
 def test_hormander_certification(phi12):
-    rep = verify_derivative_bounds(phi12, 12)
-    assert rep.ratios.max() <= 1.0 + 1e-12
-    # the certificate is the smallest constant: the worst ratio is one
-    assert rep.ratios.max() == pytest.approx(1.0, rel=1e-12)
-    assert rep.certified_constant > 0
+    # sound on the knots and on a denser grid, and minimal there
+    C = verify_derivative_bounds(phi12, 12)
+    xs = np.append(np.cos(np.pi * (np.arange(10001) + 0.5) / 10001),
+                   phi12.breakpoints)
+    assert 0.999 * C < order_constants(phi12, 12, xs).max() \
+        <= C * (1 + 1e-12)
     assert not hasattr(phi12, "certified_constant")
+
+
+def test_hormander_certificate_reaches_the_knots():
+    # phi_1' is piecewise linear and peaks at 9/4 on the knots +-1/3, which
+    # the uniform grid steps over; C = max(9/8, sqrt(9/4)) = 3/2 exactly
+    phi = hormander_sequence(1)
+    assert float(phi.derivative_values(1.0 / 3.0, 1)) == pytest.approx(
+        -2.25, rel=1e-14)
+    assert verify_derivative_bounds(phi, 1) == 1.5
 
 
 def test_gevrey_unit_mass_and_frozen_value(phi_gevrey2):
@@ -134,8 +156,12 @@ def test_gevrey_derivatives_match_pointwise_cauchy_loop():
 
 
 def test_gevrey_certification(phi_gevrey2):
-    rep = verify_derivative_bounds(phi_gevrey2, 12)
-    assert rep.ratios.max() <= 1.0 + 1e-12
+    # sound and minimal on its own grid only: a denser grid finds higher
+    # peaks near +-1 (1.6e-7 relative for sigma = 2, order 12)
+    C = verify_derivative_bounds(phi_gevrey2, 12)
+    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+    assert 0.999 * C < order_constants(phi_gevrey2, 12, xs).max() \
+        <= C * (1 + 1e-12)
 
 
 def test_derivative_order_guard(phi12):

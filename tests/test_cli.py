@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from localradon.cli import (
     ConfigError,
     _ConfigLoader,
-    _calibrated,
     _check,
     _config_hash,
     build_constants,
@@ -30,13 +29,11 @@ from localradon.cli import (
 )
 import localradon
 from localradon import cli, phantoms
-from localradon.bumps import hormander_sequence
-from localradon.kernels import sjk_family
+from localradon.bumps import hormander_sequence, verify_derivative_bounds
 from localradon.legendre import LegendreSeries
 from localradon.means import mean_profile
 from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
 from localradon.transform import Sinogram
-from localradon.weights import field_from_spec
 
 FROM_AB = {"kind": "from_ab", "a": "one", "b": "zero"}
 BASE_CONFIG = {
@@ -250,32 +247,49 @@ def test_constants_sigma_selects_the_gevrey_rule(tmp_path):
     assert res["N"] >= 1 and res["l2_error"] <= res["bound"]
 
 
-def test_calibration_obeys_weighted_cap(sino_weighted, f_main, phi12):
+def calibrations(monkeypatch):
+    """The ``(N, eps)`` of every calibration the CLI runs from now on."""
+    calls, calibrate = [], cli.calibrate_constants
+
+    def spy(g, phi, eps, gamma, N, consts, fam=None):
+        calls.append((N, eps))
+        return calibrate(g, phi, eps, gamma, N, consts, fam=fam)
+
+    monkeypatch.setattr(cli, "calibrate_constants", spy)
+    return calls
+
+
+PHI12 = {"test_function": {"kind": "hormander", "param": 12}}
+
+
+def test_calibration_obeys_weighted_cap(monkeypatch, phi12):
     # phi12 allows N = 12, but a weighted run may not pass WEIGHTED_K_MAX:
     # the pipeline's family stops there, and calibration stays inside it
-    k_max = order_cap(phi12, weighted=True)
-    assert k_max == WEIGHTED_K_MAX
-    fam = sjk_family(field_from_spec("one"), field_from_spec("zero"), 0.3,
-                     k_max, grid_n=24)
-    _calibrated(_check({}), sino_weighted, f_main, phi12, 0.1, 0.3, fam)
+    assert order_cap(phi12, weighted=True) == WEIGHTED_K_MAX
+    calls = calibrations(monkeypatch)
+    fam = cli._pipeline(_check(dict(BASE_CONFIG, weight=FROM_AB,
+                                    kernels={"grid_n": 24}, **PHI12)),
+                        3, 0.1)[5]
+    assert calls == [(WEIGHTED_K_MAX, 0.1)]
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
     with pytest.raises(KeyError, match="k_max"):
         fam[(0, WEIGHTED_K_MAX + 1)]
 
 
-def test_calibration_at_the_pipelines_order(monkeypatch, sino_clean, f_main,
-                                           phi12):
+def test_calibration_at_the_pipelines_order(monkeypatch, phi12):
     # an unweighted phi12 run may reconstruct up to N = 12, so calibration,
     # and the C_phi it certifies, must reach N = 12 too
-    orders, calibrate = [], cli.calibrate_constants
+    calls = calibrations(monkeypatch)
+    cli._pipeline(_check(dict(BASE_CONFIG, **PHI12)), 3, 0.1)
+    assert calls == [(order_cap(phi12, weighted=False), 0.1)] == [(12, 0.1)]
 
-    def spy(g, phi, eps, gamma, N, consts, fam=None):
-        orders.append(N)
-        return calibrate(g, phi, eps, gamma, N, consts, fam=fam)
 
-    monkeypatch.setattr(cli, "calibrate_constants", spy)
-    _calibrated(_check({}), sino_clean, f_main, phi12, 0.1, 0.3, None)
-    assert orders == [order_cap(phi12, weighted=False)] == [12]
+def test_slice_calibrates_at_its_eps(tmp_path, monkeypatch):
+    # slice reconstructs at the eps its rule picks from the data, and the
+    # envelope constant is calibrated at that same eps
+    calls = calibrations(monkeypatch)
+    _, res = run_cli(tmp_path, "slice", SLICE)
+    assert [eps for _, eps in calls] == [res["eps"]]
 
 
 @pytest.mark.parametrize("subcommand, overrides, reads", [
@@ -369,6 +383,9 @@ def test_cli_verify(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     assert report["ok"]
     assert report["results"]["zero_data"] == 0.0
+    # the test function's certified constant, at the pipeline's order cap
+    assert report["results"]["phi_constant"] == verify_derivative_bounds(
+        hormander_sequence(8), 8) > 0
 
 
 def test_cli_verify_fails_a_wrong_legendre_map(tmp_path, monkeypatch):
@@ -536,7 +553,11 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     # constants.sigma, not a mode key, selects the Gevrey rule
     ({"mode": "gevrey"}, "constants.sigma", "reconstruct"),
     ({"constants": {"alpha": math.nan}}, "constants.alpha", "reconstruct"),
-    ({"constants": {"c_env": math.inf}}, "constants.c_env", "reconstruct"),
+    # a Hölder exponent above 1 would lower the bound
+    ({"constants": {"alpha": 2.0}}, "constants.alpha", "reconstruct"),
+    # the envelope constant is always calibrated, never configured
+    ({"constants": {"c_env": 3.0}}, "constants.c_env is not a config key",
+     "reconstruct"),
     # the Jackson constant is stability.A0, not a config key
     ({"constants": {"a0": 3.0}}, "constants.a0 is not a config key",
      "reconstruct"),
@@ -598,7 +619,7 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
         "noise_levels_text", "level_nan", "level_inf", "coef_nan", "eps_inf",
         "gamma_inf", "tolerance_inf", "noise_sigma_inf", "grid_reversed",
         "grid_n_one", "grid_n_zero", "mode_gevrey", "alpha_nan",
-        "c_env_inf", "a0_not_a_key", "sigma_half", "amplitude_nan",
+        "alpha_two", "c_env_not_a_key", "a0_not_a_key", "sigma_half", "amplitude_nan",
         "center_nan", "width_inf", "noise_sgima", "constants_simga", "gama",
         "from_ab_without_kind", "hormander_k_max", "smooth_bump_poly",
         "param_bool", "level_bool", "seed_bool", "gevrey_param_text",

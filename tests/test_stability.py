@@ -1,10 +1,16 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from localradon.bumps import gevrey_bump, verify_derivative_bounds
+from localradon.bumps import (
+    gevrey_bump,
+    hormander_sequence,
+    verify_derivative_bounds,
+)
+from localradon.kernels import sjk_family
 from localradon.legendre import MomentVector
 from localradon.means import mean_profile
 from localradon.stability import (
@@ -18,6 +24,7 @@ from localradon.stability import (
     moment_bound_audit,
     moments_from_sinogram_unweighted,
     moments_from_sinogram_weighted,
+    order_cap,
     profile_errors,
     reconstruct_mean,
     reconstruct_slice,
@@ -25,7 +32,7 @@ from localradon.stability import (
     truncation_order,
 )
 from localradon.transform import Sinogram, synthesize_sinogram, with_noise
-from localradon.weights import gauss_nodes, panel_rule
+from localradon.weights import field_from_spec, gauss_nodes, panel_rule
 
 EPS = 0.1
 GAMMA = 0.3
@@ -85,8 +92,12 @@ def test_bound_constants_validation():
     assert c.M == 24.0
     with pytest.raises(ValueError):
         BoundConstants(c0=-1.0, alpha=1.0)
-    for bad in ({"alpha": math.nan}, {"c_env": math.inf}, {"sigma": 1.0},
-                {"sigma": 0.5}, {"sigma": math.inf}, {"sigma": math.nan}):
+    assert BoundConstants(c0=1.0, alpha=0.5).alpha == 0.5
+    # a Hölder exponent lies in (0, 1]; a larger one would lower the bound
+    for bad in ({"alpha": math.nan}, {"alpha": 0.0}, {"alpha": 1.5},
+                {"alpha": 2.0}, {"alpha": math.inf}, {"c_env": math.inf},
+                {"sigma": 1.0}, {"sigma": 0.5}, {"sigma": math.inf},
+                {"sigma": math.nan}):
         with pytest.raises(ValueError):
             BoundConstants(**{"c0": 1.0, "alpha": 1.0, **bad})
 
@@ -221,16 +232,50 @@ def test_reconstruct_mean_accuracy(sino_clean, f_main, phi12):
 
 
 def test_moment_audit_ratios(sino_clean, phi12, f_main):
-    consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    rep = moment_bound_audit(sino_clean, phi12, EPS, GAMMA, 4, consts)
-    assert np.all(rep.ratios <= 1.0 + 1e-12)
-    assert rep.fitted_c > 0
+    # at the fitted C every |m_k| lies under its envelope (C/eps)^(k+1)
+    # env_k H, env_k = e^N (analytic) or k! (Gevrey sigma = 2), and at
+    # 0.999 C some |m_k| does not: the constant is sound and minimal
+    m = np.abs(moments_from_sinogram_unweighted(sino_clean, phi12, EPS,
+                                                GAMMA, 4).values)
+    H = data_norm(sino_clean, EPS, GAMMA)
+    ks = np.arange(5)
+    for sigma, env in ((None, np.full(5, math.exp(4))),
+                       (2.0, np.array([1.0, 1.0, 2.0, 6.0, 24.0]))):
+        consts = BoundConstants(c0=f_main.holder_bound, sigma=sigma)
+        C = moment_bound_audit(sino_clean, phi12, EPS, GAMMA, 4, consts)
+        assert np.all(m <= (C / EPS) ** (ks + 1) * env * H * (1 + 1e-12))
+        assert np.any(m > (0.999 * C / EPS) ** (ks + 1) * env * H)
+
+
+def test_noise_audit_stays_under_the_proof_floor(phi_gevrey2):
+    # the proof floor sqrt(2) C_phi max(2 gamma, 1) bounds the moments of
+    # any data: on pure noise the fitted constant (0.2 to 0.7) stays under
+    # it (2.3 to 3.1), so a C_phi that certified too little would show
+    xi, eta = np.linspace(-0.13, 0.13, 41), np.linspace(-0.35, 0.35, 29)
+    fams = [None] + [
+        sjk_family(field_from_spec(a), field_from_spec(b), GAMMA,
+                   order_cap(phi_gevrey2, weighted=True), grid_n=48,
+                   rows=[-1])
+        for a, b in (("0.5*sin_xi", "0.5*cos_eta"),
+                     ("2.0*exp_xi", "2.0*xi_eta"))]
+    for phi in (hormander_sequence(4), hormander_sequence(8), phi_gevrey2):
+        floor = {N: math.sqrt(2.0) * verify_derivative_bounds(phi, N)
+                 * max(2 * GAMMA, 1.0)
+                 for N in {order_cap(phi, w) for w in (False, True)}}
+        for fam, (seed, sigma) in itertools.product(
+                fams, enumerate((None, 2.0))):
+            N = order_cap(phi, weighted=fam is not None)
+            g = Sinogram(xi=xi, eta=eta, values=np.random.default_rng(
+                seed).normal(size=(xi.size, eta.size)))
+            consts = BoundConstants(c0=1.0, sigma=sigma)
+            assert moment_bound_audit(g, phi, EPS, GAMMA, N, consts,
+                                      fam=fam) < floor[N]
 
 
 def test_calibrate_floors(sino_clean, phi12, f_main):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     cal = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, consts)
-    C_phi = verify_derivative_bounds(phi12, 4).certified_constant
+    C_phi = verify_derivative_bounds(phi12, 4)
     floor = math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
     assert cal.c_env >= floor - 1e-12
     assert cal.c_env >= math.e * EPS
@@ -244,8 +289,8 @@ def test_calibration_certifies_its_own_order(sino_clean, f_main):
     fresh = calibrate_constants(sino_clean, gevrey_bump(2.0, 14), EPS,
                                 GAMMA, 1, consts)
     phi = gevrey_bump(2.0, 14)
-    C_phi = verify_derivative_bounds(phi, 1).certified_constant
-    assert verify_derivative_bounds(phi, 0).certified_constant < C_phi
+    C_phi = verify_derivative_bounds(phi, 1)
+    assert verify_derivative_bounds(phi, 0) < C_phi
     again = calibrate_constants(sino_clean, phi, EPS, GAMMA, 1, consts)
     assert again.c_env == fresh.c_env
     assert fresh.c_env >= math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
