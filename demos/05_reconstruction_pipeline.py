@@ -31,7 +31,7 @@ def main():
     clean = synthesize_sinogram(f, constant_weight(), xi, eta, tol=1e-10)
 
     base = BoundConstants(c0=f.holder_bound, alpha=1.0)
-    consts = calibrate_constants(clean, phi, EPS, GAMMA, 4, base)
+    consts = calibrate_constants(phi, EPS, GAMMA, 4, base)
     print(f"constants: A0={A0:.4f} (fixed), "
           f"C_env={consts.c_env:.4f} (calibrated)")
 

@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -157,8 +158,9 @@ it is read) and [the kinds of its section that read it]:
 {}
 constants.c0 defaults to the phantom's Lipschitz bound, computed when first
 read, and .alpha to 1; sigma > 1 selects the Gevrey rule.  The envelope
-constant c_env is not a config key: it is always calibrated, at the order
-the pipeline allows.  weight.a and .b are field specs such as "0.5*sin_xi".
+constant c_env is not a config key: it is the proof floor of the test
+function at the order the pipeline allows, and a run whose moments exceed
+it fails.  weight.a and .b are field specs such as "0.5*sin_xi".
 Only the kernels subcommand reads kernels.k_max.  A line integral stops
 when its error estimate is at most max(tolerance, tolerance*|value|).  An
 exponent needs no dot: 1e-8.
@@ -418,9 +420,9 @@ def _pipeline(cfg, seed, eps=None):
     """What ``reconstruct``, ``slice`` and ``sweep`` share: the data, gamma,
     test function, the top rows of the ``S_{j,k}`` family of a ``from_ab``
     weight (None for a constant) to the weighted order cap, the deepest
-    level that calibration and reconstruction read, and the constants
-    calibrated at ``eps`` (None: the ``slice_eps`` of ``eps0``) to the order
-    the pipeline allows."""
+    level that reconstruction reads, and the constants calibrated at
+    ``eps`` (None: the ``slice_eps`` of ``eps0``) to the order the pipeline
+    allows."""
     f, m, g = _sinogram_from_config(cfg, seed)
     gamma, phi = cfg["gamma"], build_test_function(cfg)
     fam = None if m.a is None else sjk_family(
@@ -429,10 +431,27 @@ def _pipeline(cfg, seed, eps=None):
     consts = build_constants(cfg, f)
     if eps is None:
         eps = slice_eps(g, gamma, consts, cfg["eps0"])
-    consts = calibrate_constants(g, phi, eps, gamma,
+    consts = calibrate_constants(phi, eps, gamma,
                                  order_cap(phi, weighted=fam is not None),
-                                 consts, fam=fam)
+                                 consts)
     return f, m, g, gamma, phi, fam, consts
+
+
+def _scored(name, path, rec, truth, quiet):
+    """Write the estimate of ``rec`` and its ``truth`` to ``path`` and
+    refuse an L2 error over the bound; returns the manifest results."""
+    prof = rec.profile
+    l2, sup = profile_errors(prof, replace(prof, values=truth))
+    _write_rows_csv(path, ["x", "estimate", "truth"],
+                    [{"x": x, "estimate": v, "truth": t}
+                     for x, v, t in zip(prof.x, prof.values, truth)])
+    if not quiet:
+        print(f"eps={prof.eps:.4f} N={rec.N} H={rec.H:.3e} l2={l2:.3e} "
+              f"bound={rec.bound:.3e}")
+    if l2 > rec.bound:
+        raise RuntimeError(f"{name}: error exceeds the estimate bound")
+    return {"H": rec.H, "N": rec.N, "l2_error": l2, "sup_error_half": sup,
+            "bound": rec.bound}
 
 
 def cmd_reconstruct(cfg, out, seed, quiet):
@@ -441,32 +460,20 @@ def cmd_reconstruct(cfg, out, seed, quiet):
     rec = reconstruct_mean(g, phi, eps, gamma, consts, fam=fam)
     true = mean_profile(f, m, rec.profile.test_function, eps, gamma,
                         x_grid=rec.profile.x)
-    l2, sup = profile_errors(rec.profile, true)
     path = out / "reconstruction.csv"
-    _write_rows_csv(path, ["x", "estimate", "truth"],
-                    [{"x": x, "estimate": v, "truth": t} for x, v, t in
-                     zip(rec.profile.x, rec.profile.values, true.values)])
-    extra = {"H": rec.H, "N": rec.N, "l2_error": l2, "sup_error_half": sup,
-             "bound": rec.bound, "c_env": consts.c_env}
-    if not quiet:
-        print(f"N={rec.N} H={rec.H:.3e} l2={l2:.3e} bound={rec.bound:.3e}")
-    if l2 > rec.bound:
-        raise RuntimeError("reconstruct: error exceeds the estimate bound")
-    return [path], extra
+    return [path], dict(_scored("reconstruct", path, rec, true.values, quiet),
+                        c_env=consts.c_env)
 
 
 def cmd_slice(cfg, out, seed, quiet):
-    _, _, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
+    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     rec = reconstruct_slice(g, phi, gamma, consts, cfg["eps0"], fam=fam)
+    # the slice f(., gamma) m_gamma, with m_gamma(x, gamma) = m(x, 0, gamma)
+    x = rec.profile.x
     path = out / "slice.csv"
-    _write_rows_csv(path, ["x", "estimate"],
-                    [{"x": x, "estimate": v}
-                     for x, v in zip(rec.profile.x, rec.profile.values)])
-    eps = rec.profile.eps
-    extra = {"eps": eps, "N": rec.N, "H": rec.H, "bound": rec.bound}
-    if not quiet:
-        print(f"eps={eps:.4f} N={rec.N} H={rec.H:.3e} bound={rec.bound:.3e}")
-    return [path], extra
+    return [path], dict(_scored("slice", path, rec,
+                                f(x, gamma) * m(x, 0.0, gamma), quiet),
+                        eps=rec.profile.eps)
 
 
 def cmd_sweep(cfg, out, seed, quiet):

@@ -250,14 +250,6 @@ def order_cap(phi: TestFunction, weighted: bool) -> int:
     return min(cap, WEIGHTED_K_MAX) if weighted else cap
 
 
-def _moments_of(g: Sinogram, fam: Optional[KernelFamily], phi: TestFunction,
-                eps: float, gamma: float, N: int) -> MomentVector:
-    """The unweighted moments when ``fam`` is None, else the weighted ones."""
-    if fam is None:
-        return moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
-    return moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N)
-
-
 @dataclass
 class Reconstruction:
     """One estimate: the profile, the truncation order ``N``, the data norm
@@ -280,7 +272,8 @@ def reconstruct_mean(
 
     Pipeline: data norm H, truncation order N, moments from the sinogram,
     exact moment-to-Legendre map, truncated series, and the mean bound at
-    H.  Zero data yields N = 0 and the zero profile exactly.
+    H.  Zero data yields N = 0 and the zero profile exactly.  Moments over
+    the envelope ``consts.c_env`` (``moment_bound_audit``) are refused.
     """
     x_grid = chebyshev_grid()
     H_raw = data_norm(g, eps, gamma)
@@ -292,9 +285,16 @@ def reconstruct_mean(
         if phi.kind == "hormander" and phi.param != N:
             # the mollified-hat index is tied to the truncation order
             phi = hormander_sequence(max(N, 1))
-        series = moments_to_coefficients(
-            _moments_of(g, fam, phi, eps, gamma, N))
-        values = np.asarray(series(x_grid), dtype=float)
+        moments = (moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
+                   if fam is None else
+                   moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N))
+        fitted = moment_bound_audit(moments, H, eps, consts)
+        if fitted > consts.c_env:
+            raise ValueError(
+                f"moments exceed their envelope: fitted C {fitted:.4g} > "
+                f"c_env {consts.c_env:.4g}")
+        values = np.asarray(moments_to_coefficients(moments)(x_grid),
+                            dtype=float)
     prof = MeanProfile(x=x_grid, values=values, eps=eps, gamma=gamma,
                        test_function=phi)
     return Reconstruction(prof, N, H, mean_bound(H, consts, eps))
@@ -326,44 +326,31 @@ def slice_eps(g: Sinogram, gamma: float, consts: BoundConstants,
     return 1.5 / t
 
 
-def moment_bound_audit(
-    g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
-    consts: BoundConstants, fam: Optional[KernelFamily] = None,
-) -> float:
+def moment_bound_audit(m: MomentVector, H: float, eps: float,
+                       consts: BoundConstants) -> float:
     """The smallest C (floored at 1e-30) with ``|m_k| <= (C/eps)^(k+1)
-    env_k H`` for every ``k <= N`` on the moments of ``g``, where ``env_k =
-    e^N`` (analytic) or ``k!^(sigma - 1)`` (Gevrey)."""
-    H = max(data_norm(g, eps, gamma), H_FLOOR)
-    moments = _moments_of(g, fam, phi, eps, gamma, N)
-    if consts.sigma is None:
-        env = np.full(N + 1, math.exp(N))
-    else:
-        env = np.array([math.factorial(k) for k in range(N + 1)],
-                       dtype=float) ** (consts.sigma - 1.0)
-    base = np.abs(moments.values) / (env * H)
-    fitted = float(max(base[k] ** (1.0 / (k + 1)) for k in range(N + 1)))
-    return max(fitted * eps, 1e-30)
+    env_k H`` for every ``k <= N = m.order``, where ``env_k = e^N``
+    (analytic) or ``k!^(sigma - 1)`` (Gevrey)."""
+    k = np.arange(m.order + 1)
+    env = math.exp(m.order) if consts.sigma is None \
+        else np.cumprod(np.maximum(k, 1.0)) ** (consts.sigma - 1.0)
+    base = np.abs(m.values) / (env * H)
+    return max(float(np.max(base ** (1.0 / (k + 1)))) * eps, 1e-30)
 
 
-def calibrate_constants(
-    g: Sinogram, phi: TestFunction, eps: float, gamma: float, N: int,
-    consts: BoundConstants, fam: Optional[KernelFamily] = None,
-) -> BoundConstants:
-    """Fit the envelope constant on the moments of ``g`` to order ``N``
-    and freeze it; ``g`` may be noisy.
-
-    The fitted constant is floored at the value the moment-bound proof
-    actually needs, ``sqrt(2) C_phi max(2 gamma, 1)`` with ``C_phi`` the
-    derivative constant of the test function, certified on every call at
-    order ``min(N, derivative_order_max)`` (the sqrt(2) absorbs
-    ``k <= sqrt(2)^(k+1)``): that floor makes the moment inequality hold for
-    arbitrary data (noise included), not just for ``g``.  A second floor
-    ``e * eps`` keeps the truncation rule's ``log(C/eps)`` positive.
+def calibrate_constants(phi: TestFunction, eps: float, gamma: float, N: int,
+                        consts: BoundConstants) -> BoundConstants:
+    """The envelope constant the moment-bound proof needs, ``sqrt(2) C_phi
+    max(2 gamma, 1)`` with ``C_phi`` certified on every call at order
+    ``min(N, derivative_order_max)`` (the sqrt(2) absorbs ``k <=
+    sqrt(2)^(k+1)``), floored at ``e * eps`` to keep ``log(C/eps)``
+    positive.  It reads no data.  The floor is a proof for ``a = b = 0``,
+    for any data; weighted moments also carry ``S_{j,k}`` terms it leaves
+    out, so a weighted run relies on ``reconstruct_mean``'s envelope check.
     """
-    fitted = moment_bound_audit(g, phi, eps, gamma, N, consts, fam=fam)
     C_phi = verify_derivative_bounds(phi, min(N, phi.derivative_order_max))
     floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)
-    return replace(consts, c_env=max(fitted, floor, math.e * eps))
+    return replace(consts, c_env=max(floor, math.e * eps))
 
 
 def profile_errors(est: MeanProfile, ref: MeanProfile):

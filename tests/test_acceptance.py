@@ -201,22 +201,18 @@ def test_06_end_to_end_analytic(f_main, phi12, sino_clean, sino_weighted,
                                 m_exp, fam_exp):
     """Reconstruction error under its bound at four noise levels."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    cal = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, base)
+    cal = calibrate_constants(phi12, EPS, GAMMA, 4, base)
     _sweep(sino_clean, f_main, None, phi12, cal)
-    cal_w = calibrate_constants(sino_weighted, phi12, EPS, GAMMA, 4, base,
-                                fam=fam_exp)
-    _sweep(sino_weighted, f_main, m_exp, phi12, cal_w, fam=fam_exp)
+    _sweep(sino_weighted, f_main, m_exp, phi12, cal, fam=fam_exp)
 
 
 def test_07_end_to_end_gevrey(f_main, phi_gevrey2, sino_clean, sino_weighted,
                               m_exp, fam_exp):
     """Same corpus under the Gevrey truncation rule and its bound."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0, sigma=2.0)
-    cal = calibrate_constants(sino_clean, phi_gevrey2, EPS, GAMMA, 4, base)
+    cal = calibrate_constants(phi_gevrey2, EPS, GAMMA, 4, base)
     _sweep(sino_clean, f_main, None, phi_gevrey2, cal)
-    cal_w = calibrate_constants(sino_weighted, phi_gevrey2, EPS, GAMMA, 4,
-                                base, fam=fam_exp)
-    _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, cal_w, fam=fam_exp)
+    _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, cal, fam=fam_exp)
 
 
 def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
@@ -224,7 +220,7 @@ def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
     mean-to-slice convergence ratio."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     for phi, sigma in ((phi12, None), (phi_gevrey2, 2.0)):
-        cal = calibrate_constants(sino_wide, phi, EPS, GAMMA, 4,
+        cal = calibrate_constants(phi, EPS, GAMMA, 4,
                                   replace(base, sigma=sigma))
         res = reconstruct_slice(sino_wide, phi, GAMMA, cal, eps0=0.28)
         target = np.asarray(
@@ -275,7 +271,6 @@ def test_11_end_to_end_generic_weight(f_main, phi12, fam_generic):
                                 np.linspace(-0.35, 0.35, 57), tol=1e-10)
     assert clean.failed is None
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    cal = calibrate_constants(clean, phi12, EPS, GAMMA, 4, base,
-                              fam=fam_generic)
+    cal = calibrate_constants(phi12, EPS, GAMMA, 4, base)
     report = _sweep(clean, f_main, m, phi12, cal, fam=fam_generic)
     assert len(report.rows) == len(NOISE_LEVELS)

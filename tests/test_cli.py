@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ import localradon
 from localradon import cli, phantoms
 from localradon.bumps import hormander_sequence, verify_derivative_bounds
 from localradon.legendre import LegendreSeries
-from localradon.means import mean_profile
+from localradon.means import MeanProfile, mean_profile
 from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
 from localradon.transform import Sinogram
 
@@ -251,9 +252,9 @@ def calibrations(monkeypatch):
     """The ``(N, eps)`` of every calibration the CLI runs from now on."""
     calls, calibrate = [], cli.calibrate_constants
 
-    def spy(g, phi, eps, gamma, N, consts, fam=None):
+    def spy(phi, eps, gamma, N, consts):
         calls.append((N, eps))
-        return calibrate(g, phi, eps, gamma, N, consts, fam=fam)
+        return calibrate(phi, eps, gamma, N, consts)
 
     monkeypatch.setattr(cli, "calibrate_constants", spy)
     return calls
@@ -325,11 +326,53 @@ def test_cli_sweep(tmp_path):
 
 
 def test_cli_slice(tmp_path):
-    out, res = run_cli(tmp_path, "slice", SLICE)
-    assert 0 < res["eps"] < SLICE["eps0"]
-    assert res["N"] >= 1 and res["bound"] > 0
-    rows = np.loadtxt(out / "slice.csv", delimiter=",", skiprows=1)
-    assert np.all(np.isfinite(rows))
+    f = build_phantom(_check(BASE_CONFIG))
+    for level in (1.0, 2.0):
+        (tmp_path / str(level)).mkdir()
+        out, res = run_cli(tmp_path / str(level), "slice", dict(
+            SLICE, weight={"kind": "constant", "level": level}))
+        assert 0 < res["eps"] < SLICE["eps0"]
+        assert res["N"] >= 1 and res["bound"] > 0
+        rows = np.loadtxt(out / "slice.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        # scored against the slice f(., gamma) m_gamma, m_gamma = level
+        assert np.array_equal(rows[:, 2],
+                              level * f(rows[:, 0], np.full(len(rows), 0.3)))
+        gap = MeanProfile(x=rows[:, 0], values=rows[:, 1] - rows[:, 2],
+                          eps=res["eps"], gamma=0.3)
+        assert res["l2_error"] == pytest.approx(gap.l2_norm(), rel=1e-12)
+        assert res["l2_error"] <= res["bound"]
+
+
+def test_cli_slice_refuses_an_error_over_its_bound(tmp_path, monkeypatch,
+                                                   capsys):
+    slice_ = cli.reconstruct_slice
+
+    def shifted(*args, **kwargs):
+        rec = slice_(*args, **kwargs)
+        return replace(rec, profile=replace(
+            rec.profile, values=rec.profile.values + rec.bound))
+
+    monkeypatch.setattr(cli, "reconstruct_slice", shifted)
+    cfg = write_config(tmp_path, SLICE)
+    assert main(["slice", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    assert "error exceeds the estimate bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["reconstruct", "sweep"])
+def test_readme_gevrey_alternative(tmp_path, subcommand):
+    # the README example config with its "# or" Gevrey test function, on
+    # its 21-point xi grid: the run reads moments only to the N it picks,
+    # not to the order cap of 14, so the xi-spacing rule holds
+    out, res = run_cli(tmp_path, subcommand, dict(
+        SWEEP, test_function={"kind": "gevrey", "param": 2.0}))
+    if subcommand == "reconstruct":
+        assert res["N"] >= 1 and res["l2_error"] <= res["bound"]
+        return
+    rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 2 and np.all(rows[:, 2] >= 1)
+    assert np.all(rows[:, 3] <= rows[:, 5])
 
 
 def test_cli_counterexample(tmp_path):

@@ -221,7 +221,7 @@ def test_reconstruct_mean_zero_data(phi12):
 
 def test_reconstruct_mean_accuracy(sino_clean, f_main, phi12):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    consts = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, consts)
+    consts = calibrate_constants(phi12, EPS, GAMMA, 4, consts)
     rec = reconstruct_mean(sino_clean, phi12, EPS, GAMMA, consts)
     ref = mean_profile(f_main, None, phi12, EPS, GAMMA, x_grid=rec.profile.x)
     l2, sup = profile_errors(rec.profile, ref)
@@ -235,14 +235,15 @@ def test_moment_audit_ratios(sino_clean, phi12, f_main):
     # at the fitted C every |m_k| lies under its envelope (C/eps)^(k+1)
     # env_k H, env_k = e^N (analytic) or k! (Gevrey sigma = 2), and at
     # 0.999 C some |m_k| does not: the constant is sound and minimal
-    m = np.abs(moments_from_sinogram_unweighted(sino_clean, phi12, EPS,
-                                                GAMMA, 4).values)
+    moments = moments_from_sinogram_unweighted(sino_clean, phi12, EPS,
+                                               GAMMA, 4)
+    m = np.abs(moments.values)
     H = data_norm(sino_clean, EPS, GAMMA)
     ks = np.arange(5)
     for sigma, env in ((None, np.full(5, math.exp(4))),
                        (2.0, np.array([1.0, 1.0, 2.0, 6.0, 24.0]))):
         consts = BoundConstants(c0=f_main.holder_bound, sigma=sigma)
-        C = moment_bound_audit(sino_clean, phi12, EPS, GAMMA, 4, consts)
+        C = moment_bound_audit(moments, H, EPS, consts)
         assert np.all(m <= (C / EPS) ** (ks + 1) * env * H * (1 + 1e-12))
         assert np.any(m > (0.999 * C / EPS) ** (ks + 1) * env * H)
 
@@ -267,31 +268,57 @@ def test_noise_audit_stays_under_the_proof_floor(phi_gevrey2):
             N = order_cap(phi, weighted=fam is not None)
             g = Sinogram(xi=xi, eta=eta, values=np.random.default_rng(
                 seed).normal(size=(xi.size, eta.size)))
+            moments = moments_from_sinogram_unweighted(
+                g, phi, EPS, GAMMA, N) if fam is None else \
+                moments_from_sinogram_weighted(g, fam, phi, EPS, GAMMA, N)
+            H = max(data_norm(g, EPS, GAMMA), H_FLOOR)
             consts = BoundConstants(c0=1.0, sigma=sigma)
-            assert moment_bound_audit(g, phi, EPS, GAMMA, N, consts,
-                                      fam=fam) < floor[N]
+            assert moment_bound_audit(moments, H, EPS, consts) < floor[N]
 
 
-def test_calibrate_floors(sino_clean, phi12, f_main):
+def test_a_faulty_kernel_is_refused(f_main, m_generic):
+    # the envelope check reads the moments the estimate uses: S_{1,1}'s top
+    # row scaled by 1e6 gives a fitted C of 25.1 against c_env 2.33, where a
+    # calibration on the data would have raised c_env (to 9.23) and lowered
+    # N from 2 to 1 without a record
+    g = synthesize_sinogram(f_main, m_generic, np.linspace(-0.13, 0.13, 21),
+                            np.linspace(-0.35, 0.35, 29), tol=1e-8)
+    phi = hormander_sequence(4)
+    cap = order_cap(phi, weighted=True)
+    consts = calibrate_constants(phi, EPS, GAMMA, cap,
+                                 BoundConstants(c0=f_main.holder_bound))
+    for scale in (1.0, 1e6):
+        fam = sjk_family(m_generic.a, m_generic.b, GAMMA, cap, rows=[-1])
+        fam[(0, cap)]            # every level composed before the fault
+        fam.kernels[(1, 1)].coeffs *= scale
+        if scale == 1.0:
+            assert reconstruct_mean(g, phi, EPS, GAMMA, consts,
+                                    fam=fam).N == 2
+            continue
+        with pytest.raises(ValueError, match="exceed their envelope"):
+            reconstruct_mean(g, phi, EPS, GAMMA, consts, fam=fam)
+
+
+def test_calibrate_floors(phi12, f_main):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    cal = calibrate_constants(sino_clean, phi12, EPS, GAMMA, 4, consts)
+    cal = calibrate_constants(phi12, EPS, GAMMA, 4, consts)
     C_phi = verify_derivative_bounds(phi12, 4)
     floor = math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
     assert cal.c_env >= floor - 1e-12
     assert cal.c_env >= math.e * EPS
 
 
-def test_calibration_certifies_its_own_order(sino_clean, f_main):
+def test_calibration_certifies_its_own_order(f_main):
     # a Gevrey bump's certified constant grows with the order (1.303 at
     # k = 0, 1.661 at k >= 1 for sigma = 2), so a certificate made earlier
     # at a lower order may not lower the proof floor of a calibration at N
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    fresh = calibrate_constants(sino_clean, gevrey_bump(2.0, 14), EPS,
-                                GAMMA, 1, consts)
+    fresh = calibrate_constants(gevrey_bump(2.0, 14), EPS, GAMMA, 1,
+                                consts)
     phi = gevrey_bump(2.0, 14)
     C_phi = verify_derivative_bounds(phi, 1)
     assert verify_derivative_bounds(phi, 0) < C_phi
-    again = calibrate_constants(sino_clean, phi, EPS, GAMMA, 1, consts)
+    again = calibrate_constants(phi, EPS, GAMMA, 1, consts)
     assert again.c_env == fresh.c_env
     assert fresh.c_env >= math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
 
