@@ -4,10 +4,10 @@ Two families:
 
 * ``hormander_sequence(N)`` -- the N-fold mollification of a hat by box
   kernels of width ``a = 2/(N + 2)``.  With equal widths the convolution
-  is the uniform B-spline of order ``N + 2``, so evaluation is exact
-  (Cox-de Boor via scipy) and the k-th derivative is the derivative
-  spline that scipy's ``BSpline.derivative`` builds from the knots.
-  Derivative sups grow like ``C**(k+1) * N**k``.
+  is the uniform B-spline of order ``N + 2``.  On each unit piece its
+  k-th derivative is a polynomial with exact rational coefficients,
+  evaluated by Horner's rule.  Derivative sups grow like
+  ``C**(k+1) * N**k``.
 
 * ``gevrey_bump(sigma)`` -- exp(-((1-t)t)**(-1/(sigma-1))) on (0, 1),
   mapped to (-1, 1) and normalized.  Derivative sups grow like
@@ -19,13 +19,14 @@ Two families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import BSpline
+
+from .weights import panel_rule
 
 __all__ = [
     "TestFunction",
@@ -37,10 +38,30 @@ __all__ = [
 N_MAX = 24
 
 
-def _cardinal_bspline(m: int) -> BSpline:
-    """Centered cardinal B-spline of order m (degree m-1), unit knots, mass 1."""
-    knots = np.arange(m + 1, dtype=float) - m / 2.0
-    return BSpline.basis_element(knots, extrapolate=False)
+@functools.cache
+def _cardinal_numerators(m: int) -> tuple:
+    """``T[j][p] = sum_{i<=j} (-1)^i C(m, i) C(m-1, p) (j-i)^(m-1-p)``, the
+    exact integer coefficient of ``u^p`` in ``(m-1)! M_m(j + u)`` for the
+    cardinal B-spline ``M_m`` of order ``m`` (degree ``m - 1``) on the
+    knots ``0, 1, ..., m``, from ``M_m(s) = sum_i (-1)^i C(m, i)
+    (s - i)_+^(m-1) / (m-1)!``."""
+    return tuple(tuple(math.comb(m - 1, p) * sum(
+        (-1) ** i * math.comb(m, i) * (j - i) ** (m - 1 - p)
+        for i in range(j + 1)) for p in range(m)) for j in range(m))
+
+
+@functools.cache
+def _cardinal_pieces(m: int, k: int) -> np.ndarray:
+    """Row ``j`` holds the coefficients, highest power first, of ``d^k
+    M_m(j + u)`` in ``u`` on ``[0, 1]``: ``T[j][p] perm(p, k) / (m-1)!``
+    for ``p = m-1, ..., k``, each correctly rounded by Python's division
+    of integers."""
+    den = math.factorial(m - 1)
+    out = np.array([[row[p] * math.perm(p, k) / den
+                     for p in range(m - 1, k - 1, -1)]
+                    for row in _cardinal_numerators(m)])
+    out.flags.writeable = False     # shared by every caller through the cache
+    return out
 
 
 @dataclass
@@ -83,11 +104,21 @@ def hormander_sequence(N: int) -> TestFunction:
         raise ValueError(f"N must lie in [1, {N_MAX}]")
     m = N + 2
     a = 2.0 / m                     # box width; support = [-1, 1] exactly
-    splines = [_cardinal_bspline(m).derivative(k) for k in range(N + 1)]
 
     def evaluate(x, k):
-        # d^k phi_N(x) = a^(-k-1) M_m^(k)(x/a)
-        return np.nan_to_num(splines[k](x / a), nan=0.0) / a ** (k + 1)
+        # d^k phi_N(x) = a^(-k-1) M_m^(k)(x/a + m/2), zero off (0, m)
+        s = x / a + m / 2.0
+        out = np.zeros_like(s)
+        inside = (s > 0) & (s < m)
+        s = s[inside]
+        j = np.minimum(np.floor(s), m - 1)
+        u = s - j
+        coef = _cardinal_pieces(m, k)[j.astype(int)]
+        v = coef[:, 0]
+        for col in coef[:, 1:].T:
+            v = v * u + col
+        out[inside] = v / a ** (k + 1)
+        return out
 
     return TestFunction(
         kind="hormander", param=N, derivative_order_max=N,
@@ -95,8 +126,21 @@ def hormander_sequence(N: int) -> TestFunction:
     )
 
 
+def _gevrey_mass_rule():
+    """Nodes and weights on (-1, 1): 32 equal panels, the last ones halved
+    toward +-1 down to 2^-47, 20 Gauss nodes each; nodes that round to
+    +-1, where the bump vanishes, are dropped."""
+    graded = 1.0 - 2.0 ** -np.arange(5, 48)     # past the edge 1 - 2^-4
+    edges = np.concatenate([[-1.0], -graded[::-1],
+                            np.linspace(-1.0, 1.0, 33)[1:-1], graded, [1.0]])
+    x, w = (v.ravel() for v in panel_rule(edges, 20))
+    keep = np.abs(x) < 1.0
+    return x[keep], w[keep]
+
+
 def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
-    """Unit-mass Gevrey-sigma bump on [-1, 1]."""
+    """Unit-mass Gevrey-sigma bump on [-1, 1]; sigma must exceed 1 by
+    enough that the bump's mass is a normal double (about 1.2112)."""
     if sigma <= 1:
         raise ValueError("sigma must exceed 1")
     e = 1.0 / (sigma - 1.0)
@@ -106,8 +150,12 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
         w = (1.0 - z * z) / 4.0
         return np.exp(-np.power(w, -e))
 
-    mass, _ = quad(lambda x: float(raw(x).real), -1.0, 1.0,
-                   epsabs=1e-13, epsrel=1e-13, limit=200)
+    nodes, weights = _gevrey_mass_rule()
+    mass = float(np.sum(weights * raw(nodes)))
+    if not mass >= np.finfo(float).tiny:
+        raise ValueError(
+            f"sigma = {sigma:g} is too close to 1: the bump's mass "
+            f"{mass:.3g} underflows a double (peak exp(-4^(1/(sigma-1))))")
     theta = 2 * np.pi * np.arange(128) / 128
     ring = np.exp(1j * theta)
 

@@ -566,8 +566,8 @@ def cmd_verify(cfg, out, seed, quiet):
     def rel(a, b):
         return float(np.abs(a - b).max() / np.abs(b).max())
 
-    sp = mean_profile(f, m, phi, eps, gamma).interpolant()
-    results["moment_oracle_rel"] = rel(mom.values, moments(sp(t)))
+    truth = mean_profile(f, m, phi, eps, gamma).interpolant(t)
+    results["moment_oracle_rel"] = rel(mom.values, moments(truth))
 
     # legendre map: the moments of the series against the extracted ones
     back = moments(moments_to_coefficients(mom)(t))

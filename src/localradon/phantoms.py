@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
-from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "PhantomSpec",
@@ -64,6 +63,9 @@ class PhantomSpec:
         if self.poly_coeffs:
             self._poly = _poly_matrix(self.poly_coeffs)
         if self.grid is not None:
+            # only a tabulated phantom pays for scipy.interpolate's import
+            from scipy.interpolate import RegularGridInterpolator
+
             xs, ys, vals = self.grid
             self._interp = RegularGridInterpolator(
                 (xs, ys), vals, bounds_error=False, fill_value=0.0

@@ -12,6 +12,7 @@ holds by construction (solved along the characteristics
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +27,7 @@ __all__ = [
     "pde_residual",
     "field_from_spec",
     "panel_rule",
+    "spline_matrix",
 ]
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -51,6 +53,70 @@ def panel_rule(edges, n: int):
     lo, hi = edges[..., :-1, :], edges[..., 1:, :]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * t, half * w
+
+
+def spline_matrix(nodes, points) -> np.ndarray:
+    """The matrix taking values at the strictly increasing ``nodes`` to the
+    values at ``points`` of the spline that interpolates them, read-only
+    and shared by every caller with the same arrays.
+
+    The spline has degree ``min(3, n - 1)`` for ``n`` nodes and FITPACK's
+    interpolation knots (``s = 0``): not-a-knot for a cubic, and none
+    inside for the line and the parabola through 2 and 3 nodes.  Points
+    outside the nodes read the value at the nearer end, as FITPACK clamps
+    them.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    if nodes.ndim != 1 or points.ndim != 1:
+        raise ValueError("nodes and points must be one-dimensional")
+    return _spline_matrix(nodes.tobytes(), points.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _spline_matrix(nodes: bytes, points: bytes) -> np.ndarray:
+    x, p = np.frombuffer(nodes), np.frombuffer(points)
+    if x.size < 2 or np.any(np.diff(x) <= 0) or not np.all(np.isfinite(x)):
+        raise ValueError("spline nodes must be two or more finite, strictly "
+                         "increasing values")
+    k = min(3, x.size - 1)
+    # FITPACK's s = 0 interior knots are the nodes without the first and
+    # last two for a cubic (not-a-knot); a lower degree has none
+    knots = np.concatenate([np.full(k + 1, x[0]), x[2:-2],
+                            np.full(k + 1, x[-1])])
+    # values at the points = basis(points) @ coefficients, and the
+    # coefficients solve the collocation system basis(nodes) c = v
+    out = np.linalg.solve(_bspline_basis(knots, k, x).T,
+                          _bspline_basis(knots, k, p).T).T
+    out.flags.writeable = False
+    return out
+
+
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """Values ``B[i, j]`` of the degree-``k`` B-splines on the clamped
+    knots ``t`` (distinct inside) at ``x`` clipped to ``[t[0], t[-1]]``:
+    the ``k + 1`` nonzero ones at each point by the Cox--de Boor
+    recurrence on the knot span that holds it."""
+    x = np.clip(x, t[0], t[-1])
+    n = t.size - k - 1
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    # N[r] = B_{span-d+r, d}(x) after step d
+    N = [np.ones_like(x)]
+    for d in range(1, k + 1):
+        # left[j] = x - t[span + 1 - j], right[j] = t[span + j] - x
+        left = [None] + [x - t[span + 1 - j] for j in range(1, d + 1)]
+        right = [None] + [t[span + j] - x for j in range(1, d + 1)]
+        saved = np.zeros_like(x)
+        for r in range(d):
+            temp = N[r] / (right[r + 1] + left[d - r])
+            N[r] = saved + right[r + 1] * temp
+            saved = left[d - r] * temp
+        N.append(saved)
+    B = np.zeros((x.size, n))
+    rows = np.arange(x.size)
+    for r in range(k + 1):
+        B[rows, span - k + r] = N[r]
+    return B
 
 
 @dataclass

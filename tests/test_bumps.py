@@ -61,23 +61,30 @@ def test_hormander_derivative_matches_fd(phi12):
     assert np.allclose(phi12.derivative_values(xs, 1), fd, atol=1e-4)
 
 
-@pytest.mark.parametrize("N", [1, 4, 12, 24])
+@pytest.mark.parametrize("N", range(1, 25))
 def test_hormander_derivatives_match_difference_formula(N):
-    # reference: d^k phi_N(x) = a^(-k-1) sum_i (-1)^i C(k, i)
-    # M_{m-k}(x/a + k/2 - i), the k-th difference of a lower-order
-    # B-spline, with m = N + 2 and a = 2/m
+    # two scipy references, on a grid past the support and on the knots:
+    # the derivative spline BSpline.derivative builds, and d^k phi_N(x) =
+    # a^(-k-1) sum_i (-1)^i C(k, i) M_{m-k}(x/a + k/2 - i), the k-th
+    # difference of a lower-order B-spline, with m = N + 2 and a = 2/m
     m = N + 2
     a = 2.0 / m
     phi = hormander_sequence(N)
-    xs = np.linspace(-1.05, 1.05, 4001)
+    xs = np.append(np.linspace(-1.05, 1.05, 4001), phi.breakpoints)
+    M_m = BSpline.basis_element(np.arange(m + 1, dtype=float) - m / 2.0,
+                                extrapolate=False)
     for k in range(N + 1):
         knots = np.arange(m - k + 1, dtype=float) - (m - k) / 2.0
         M = BSpline.basis_element(knots, extrapolate=False)
-        ref = sum((-1) ** i * math.comb(k, i)
-                  * np.nan_to_num(M(xs / a + k / 2.0 - i), nan=0.0)
-                  for i in range(k + 1)) / a ** (k + 1)
-        err = np.abs(phi.derivative_values(xs, k) - ref).max()
-        assert err <= 1e-13 * np.abs(ref).max(), (k, err)
+        diff = sum((-1) ** i * math.comb(k, i)
+                   * np.nan_to_num(M(xs / a + k / 2.0 - i), nan=0.0)
+                   for i in range(k + 1)) / a ** (k + 1)
+        spline = np.nan_to_num(M_m.derivative(k)(xs / a), nan=0.0) \
+            / a ** (k + 1)
+        got = phi.derivative_values(xs, k)
+        for ref in (diff, spline):
+            err = np.abs(got - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), (k, err)
 
 
 def test_hormander_derivative_integrates_back(phi12):
@@ -117,6 +124,22 @@ def test_gevrey_unit_mass_and_frozen_value(phi_gevrey2):
 def test_gevrey_sigma_validation():
     with pytest.raises(ValueError):
         gevrey_bump(1.0)
+    # exp(-4^(1/(sigma-1))) underflows, and with it the mass: phi was NaN
+    for sigma in (1.1, 1.2, 1.21):
+        with pytest.raises(ValueError, match="underflows"):
+            gevrey_bump(sigma)
+    assert np.isfinite(gevrey_bump(1.22)(0.0))
+
+
+@pytest.mark.parametrize("sigma", [1.22, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0])
+def test_gevrey_mass_matches_quad(sigma):
+    # phi(0) = exp(-4^e) / mass; quad integrates the bump over its peak,
+    # exp(4^e - w^-e), which stays in range as sigma nears 1
+    e = 1.0 / (sigma - 1.0)
+    half, _ = quad(lambda x: math.exp(4.0**e - ((1.0 - x * x) / 4.0)**-e),
+                   0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=500)
+    assert 1.0 / float(gevrey_bump(sigma)(0.0)) == pytest.approx(
+        2.0 * half, rel=1e-13)
 
 
 def test_gevrey_derivatives_match_fd():

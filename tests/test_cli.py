@@ -552,6 +552,9 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
      "test_function.param", "reconstruct"),
     ({"test_function": {"kind": "gevrey", "param": 1.0}},
      "test_function.param", "reconstruct"),
+    # the bump's mass underflows to 0 for sigma below about 1.2112
+    ({"test_function": {"kind": "gevrey", "param": 1.2}},
+     "test_function.param", "reconstruct"),
     ({"phantom": dict(BASE_CONFIG["phantom"], width=-1)}, "phantom.width",
      "reconstruct"),
     ({"grid": {"xi": [-0.13, 0.13, 20.5], "eta": [-0.35, 0.35, 29]}},
@@ -655,7 +658,8 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
                         poly_coeffs=rows)}, "phantom.poly_coeffs", "sinogram")
       for rows in ([[True, 0, 1.0]], [1, 0, 1.0], [[1, 0]],
                    [[1, 0, 1.0], [0, 1]], [["a", 0, 1.0]])],
-], ids=["field", "coef", "level", "hormander", "gevrey", "width", "grid_n",
+], ids=["field", "coef", "level", "hormander", "gevrey",
+        "gevrey_underflow", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
         "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
         "attenuation", "seed", "noise_sigma", "noise_levels",
@@ -774,12 +778,32 @@ def test_cli_runtime_failure_exits_1(tmp_path):
                  str(tmp_path / "o"), "--quiet"]) == 1
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # the stability fit is plain numpy; scipy.stats costs a third of the
-    # CLI's import time
+def test_cli_runs_leave_out_scipy(tmp_path):
+    # the pipeline is plain numpy: importing scipy.interpolate or
+    # scipy.integrate costs a process 0.6-0.9 s and about 50 MB,
+    # scipy.linalg 0.35 s, and scipy.stats a third of the CLI's import
+    small = {"grid": {"xi": [-0.13, 0.13, 11], "eta": [-0.35, 0.35, 9]},
+             "test_function": {"kind": "hormander", "param": 4},
+             "tolerance": 1e-6}
+    runs = [("reconstruct", small),
+            ("reconstruct", dict(small, weight={
+                "kind": "from_ab", "a": "0.5*sin_xi", "b": "0.5*cos_eta"},
+                test_function={"kind": "gevrey", "param": 2.0},
+                grid={"xi": [-0.13, 0.13, 21], "eta": [-0.35, 0.35, 9]})),
+            ("sweep", dict(small, **SWEEP))]
+    argvs = [[sub, "--config", str(write_config(tmp_path, cfg, f"{i}.yaml")),
+              "--out", str(tmp_path / str(i)), "--quiet"]
+             for i, (sub, cfg) in enumerate(runs)]
+    code = ("import json, sys; from localradon import cli; "
+            f"codes = [cli.main(a) for a in {argvs!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))]))")
     src = os.path.dirname(os.path.dirname(localradon.__file__))
-    code = "import sys, localradon.cli; print('scipy.stats' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert run.stdout.strip() == "False"
+    codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0], run.stderr
+    for name in ("scipy.interpolate", "scipy.integrate", "scipy.linalg",
+                 "scipy.special", "scipy.stats"):
+        assert name not in loaded, loaded

@@ -296,7 +296,7 @@ def test_sinogram_validation():
 
 def test_sinogram_interpolant_matches_samples(sino_clean):
     j = 30
-    row = sino_clean.interpolant()(sino_clean.xi, [sino_clean.eta[j]])[:, 0]
+    row = sino_clean.interpolant(sino_clean.xi, [sino_clean.eta[j]])[:, 0]
     assert np.allclose(row, sino_clean.values[:, j], atol=1e-12)
 
 

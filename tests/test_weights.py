@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from localradon.means import chebyshev_grid
 from localradon.weights import (
     Weight,
     _FIELD_REGISTRY,
@@ -14,6 +15,7 @@ from localradon.weights import (
     gauss_nodes,
     panel_rule,
     pde_residual,
+    spline_matrix,
 )
 
 POINTS = [(0.2, 0.1, 0.3), (-0.3, -0.05, 0.25), (0.4, 0.12, 0.1),
@@ -167,3 +169,48 @@ def test_panel_rule_exact_on_polynomials(edges, n, seed):
         assert nodes.shape == weights.shape == shape
         got = np.sum(weights * p(nodes), axis=(-2, -1))
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+# axes of 2, 3 and 4 points fall back to FITPACK's degrees 1, 2 and 3 (a
+# cubic with no interior knot); the gated benchmark grids are 15 x 15 and
+# 11 x 9; the points run past both ends of every axis
+@pytest.mark.parametrize("xi, eta", [
+    ((-0.2, 0.3, 2), (0.0, 1.0, 3)), ((-0.2, 0.3, 3), (0.0, 1.0, 4)),
+    ((-0.2, 0.3, 4), (0.0, 1.0, 15)), ((-0.2, 0.3, 15), (0.0, 1.0, 2)),
+    ((-0.13, 0.13, 15), (-0.35, 0.35, 15)),
+    ((-0.13, 0.13, 11), (-0.35, 0.35, 9))])
+def test_spline_matrix_matches_rect_bivariate_spline(xi, eta):
+    from scipy.interpolate import RectBivariateSpline
+
+    xi, eta = np.linspace(*xi), np.linspace(*eta)
+    V = np.random.default_rng(4).normal(size=(xi.size, eta.size))
+    ref_spline = RectBivariateSpline(xi, eta, V, kx=min(3, xi.size - 1),
+                                     ky=min(3, eta.size - 1))
+    px = np.linspace(xi[0] - 0.1, xi[-1] + 0.1, 41)
+    py = np.linspace(eta[0] - 0.2, eta[-1] + 0.1, 37)
+    ref = ref_spline(px, py)
+    got = spline_matrix(xi, px) @ V @ spline_matrix(eta, py).T
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the samples come back, and the operator is shared and read-only
+    assert np.allclose(spline_matrix(xi, xi), np.eye(xi.size), rtol=0,
+                       atol=1e-14)
+    assert spline_matrix(xi, px) is spline_matrix(xi.copy(), px.copy())
+    assert not spline_matrix(xi, px).flags.writeable
+
+
+def test_spline_matrix_matches_cubic_spline():
+    from scipy.interpolate import CubicSpline
+
+    x = chebyshev_grid(257)
+    v = np.exp(-4.0 * x * x) * np.cos(9.0 * x)
+    t = np.append(gauss_nodes(200)[0], x)
+    ref = CubicSpline(x, v)(t)
+    assert np.abs(spline_matrix(x, t) @ v - ref).max() \
+        <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nodes", [[0.0], [0.0, 0.0, 1.0], [1.0, 0.0],
+                                   [0.0, np.nan], [[0.0, 1.0]]])
+def test_spline_matrix_refuses_bad_nodes(nodes):
+    with pytest.raises(ValueError):
+        spline_matrix(nodes, [0.5])
