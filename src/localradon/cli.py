@@ -444,7 +444,8 @@ def _scored(name, path, rec, truth, quiet):
     l2, sup = profile_errors(prof, replace(prof, values=truth))
     _write_rows_csv(path, ["x", "estimate", "truth"],
                     [{"x": x, "estimate": v, "truth": t}
-                     for x, v, t in zip(prof.x, prof.values, truth)])
+                     for x, v, t in zip(prof.x.tolist(), prof.values.tolist(),
+                                        truth.tolist())])
     if not quiet:
         print(f"eps={prof.eps:.4f} N={rec.N} H={rec.H:.3e} l2={l2:.3e} "
               f"bound={rec.bound:.3e}")

@@ -24,8 +24,9 @@ __all__ = [
 
 
 # x-rows of the profile evaluated together; bounds the size of the
-# (row, panel, node) arrays, and with them the weighted profile's memory
-_ROW_BLOCK = 16
+# (row, panel, node) arrays, and with them the weighted profile's memory:
+# 64 rows of phi_4's 12 or phi_8's 20 panels are 11-18k nodes a block
+_ROW_BLOCK = 64
 
 
 def chebyshev_grid(n: int = 257) -> np.ndarray:

@@ -658,6 +658,10 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
                         poly_coeffs=rows)}, "phantom.poly_coeffs", "sinogram")
       for rows in ([[True, 0, 1.0]], [1, 0, 1.0], [[1, 0]],
                    [[1, 0, 1.0], [0, 1]], [["a", 0, 1.0]])],
+    # 0.001 above y = x^2 the cutoff's normalizer exp(-1/gap) underflows
+    # to 0: the sinogram was flagged and c0 a division by zero
+    *[({"phantom": dict(BASE_CONFIG["phantom"], center=[0.0, 0.001])},
+       "phantom", sub) for sub in ("sinogram", "reconstruct")],
 ], ids=["field", "coef", "level", "hormander", "gevrey",
         "gevrey_underflow", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
@@ -675,7 +679,8 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
         "lambdas_decreasing", "lambdas_text", "lambdas_negative",
         "noise_levels_empty", "support_constant_nan", "poly_fraction",
         "poly_negative", "poly_bool", "poly_flat", "poly_short",
-        "poly_ragged", "poly_text"])
+        "poly_ragged", "poly_text", "center_on_parabola_sinogram",
+        "center_on_parabola_reconstruct"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)

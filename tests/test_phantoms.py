@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polyval2d
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from localradon import phantoms
 from localradon.bumps import hormander_sequence
@@ -81,7 +82,7 @@ def central_difference_bound(p):
     return 1.05 * central_difference_max(p)
 
 
-@pytest.mark.parametrize("spec", [
+BOUND_SPECS = [
     dict(center=(0.0, 0.45), width=0.3),
     dict(center=(0.0, 0.5), width=0.4),
     dict(center=(0.1, 0.45), width=0.3, amplitude=2.0),
@@ -89,13 +90,100 @@ def central_difference_bound(p):
          poly_coeffs=[(1, 0, 1.0), (0, 2, 3.0), (2, 1, -1.5)]),
     # near the vertex: gaps down to subnormal, a bound of about 9e7
     dict(center=(0.0, 0.05), width=0.3, support_constant=2.0),
-], ids=["gated", "wide", "shifted_amplitude", "polynomial", "vertex"])
+]
+BOUND_IDS = ["gated", "wide", "shifted_amplitude", "polynomial", "vertex"]
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS, ids=BOUND_IDS)
 def test_lipschitz_bound_matches_central_differences(spec):
     p = smooth_bump(**spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bound = lipschitz_bound(p)
     assert bound == pytest.approx(central_difference_bound(p), rel=1e-8)
+
+
+def whole_grid_bound(p):
+    """``lipschitz_bound`` as one pass over the whole 401 x 401 grid: the
+    same per-point expressions, on every support point at once."""
+    cx, cy = p.center
+    xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, 401)
+    ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, 401)
+    u, v, w2 = xs - cx, ys - cy, p.width**2
+    s = 1.0 - (u[:, None] ** 2 + v**2) / w2
+    gap = ys - p.support_constant * xs[:, None] ** 2
+    i, j = np.nonzero((s > 0) & (gap > 0))
+    x, u, v, s, gap = xs[i], u[i], v[j], s[i, j], gap[i, j]
+    with np.errstate(over="ignore"):        # subnormal gaps: exp(-inf) = 0
+        e = np.exp(1.0 - 1.0 / s - 1.0 / gap)
+    nz = e > 0                              # and 1/gap^2 would be inf
+    x, u, v, s, gap = x[nz], u[nz], v[nz], s[nz], gap[nz]
+    norm = float(np.exp(-1.0 / (cy - p.support_constant * cx * cx)))
+    f = p.amplitude / norm * e[nz]
+    dr, dgap = -2.0 / (w2 * s * s), 1.0 / (gap * gap)
+    fx = f * (dr * u - 2.0 * p.support_constant * x * dgap)
+    fy = f * (dr * v + dgap)
+    if p._poly is not None:
+        poly = polyval2d(u, v, p._poly)
+        fx = poly * fx + f * polyval2d(u, v, polyder(p._poly, axis=0))
+        fy = poly * fy + f * polyval2d(u, v, polyder(p._poly, axis=1))
+        f = poly * f
+    g2 = fx**2 + fy**2
+    if p.oscillation > 0:
+        g = np.sqrt(g2) / p.oscillation + np.abs(f)
+        return 1.05 * float(g.max(initial=0.0))
+    return 1.05 * float(np.sqrt(g2.max(initial=0.0)))
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS + [
+    dict(center=(0.2, 0.3), width=0.25, support_constant=1.5),
+    *[dict(center=(0.0, 0.45), width=0.3, oscillation=lam)
+      for lam in (1.0, 10.0, 20.0, 40.0, 80.0, 300.0)],
+    dict(center=(0.0, 0.45), width=0.3, oscillation=80.0,
+         poly_coeffs=[(0, 0, 2.0), (1, 0, 1.0), (0, 2, 3.0)]),
+], ids=BOUND_IDS + ["off_axis", "osc_1", "osc_10", "osc_20", "osc_40",
+                    "osc_80", "osc_300", "osc_polynomial_80"])
+def test_lipschitz_bound_in_row_blocks_is_the_whole_grid_max(spec,
+                                                             monkeypatch):
+    # each block keeps its max and max is exact, so any row blocking gives
+    # the whole grid's bound bit for bit; exp may differ by an ulp between
+    # CPUs, so the reference is recomputed rather than frozen
+    spec = dict(spec)
+    poly = np.asarray(spec.pop("poly_coeffs", ()), dtype=float).ravel()
+    p = PhantomSpec(poly_coeffs=tuple(poly), **spec)
+    ref = whole_grid_bound(p)
+    assert lipschitz_bound(p) == ref
+    for rows in (1, 7, 401):
+        monkeypatch.setattr(phantoms, "_ROW_BLOCK", rows)
+        assert lipschitz_bound(p) == ref, rows
+
+
+def test_lipschitz_bound_peak_allocation():
+    # the whole-grid pass held about 10.6 MB of temporaries at its peak
+    p = smooth_bump(center=(0.0, 0.45), width=0.3)
+    lipschitz_bound(p)
+    tracemalloc.start()
+    try:
+        lipschitz_bound(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("center, c", [
+    ((0.0, 0.001), 1.0), ((0.0, 5e-324), 1.0), ((0.5, 0.5), 2.0),
+    ((0.0, -0.1), 1.0),
+], ids=["underflow", "subnormal", "on_parabola", "below"])
+def test_center_next_to_the_parabola_refused(center, c):
+    # exp(-1/gap) at the center, which f is divided by, underflowed to 0
+    # within about 1/708 of y = c x^2, and f evaluated to inf
+    with pytest.raises(ValueError, match="gap"):
+        smooth_bump(center=center, support_constant=c)
+    assert np.isfinite(smooth_bump(center=(0.0, 0.0015))(0.0, 0.0015))
+    xs = np.linspace(-0.5, 0.5, 5)
+    tab = tabulated_phantom(xs, xs, np.ones((5, 5)), support_constant=c)
+    assert tab.center == (0.0, 0.0)         # samples are not normalized
 
 
 def test_lipschitz_bound_only_of_bumps():
