@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -296,12 +295,15 @@ def build_grids(cfg: _Values):
 
 def build_constants(cfg: _Values, phantom) -> BoundConstants:
     """The constants as configured; c0 defaults to the phantom's Lipschitz
-    bound, read only then (a tabulated phantom has none), the rest to
-    ``BoundConstants``' defaults."""
+    bound, read only then, the rest to ``BoundConstants``' defaults.  A
+    tabulated phantom has no bound, so its c0 is asked for under
+    ``constants.c0``; a bump whose bound overflows is refused under
+    ``phantom``."""
     spec = cfg["constants"]
     given = {k: v for k, v in spec.items() if v is not None}
     if "c0" not in given:
-        with _config_key("constants.c0"):
+        key = "constants.c0" if phantom.grid is not None else "phantom"
+        with _config_key(key):
             given["c0"] = phantom.holder_bound
     with _config_key("constants"):
         return BoundConstants(**given)
@@ -377,7 +379,8 @@ def write_manifest(out: Path, cfg: dict, seed: int, artifacts, extra=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            # only an oracle or a tabulated phantom imports scipy
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "localradon": __version__,
         },
         "artifacts": [str(a) for a in artifacts],

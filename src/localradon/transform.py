@@ -95,17 +95,33 @@ _NODES = 15
 _START_PANELS = 8
 _MAX_PANELS = 512
 _PANEL_BLOCK = 64
+# relative margin past the bump's width that a line's distance from its
+# center must clear to skip quadrature: far above the rounding of that
+# distance and of the nodes' coordinates
+_MISS_MARGIN = 1e-9
 
 
 def _chords(f: PhantomSpec, xi, eta):
     """x-intervals ``[lo, hi]`` where the lines y = xi x + eta meet
     {y >= c x^2} inside the phantom's x-extent; ``lo >= hi`` where a line
-    misses it."""
+    misses it.
+
+    A bump phantom is also empty (``hi = lo``) on every line at least
+    ``width * (1 + _MISS_MARGIN)`` from its center: every node of such a
+    line lies outside the bump's disc by far more than rounding, so the
+    phantom is exactly 0 there and the line's integral is the ``+0.0``,
+    with error 0, that its panels would have summed to.
+    """
     c = f.support_constant
     root = np.sqrt(np.maximum(xi * xi + 4.0 * c * eta, 0.0))
     ext = f.x_extent()
-    return (np.maximum((xi - root) / (2.0 * c), -ext),
-            np.minimum((xi + root) / (2.0 * c), ext))
+    lo = np.maximum((xi - root) / (2.0 * c), -ext)
+    hi = np.minimum((xi + root) / (2.0 * c), ext)
+    if f.grid is None:
+        cx, cy = f.center
+        reach = f.width * (1.0 + _MISS_MARGIN) * np.sqrt(1.0 + xi * xi)
+        hi = np.where(np.abs(cy - xi * cx - eta) >= reach, lo, hi)
+    return lo, hi
 
 
 def _embedded_panels(integrand, a, b, line):

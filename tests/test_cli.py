@@ -189,6 +189,7 @@ def test_cli_checks_config_once(tmp_path, monkeypatch, subcommand,
 
 
 def test_cli_sinogram_deterministic(tmp_path):
+    import scipy                # loaded in this process, so it is recorded
     cfg = write_config(tmp_path, {"noise_sigma": 1e-4})
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["sinogram", "--config", str(cfg), "--out", str(out1),
@@ -200,6 +201,7 @@ def test_cli_sinogram_deterministic(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert "localradon" in manifest["versions"]
+    assert manifest["versions"]["scipy"] == scipy.__version__
     assert any("sinogram.csv" in a for a in manifest["artifacts"])
 
 
@@ -662,6 +664,11 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     # to 0: the sinogram was flagged and c0 a division by zero
     *[({"phantom": dict(BASE_CONFIG["phantom"], center=[0.0, 0.001])},
        "phantom", sub) for sub in ("sinogram", "reconstruct")],
+    # 0.0015 above y = x^2 f reaches about 2e286 away from its center: c0
+    # overflowed to inf and was refused under constants, a section the
+    # config does not set
+    ({"phantom": dict(BASE_CONFIG["phantom"], center=[0.0, 0.0015])},
+     "phantom", "reconstruct"),
 ], ids=["field", "coef", "level", "hormander", "gevrey",
         "gevrey_underflow", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
@@ -680,7 +687,7 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
         "noise_levels_empty", "support_constant_nan", "poly_fraction",
         "poly_negative", "poly_bool", "poly_flat", "poly_short",
         "poly_ragged", "poly_text", "center_on_parabola_sinogram",
-        "center_on_parabola_reconstruct"])
+        "center_on_parabola_reconstruct", "c0_overflow"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
     cfg = write_config(tmp_path, overrides)
@@ -786,7 +793,9 @@ def test_cli_runtime_failure_exits_1(tmp_path):
 def test_cli_runs_leave_out_scipy(tmp_path):
     # the pipeline is plain numpy: importing scipy.interpolate or
     # scipy.integrate costs a process 0.6-0.9 s and about 50 MB,
-    # scipy.linalg 0.35 s, and scipy.stats a third of the CLI's import
+    # scipy.linalg 0.35 s, scipy.stats a third of the CLI's import, and a
+    # bare ``import scipy``, once kept for the manifest's version string,
+    # 9-18 ms; the manifest records scipy only when a run loaded it
     small = {"grid": {"xi": [-0.13, 0.13, 11], "eta": [-0.35, 0.35, 9]},
              "test_function": {"kind": "hormander", "param": 4},
              "tolerance": 1e-6}
@@ -802,13 +811,17 @@ def test_cli_runs_leave_out_scipy(tmp_path):
     code = ("import json, sys; from localradon import cli; "
             f"codes = [cli.main(a) for a in {argvs!r}]; "
             "print(json.dumps([codes, sorted(m for m in sys.modules "
-            "if m.startswith('scipy.'))]))")
+            "if m.split('.')[0] == 'scipy')]))")
     src = os.path.dirname(os.path.dirname(localradon.__file__))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0], run.stderr
-    for name in ("scipy.interpolate", "scipy.integrate", "scipy.linalg",
-                 "scipy.special", "scipy.stats"):
+    for name in ("scipy", "scipy.interpolate", "scipy.integrate",
+                 "scipy.linalg", "scipy.special", "scipy.stats"):
         assert name not in loaded, loaded
+    for i in range(len(runs)):
+        manifest = json.loads((tmp_path / str(i) / "manifest.json")
+                              .read_text())
+        assert manifest["versions"]["scipy"] is None

@@ -141,8 +141,13 @@ def whole_grid_bound(p):
       for lam in (1.0, 10.0, 20.0, 40.0, 80.0, 300.0)],
     dict(center=(0.0, 0.45), width=0.3, oscillation=80.0,
          poly_coeffs=[(0, 0, 2.0), (1, 0, 1.0), (0, 2, 3.0)]),
+    # narrow (the grid scales with the width, so its bounding box is still
+    # 333 x 333) and a negative amplitude off the axis
+    dict(center=(0.0, 0.45), width=0.01),
+    dict(center=(0.15, 0.4), width=0.2, amplitude=-3.0),
 ], ids=BOUND_IDS + ["off_axis", "osc_1", "osc_10", "osc_20", "osc_40",
-                    "osc_80", "osc_300", "osc_polynomial_80"])
+                    "osc_80", "osc_300", "osc_polynomial_80", "narrow",
+                    "negative_off_axis"])
 def test_lipschitz_bound_in_row_blocks_is_the_whole_grid_max(spec,
                                                              monkeypatch):
     # each block keeps its max and max is exact, so any row blocking gives
@@ -152,8 +157,7 @@ def test_lipschitz_bound_in_row_blocks_is_the_whole_grid_max(spec,
     poly = np.asarray(spec.pop("poly_coeffs", ()), dtype=float).ravel()
     p = PhantomSpec(poly_coeffs=tuple(poly), **spec)
     ref = whole_grid_bound(p)
-    assert lipschitz_bound(p) == ref
-    for rows in (1, 7, 401):
+    for rows in (1, 7, 16, 401):
         monkeypatch.setattr(phantoms, "_ROW_BLOCK", rows)
         assert lipschitz_bound(p) == ref, rows
 
@@ -184,6 +188,16 @@ def test_center_next_to_the_parabola_refused(center, c):
     xs = np.linspace(-0.5, 0.5, 5)
     tab = tabulated_phantom(xs, xs, np.ones((5, 5)), support_constant=c)
     assert tab.center == (0.0, 0.0)         # samples are not normalized
+
+
+def test_lipschitz_bound_refuses_an_overflow():
+    # 0.0015 above the vertex f reaches about 2e286 away from its center,
+    # and |grad f|^2 overflowed to c0 = inf with only a RuntimeWarning
+    p = smooth_bump(center=(0.0, 0.0015))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"gap y - c x\^2 = 0\.0015"):
+            lipschitz_bound(p)
 
 
 def test_lipschitz_bound_only_of_bumps():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import warnings
@@ -11,7 +12,11 @@ from scipy import integrate
 from localradon import transform
 from localradon.bumps import hormander_sequence
 from localradon.means import chebyshev_grid, mean_profile
-from localradon.phantoms import oscillatory_phantom, smooth_bump
+from localradon.phantoms import (
+    oscillatory_phantom,
+    smooth_bump,
+    tabulated_phantom,
+)
 from localradon.transform import (
     QuadratureError,
     Sinogram,
@@ -182,6 +187,94 @@ def test_from_ab_pair_check_runs_only_where_f_is_nonzero():
     assert radon(f, m, 2.0, -0.5) == 0.0
     with pytest.raises(ValueError, match="6- and 12-point"):
         radon(f, m, 3.0, 0.3)
+
+
+# the gated benchmark grids (perfbench/workloads.py) with their tolerances
+GATED = {
+    "sweep_const": (np.linspace(-0.13, 0.13, 15)[:, None],
+                    np.linspace(-0.35, 0.35, 15)[None, :], 1e-10),
+    "recon_generic": (np.linspace(-0.13, 0.13, 11)[:, None],
+                      np.linspace(-0.35, 0.35, 9)[None, :], 1e-8),
+}
+
+
+def _tangent_lines(f, offsets=(-1e-6, -1e-9, 0.0, 1e-9, 2e-9, 1e-6)):
+    """Lines at ``width * (1 + t)`` from the center of ``f``, above and
+    below it, for each offset ``t`` and five slopes."""
+    cx, cy = f.center
+    xi = np.linspace(-0.5, 0.5, 5)[:, None, None]
+    dist = f.width * (1.0 + np.asarray(offsets))[None, :, None]
+    side = np.array([1.0, -1.0])[None, None, :]
+    eta = cy - xi * cx + side * dist * np.sqrt(1.0 + xi * xi)
+    return np.broadcast_arrays(xi, eta)
+
+
+@contextlib.contextmanager
+def _no_disc_test(monkeypatch):
+    """Every line's chord left at its parabola crossing, as before lines
+    that miss a bump's disc were skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(transform, "_MISS_MARGIN", np.inf)
+        yield
+
+
+@pytest.mark.parametrize("lines", ["sweep_const", "recon_generic",
+                                   "tangent", "tangent_k1"])
+@pytest.mark.parametrize("m", [constant_weight(), Weight(
+    field_from_spec("0.5*sin_xi"), field_from_spec("0.5*cos_eta"))],
+    ids=["constant", "from_ab"])
+def test_lines_that_miss_the_disc_skip_quadrature_bit_for_bit(
+        monkeypatch, lines, m):
+    # every node of a skipped line is off the disc, where f is exactly 0:
+    # the line keeps the value +0.0, the error 0.0 and failed False that
+    # its panels summed to, and every other line keeps its panels
+    k = 1 if lines == "tangent_k1" else 0
+    if lines in GATED:
+        f = smooth_bump(center=(0.0, 0.45), width=0.3)
+        xi, eta, tol = GATED[lines]
+    else:
+        f = smooth_bump(center=(0.1, 0.45), width=0.3)
+        (xi, eta), tol = _tangent_lines(f), 1e-10
+    xi, eta = np.broadcast_arrays(xi, eta)
+    fast = transform._line_integrals(f, m, k, xi, eta, tol)
+    lo, hi = transform._chords(f, xi, eta)
+    with _no_disc_test(monkeypatch):
+        slow = transform._line_integrals(f, m, k, xi, eta, tol)
+        lo_all, hi_all = transform._chords(f, xi, eta)
+    for new, old in zip(fast, slow):
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+    # the test skipped lines that the parabola alone would integrate
+    assert np.count_nonzero(lo < hi) < np.count_nonzero(lo_all < hi_all)
+
+
+def test_a_line_that_misses_the_disc_evaluates_no_node(record, m_const):
+    # y = 0.8 passes 0.05 above the disc and crosses the parabola region on
+    # (-0.89, 0.89); y = 0.74 crosses the disc
+    f = record(smooth_bump(center=(0.0, 0.45), width=0.3))
+    values, errors, failed = transform._line_integrals(
+        f, m_const, 0, 0.0, np.array([0.74, 0.8]), 1e-10)
+    y = np.concatenate([args[1].ravel() for args in f.calls])
+    assert y.size > 0 and np.all(y == 0.74)
+    assert values[1] == 0.0 and not np.signbit(values[1])
+    assert errors[1] == 0.0 and not failed[1]
+    assert values[0] > 0.0
+
+
+def test_tabulated_chords_ignore_the_disc(monkeypatch, record, m_const):
+    # a tabulated phantom's center and width are its grid's box, not a
+    # disc: lines 1.1 and 1.6 from its center, past the width 1, keep their
+    # chords, and y = 1.6 (xi = 0) evaluates the phantom on [-0.5, 0.5]
+    xs, ys = np.linspace(-0.5, 0.5, 5), np.linspace(0.0, 1.0, 5)
+    tab = tabulated_phantom(xs, ys, np.ones((5, 5)))
+    xi, eta = _tangent_lines(tab, offsets=(-0.5, 0.1, 0.6))
+    chords = transform._chords(tab, xi, eta)
+    with _no_disc_test(monkeypatch):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(chords, transform._chords(tab, xi, eta)))
+    f = record(tab)
+    transform._line_integrals(f, m_const, 0, 0.0, 1.6, 1e-10)
+    assert f.points() > 0
 
 
 def test_radon_input_validation(f_main, m_const):
