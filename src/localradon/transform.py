@@ -127,7 +127,7 @@ def _chords(f: PhantomSpec, xi, eta):
 def _embedded_panels(integrand, a, b, line):
     """Values and error estimates of the panels ``[a, b]`` of lines
     ``line``, evaluating ``integrand`` on the nodes of _PANEL_BLOCK panels
-    at a time to bound the memory of the weight's own quadrature."""
+    at a time to bound the memory of its temporaries."""
     t1, w1 = gauss_nodes(_NODES)
     t2, w2 = gauss_nodes(2 * _NODES)
     t = np.concatenate([t1, t2])

@@ -6,8 +6,11 @@ positive constant, and the weight synthesized from a field pair
 
     d_xi m - x d_eta m = (x*a(xi, eta) + b(xi, eta)) * m
 
-holds by construction (solved along the characteristics
-``eta + x*xi = const``).
+holds by construction: ``m = exp(x*A + B)``, where ``A`` and ``B`` are the
+integrals of ``a`` and ``b`` along the characteristic ``eta + x*xi = const``
+from ``xi = 0``.  Every field is ``coef * name`` for a name in a registry of
+elementary functions, and each registry row carries that integral in closed
+form next to the field's values, so no quadrature enters the weight.
 """
 
 from __future__ import annotations
@@ -37,11 +40,6 @@ def gauss_nodes(n: int):
     if n not in _GAUSS_CACHE:
         _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GAUSS_CACHE[n]
-
-
-# A from_ab exponent is kept only where its 6- and 12-point Gauss values
-# differ by at most PAIR_TOL * max(1, |exponent|)
-PAIR_TOL = 1e-13
 
 
 def panel_rule(edges, n: int):
@@ -126,9 +124,13 @@ class AnalyticField:
     ``fn`` is one numpy expression that holds for float arrays and for a
     :class:`Jet` in xi with ``eta`` an array, so the field's values and its
     exact xi-derivatives of any order come from the same formula.
+    ``integral(x, xi, eta)``, on float arrays of one shape, is the field's
+    integral along the characteristic through ``(xi, eta)``,
+    ``int_0^xi fn(s, eta + x*(xi - s)) ds``, in closed form.
     """
 
     fn: Callable
+    integral: Callable
     name: str = "field"
 
     def __call__(self, xi, eta):
@@ -146,18 +148,43 @@ class AnalyticField:
         return out * np.ones_like(eta)      # spread over eta
 
 
-_FIELD_REGISTRY: dict[str, Callable] = {
-    "zero": lambda xi, eta: np.zeros_like(eta),
-    "one": lambda xi, eta: np.ones_like(eta),
-    "xi": lambda xi, eta: xi,
-    "eta": lambda xi, eta: eta,
-    "xi_eta": lambda xi, eta: xi * eta,
-    "eta2": lambda xi, eta: eta * eta,
-    "sin_xi": lambda xi, eta: np.sin(xi),
-    "cos_xi": lambda xi, eta: np.cos(xi),
-    "sin_eta": lambda xi, eta: np.sin(eta),
-    "cos_eta": lambda xi, eta: np.cos(eta),
-    "exp_xi": lambda xi, eta: np.exp(xi),
+def _sinc(u):
+    """``sin(u) / u``, 1 at ``u = 0``."""
+    return np.sinc(u / np.pi)
+
+
+# name: (fn(xi, eta), its integral along the characteristic).  There
+# eta(s) = eta + x*(xi - s) runs from eta + x*xi at s = 0 to eta at s = xi;
+# the integrals are written about its midpoint eta + x*xi/2, which leaves
+# no difference to cancel as x -> 0
+_FIELD_REGISTRY: dict[str, tuple[Callable, Callable]] = {
+    "zero": (lambda xi, eta: np.zeros_like(eta),
+             lambda x, xi, eta: np.zeros_like(xi)),
+    "one": (lambda xi, eta: np.ones_like(eta),
+            lambda x, xi, eta: xi),
+    "xi": (lambda xi, eta: xi,
+           lambda x, xi, eta: 0.5 * xi * xi),
+    "eta": (lambda xi, eta: eta,
+            lambda x, xi, eta: xi * (eta + 0.5 * x * xi)),
+    "xi_eta": (lambda xi, eta: xi * eta,
+               lambda x, xi, eta: xi * xi * (3.0 * eta + x * xi) / 6.0),
+    # (eta + u/2)^2 + u^2/12 with u = x*xi: a sum of squares
+    "eta2": (lambda xi, eta: eta * eta,
+             lambda x, xi, eta: xi * ((eta + 0.5 * x * xi) ** 2
+                                      + (x * xi) ** 2 / 12.0)),
+    # 1 - cos(xi), without the cancellation at small xi
+    "sin_xi": (lambda xi, eta: np.sin(xi),
+               lambda x, xi, eta: 2.0 * np.sin(0.5 * xi) ** 2),
+    "cos_xi": (lambda xi, eta: np.cos(xi),
+               lambda x, xi, eta: np.sin(xi)),
+    "sin_eta": (lambda xi, eta: np.sin(eta),
+                lambda x, xi, eta: xi * np.sin(eta + 0.5 * x * xi)
+                * _sinc(0.5 * x * xi)),
+    "cos_eta": (lambda xi, eta: np.cos(eta),
+                lambda x, xi, eta: xi * np.cos(eta + 0.5 * x * xi)
+                * _sinc(0.5 * x * xi)),
+    "exp_xi": (lambda xi, eta: np.exp(xi),
+               lambda x, xi, eta: np.expm1(xi)),
 }
 
 
@@ -179,8 +206,10 @@ def field_from_spec(spec: str) -> AnalyticField:
         raise ValueError(
             f"unknown field {text!r}; known: {sorted(_FIELD_REGISTRY)}"
         )
-    fn = _FIELD_REGISTRY[text]
-    return AnalyticField(lambda xi, eta: coef * fn(xi, eta), name=spec)
+    fn, integral = _FIELD_REGISTRY[text]
+    return AnalyticField(lambda xi, eta: coef * fn(xi, eta),
+                         lambda x, xi, eta: coef * integral(x, xi, eta),
+                         name=spec)
 
 
 @dataclass
@@ -209,29 +238,9 @@ class Weight:
         return out if out.shape else float(out)
 
     def _from_ab(self, x, xi, eta):
-        # m = exp(int_0^xi [x a(s, eta + x(xi - s))
-        #                   + b(s, eta + x(xi - s))] ds): the 12-point Gauss
-        # value of the exponent, checked against the 6-point one
-        t6, w6 = gauss_nodes(6)
-        t12, w12 = gauss_nodes(12)
-        flat_x, flat_xi, flat_eta = (v.ravel()[:, None] for v in (x, xi, eta))
-        # the 18 nodes s along [0, xi] for every point at once
-        s = 0.5 * flat_xi * (1.0 + np.concatenate([t6, t12]))
-        etas = flat_eta + flat_x * (flat_xi - s)
-        vals = flat_x * self.a(s, etas) + self.b(s, etas)
-        half = 0.5 * flat_xi[:, 0]
-        coarse, expo = half * (vals[:, :6] @ w6), half * (vals[:, 6:] @ w12)
-        gap = np.abs(coarse - expo)
-        bad = gap > PAIR_TOL * np.maximum(1.0, np.abs(expo))
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise ValueError(
-                f"{self.label}: the 6- and 12-point Gauss exponents differ "
-                f"by {gap[i]:.3g} at (x, xi, eta) = ({flat_x[i, 0]:.6g}, "
-                f"{flat_xi[i, 0]:.6g}, {flat_eta[i, 0]:.6g}), over "
-                f"{PAIR_TOL:g} relative; the fields vary too fast along "
-                f"this characteristic")
-        return np.exp(expo).reshape(x.shape)
+        # m = exp(int_0^xi [x a + b](s, eta + x(xi - s)) ds)
+        return np.exp(x * self.a.integral(x, xi, eta)
+                      + self.b.integral(x, xi, eta))
 
 
 def constant_weight(level: float = 1.0) -> Weight:

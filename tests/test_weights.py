@@ -104,14 +104,74 @@ def test_from_ab_matches_24_point_exponent(a, b):
     assert np.abs(m(x, xi, eta) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_from_ab_refuses_unresolved_exponent():
-    # sin(s) over s in [0, 3] scaled by 20: the 6- and 12-point exponents
-    # differ by 1.4e-10 relative, so no value is returned
+def test_from_ab_exact_on_a_long_characteristic():
+    # sin(s) over s in [0, 3] scaled by 20, where a 6- and a 12-point
+    # Gauss rule differ by 1.4e-10 relative: the exponent is 20 (1 - cos 3)
     m = Weight(field_from_spec("20*sin_xi"), field_from_spec("zero"))
-    with pytest.raises(ValueError, match="6- and 12-point"):
-        m(1.0, 3.0, 0.3)
-    assert m(1.0, 0.3, 0.3) == pytest.approx(
-        math.exp(20.0 * (1.0 - math.cos(0.3))), rel=1e-13)
+    for xi in (3.0, 0.3):
+        assert m(1.0, xi, 0.3) == pytest.approx(
+            math.exp(20.0 * (1.0 - math.cos(xi))), rel=1e-13)
+
+
+def _characteristic_points(n=400, seed=7):
+    """``(x, xi, eta)`` in the pipeline's range, with rows at x = 0, at
+    |x| <= 1e-9, at xi < 0 and at xi = 0 exactly."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, n)
+    xi = rng.uniform(-1.0, 1.0, n)
+    eta = rng.uniform(-0.35, 1.2, n)
+    x[:50] = 0.0
+    x[50:100] *= 1e-9
+    xi[100:150] = -np.abs(xi[100:150])
+    xi[150:200] = 0.0
+    return x, xi, eta
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_REGISTRY))
+def test_field_integral_matches_64_point_gauss(name):
+    # each row's closed-form integral against 64 Gauss nodes of the same
+    # row's values along the characteristic, on the scale of the integral
+    # of |fn| there (the integrand may change sign)
+    f = field_from_spec(f"-1.7*{name}")
+    x, xi, eta = _characteristic_points()
+    t, w = gauss_nodes(64)
+    s = 0.5 * xi[:, None] * (1.0 + t)
+    vals = f(s, eta[:, None] + x[:, None] * (xi[:, None] - s))
+    ref = 0.5 * xi * (vals @ w)
+    scale = 0.5 * np.abs(xi) * (np.abs(vals) @ w)
+    got = f.integral(x, xi, eta)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    assert np.all(got[xi == 0.0] == 0.0)
+    # the weight solves the transport equation with the row as a and as b,
+    # beside a generic partner
+    for a, b in ((f, field_from_spec("0.5*cos_eta")),
+                 (field_from_spec("0.5*sin_xi"), f)):
+        assert pde_residual(Weight(a, b), a, b, POINTS) < 1e-8
+
+
+_COEF = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@given(a=st.sampled_from(sorted(_FIELD_REGISTRY)),
+       b=st.sampled_from(sorted(_FIELD_REGISTRY)), ka=_COEF, kb=_COEF,
+       c=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_weight_scales_as_a_power(a, b, ka, kb, c, seed):
+    # the exponent is linear in (a, b): m_{c a, c b} = m_{a, b} ** c, to
+    # the rounding of the exponent's terms; 1 exactly on xi = 0
+    fa, fb = field_from_spec(f"{ka!r}*{a}"), field_from_spec(f"{kb!r}*{b}")
+    m = Weight(fa, fb)
+    mc = Weight(field_from_spec(f"{c * ka!r}*{a}"),
+                field_from_spec(f"{c * kb!r}*{b}"))
+    x, xi, eta = _characteristic_points(n=250, seed=seed)
+    terms = np.abs(c) * (np.abs(x * fa.integral(x, xi, eta))
+                         + np.abs(fb.integral(x, xi, eta)))
+    want = m(x, xi, eta) ** c
+    rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(c) + terms)
+    assert np.all(np.abs(mc(x, xi, eta) - want) <= rounding * want)
+    assert np.all(m(x, 0.0, eta) == 1.0) and np.all(mc(x, 0.0, eta) == 1.0)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
