@@ -11,10 +11,10 @@ Two families:
 
 * ``gevrey_bump(sigma)`` -- exp(-((1-t)t)**(-1/(sigma-1))) on (0, 1),
   mapped to (-1, 1) and normalized.  Derivative sups grow like
-  ``C**(k+1) * (k!)**sigma``.  High-order derivatives are computed by a
-  Cauchy integral around each interior point (the bump is analytic away
-  from the endpoints), which stays accurate where finite differences
-  would collapse.
+  ``C**(k+1) * (k!)**sigma``.  One formula gives the values on floats and
+  every derivative on a jet (``jets.Jet``): its Taylor coefficients follow
+  the recurrences of ``**`` and ``exp``, exact in exact arithmetic, so
+  they stay accurate where finite differences would collapse.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .jets import Jet
 from .weights import panel_rule
 
 __all__ = [
@@ -146,9 +147,8 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
     e = 1.0 / (sigma - 1.0)
 
     def raw(z):
-        # (1-t)t with t=(x+1)/2 equals (1-x^2)/4; complex-capable
-        w = (1.0 - z * z) / 4.0
-        return np.exp(-np.power(w, -e))
+        # (1-t)t with t = (x+1)/2 equals (1-x^2)/4; z is a float or a jet
+        return np.exp(-(0.25 * (1.0 - z * z)) ** -e)
 
     nodes, weights = _gevrey_mass_rule()
     mass = float(np.sum(weights * raw(nodes)))
@@ -156,23 +156,18 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
         raise ValueError(
             f"sigma = {sigma:g} is too close to 1: the bump's mass "
             f"{mass:.3g} underflows a double (peak exp(-4^(1/(sigma-1))))")
-    theta = 2 * np.pi * np.arange(128) / 128
-    ring = np.exp(1j * theta)
 
     def evaluate(x, k):
         out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        if k == 0:
-            out[inside] = raw(x[inside]).real / mass
-        else:
-            # Cauchy integral on a ring of radius r around every point at
-            # once; points with r < 1e-8 (at or next to +-1) stay zero
-            r = 0.35 * (1.0 - np.abs(x))
-            far = r >= 1e-8
-            r = r[far, None]
-            fz = raw(x[far, None] + r * ring) / mass
-            coef = np.mean(fz * np.exp(-1j * k * theta), axis=1)
-            out[far] = math.factorial(k) * coef.real / r[:, 0] ** k
+        on = np.abs(x) < 1.0
+        on[on] = raw(x[on]) > 0.0       # where the bump is a nonzero double
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = raw(Jet.variable(x[on], k)).derivative(k) / mass
+        bad = ~np.isfinite(d)
+        if bad.any():
+            raise ValueError(f"phi^(k) overflows a double at k = {k}, "
+                             f"sigma = {sigma:g}, x = {float(x[on][bad][0])!r}")
+        out[on] = d
         return out
 
     return TestFunction(
@@ -181,10 +176,12 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
     )
 
 
-def _rate(tf: TestFunction, k: int) -> float:
+def _order_constant(tf: TestFunction, sup: float, k: int) -> float:
+    """``(sup / rate_k) ** (1/(k+1))``; the Gevrey rate ``k!**sigma`` is
+    taken in logs, since it overflows a double for large sigma."""
     if tf.kind == "hormander":
-        return float(tf.param) ** k
-    return float(math.factorial(k)) ** tf.param
+        return (sup / float(tf.param) ** k) ** (1.0 / (k + 1))
+    return math.exp((math.log(sup) - tf.param * math.lgamma(k + 1)) / (k + 1))
 
 
 def verify_derivative_bounds(tf: TestFunction, k_max: int,
@@ -200,5 +197,5 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int,
     if tf.breakpoints is not None:
         xs = np.append(xs, tf.breakpoints)
     return float(max(
-        (np.abs(tf.derivative_values(xs, k)).max() / _rate(tf, k))
-        ** (1.0 / (k + 1)) for k in range(k_max + 1)))
+        _order_constant(tf, np.abs(tf.derivative_values(xs, k)).max(), k)
+        for k in range(k_max + 1)))

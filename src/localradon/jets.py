@@ -4,7 +4,8 @@ A jet stores Taylor coefficients ``c[n] = f^(n)(x0)/n!`` up to a fixed
 truncation order.  Coefficients may be scalars or numpy arrays of any
 common shape, so the same arithmetic drives both pointwise field
 evaluation and grid-valued kernel construction.  ``np.sin``, ``np.cos``
-and ``np.exp`` of a jet follow the jet recurrences.
+and ``np.exp`` of a jet, and ``jet ** alpha`` for a real ``alpha``,
+follow the jet recurrences.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class Jet:
         return self.c.shape[0] - 1
 
     @classmethod
-    def variable(cls, x0: float, order: int) -> "Jet":
-        c = np.zeros(order + 1)
+    def variable(cls, x0, order: int) -> "Jet":
+        c = np.zeros((order + 1,) + np.shape(x0))
         c[0] = x0
         if order >= 1:
             c[1] = 1.0
@@ -52,7 +53,9 @@ class Jet:
     def _coerce(self, other, order):
         if isinstance(other, Jet):
             return other
-        return Jet.constant(other, order)
+        # a scalar broadcasts over the jet's base points
+        shape = np.shape(other) or (1,) * (self.c.ndim - 1)
+        return Jet.constant(np.reshape(other, shape), order)
 
     def __add__(self, other):
         other = self._coerce(other, self.order)
@@ -85,15 +88,21 @@ class Jet:
     __rmul__ = __mul__
 
     def exp(self) -> "Jet":
-        n = self.order
-        f = self.c
-        out = np.zeros_like(f)
+        # k p_k = sum_{i=1..k} i f_i p_(k-i), from p' = f' p
+        f, out = self.c, np.zeros_like(self.c)
         out[0] = np.exp(f[0])
-        for k in range(1, n + 1):
-            acc = np.zeros_like(out[0])
-            for i in range(1, k + 1):
-                acc = acc + i * f[i] * out[k - i]
-            out[k] = acc / k
+        for k in range(1, self.order + 1):
+            out[k] = sum(i * f[i] * out[k - i] for i in range(1, k + 1)) / k
+        return Jet(out)
+
+    def __pow__(self, alpha: float) -> "Jet":
+        # k f_0 p_k = sum_{i=1..k} ((alpha + 1) i - k) f_i p_(k-i), from
+        # f p' = alpha f' p; the base value f_0 must not be 0
+        f, out = self.c, np.zeros_like(self.c)
+        out[0] = f[0] ** alpha
+        for k in range(1, self.order + 1):
+            out[k] = sum(((alpha + 1.0) * i - k) * f[i] * out[k - i]
+                         for i in range(1, k + 1)) / (k * f[0])
         return Jet(out)
 
     def sin_cos(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -155,7 +156,7 @@ def test_gevrey_derivatives_match_fd():
 
 
 def test_gevrey_derivatives_match_pointwise_cauchy_loop():
-    # the per-point Cauchy integral that the batched evaluation replaced;
+    # an independent reference, the per-point Cauchy integral on a ring;
     # points with a ring radius under 1e-8, and points outside, give zero
     phi = gevrey_bump(2.0, derivative_order_max=6)
     norm = math.exp(-4.0) / float(phi(0.0))
@@ -185,6 +186,64 @@ def test_gevrey_certification(phi_gevrey2):
     xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
     assert 0.999 * C < order_constants(phi_gevrey2, 12, xs).max() \
         <= C * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1.22, 1.25, 1.3, 2.0, 3.0, 10.0])
+def test_gevrey_derivatives_match_mpmath(sigma):
+    # phi^(k)(x) / phi(0) against 80-digit mpmath.diff of the unnormalized
+    # bump at the double x, at the argmax of |phi^(k)| inside the
+    # certificate's grid and at its end points +-(1 - 1e-9).  Largest
+    # relative errors measured: 5.1e-13 inside (sigma = 10, k = 12, at
+    # x = 0.9995, where 1 - x*x rounds with relative error up to 1.1e-13;
+    # next 1.6e-13 at sigma = 1.22, k = 1, where exp(-w^-e) has condition
+    # number e w^-e ~ 2500 in w), so rtol 2e-12 is a 4x margin; 5.4e-9 at
+    # the end points for sigma = 10 (k = 12; there 1 - x*x rounds with
+    # relative error up to 5.5e-8), so rtol 5e-8 is a 9x margin.  For
+    # sigma <= 3 the bump underflows to 0 at the end points, and so do its
+    # derivatives; the reference is below 1e-300 there.
+    phi = gevrey_bump(sigma)
+    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+    with mpmath.workdps(80):
+        e = 1 / (mpmath.mpf(sigma) - 1)
+
+        def raw(z):
+            return mpmath.exp(-((1 - z * z) / 4) ** -e)
+
+        for k in (1, 4, 12):
+            d = np.abs(phi.derivative_values(xs[1:-1], k))
+            for x in (xs[1 + np.argmax(d)], xs[0], xs[-1]):
+                rtol = 5e-8 if abs(x) == xs[-1] else 2e-12
+                got = phi.derivative_values(x, k) / phi(0.0)
+                ref = mpmath.diff(raw, mpmath.mpf(x), k) / raw(0)
+                if got == 0.0:
+                    assert sigma <= 3.0 and abs(x) == xs[-1] \
+                        and abs(ref) < 1e-300
+                else:
+                    assert abs(got - ref) <= rtol * abs(ref), (k, x)
+
+
+def test_gevrey_derivative_overflow_is_refused():
+    # the order-20 derivative of sigma = 10 at 1 - 2^-52 exceeds a double:
+    # no inf, NaN or RuntimeWarning, a ValueError naming x, sigma and k
+    phi = gevrey_bump(10.0)
+    x = 1.0 - 2.0**-52
+    assert np.isfinite(phi.derivative_values(x, 19))
+    with pytest.raises(ValueError, match=r"k = 20, sigma = 10, "
+                       r"x = 0\.9999999999999998$"):
+        phi.derivative_values(np.array([0.5, x]), 20)
+
+
+def test_gevrey_certificate_rate_in_logs():
+    # 20!^50 overflows a double; the certificate takes the rate in logs
+    # and agrees with the exact integer rate, taken in 60-digit mpmath
+    phi = gevrey_bump(50.0)
+    C = verify_derivative_bounds(phi, 20)
+    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+    with mpmath.workdps(60):
+        ref = max((mpmath.mpf(np.abs(phi.derivative_values(xs, k)).max())
+                   / mpmath.factorial(k) ** 50) ** (mpmath.mpf(1) / (k + 1))
+                  for k in range(21))
+    assert math.isfinite(C) and abs(C - ref) <= 1e-14 * ref
 
 
 def test_derivative_order_guard(phi12):

@@ -377,6 +377,16 @@ def test_readme_gevrey_alternative(tmp_path, subcommand):
     assert np.all(rows[:, 3] <= rows[:, 5])
 
 
+def test_large_gevrey_sigma_reaches_the_pipelines_refusal(tmp_path, capsys):
+    # 14!^50 overflows a double; the certificate takes the rate in logs,
+    # and its large constant leaves no order N >= 1 for the README data
+    cfg = write_config(tmp_path, {"test_function": {"kind": "gevrey",
+                                                    "param": 50.0}})
+    assert main(["reconstruct", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    assert "data too noisy for method (N < 1)" in capsys.readouterr().err
+
+
 def test_cli_counterexample(tmp_path):
     _, res = run_cli(tmp_path, "counterexample", COUNTEREXAMPLE)
     slopes = res["slopes"]

@@ -75,6 +75,24 @@ def test_array_coefficients_broadcast():
     assert np.allclose(j.derivative(1), etas)
 
 
+@given(x0=st.lists(finite, min_size=1, max_size=5),
+       a=finite, b=finite)
+@settings(max_examples=40, deadline=None)
+def test_real_power(x0, a, b):
+    # J = 1 + x^2 on array base points (the scalar 1 broadcasts over them)
+    x = Jet.variable(np.array(x0), 6)
+    J = 1.0 + x * x
+    assert J.c.shape == (7, len(x0))
+
+    def close(lhs, rhs):
+        return np.allclose(lhs.c, rhs.c, rtol=1e-12,
+                           atol=1e-12 * np.abs(rhs.c).max())
+
+    assert close(J ** 2, J * J)
+    assert close(J ** a * J ** b, J ** (a + b))
+    assert close(J ** -1 * J, Jet.constant(np.ones(len(x0)), 6))
+
+
 @given(a=finite, b=finite)
 @settings(max_examples=40, deadline=None)
 def test_product_rule(a, b):

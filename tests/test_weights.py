@@ -90,7 +90,7 @@ def test_from_ab_b_only_closed_form():
 @pytest.mark.parametrize("a, b", [("0.5*sin_xi", "0.5*cos_eta"),
                                   ("2.0*exp_xi", "2.0*xi_eta")])
 def test_from_ab_matches_24_point_exponent(a, b):
-    # the kept 12-point exponent against 24 Gauss nodes on [0, xi]
+    # the closed-form exponent against 24 Gauss nodes on [0, xi]
     fa, fb = field_from_spec(a), field_from_spec(b)
     m = Weight(fa, fb)
     x, xi, eta = (v.ravel() for v in np.meshgrid(
