@@ -31,7 +31,7 @@ def main():
 
     # direct moments of the mean profile, via Gauss quadrature
     t, w = gauss_nodes(320)
-    prof = mean_profile(f, None, phi, EPS, GAMMA, x_grid=t)
+    prof = mean_profile(f, constant_weight(), phi, EPS, GAMMA, x_grid=t)
     ref = np.array([float(np.sum(w * t**k * prof.values)) for k in range(7)])
 
     got = moments_from_sinogram_unweighted(g, phi, EPS, GAMMA, 6)

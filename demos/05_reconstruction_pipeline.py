@@ -37,7 +37,7 @@ def main():
 
     # each row is scored against the mean under the test function its
     # reconstruction used
-    report = stability_curve(clean, f, None, phi,
+    report = stability_curve(clean, f, constant_weight(), phi,
                              [1e-10, 1e-8, 1e-6, 1e-4], EPS, GAMMA, consts)
     print(f"{'noise':>8} {'N':>3} {'l2 error':>12} {'bound':>12}")
     for row in report.rows:

@@ -379,7 +379,7 @@ def write_manifest(out: Path, cfg: dict, seed: int, artifacts, extra=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            # only an oracle or a tabulated phantom imports scipy
+            # no run loads scipy; an oracle in the same process may
             "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "localradon": __version__,
         },

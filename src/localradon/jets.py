@@ -106,20 +106,13 @@ class Jet:
         return Jet(out)
 
     def sin_cos(self):
-        n = self.order
-        f = self.c
-        s = np.zeros_like(f)
-        c = np.zeros_like(f)
-        s[0] = np.sin(f[0])
-        c[0] = np.cos(f[0])
-        for k in range(1, n + 1):
-            sa = np.zeros_like(s[0])
-            ca = np.zeros_like(c[0])
-            for i in range(1, k + 1):
-                sa = sa + i * f[i] * c[k - i]
-                ca = ca - i * f[i] * s[k - i]
-            s[k] = sa / k
-            c[k] = ca / k
+        # k s_k = sum i f_i c_(k-i) and k c_k = -sum i f_i s_(k-i), from
+        # s' = f' c and c' = -f' s
+        f, s, c = self.c, np.zeros_like(self.c), np.zeros_like(self.c)
+        s[0], c[0] = np.sin(f[0]), np.cos(f[0])
+        for k in range(1, self.order + 1):
+            s[k] = sum(i * f[i] * c[k - i] for i in range(1, k + 1)) / k
+            c[k] = sum(-i * f[i] * s[k - i] for i in range(1, k + 1)) / k
         return Jet(s), Jet(c)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):

@@ -1,5 +1,6 @@
-"""Vertical-interval means: local averages of ``f`` (or ``f * m_gamma``)
-over ``{y: |y - gamma| <= eps*|x|}`` against a dilated test function.
+"""Vertical-interval means: local averages of ``f * m_gamma`` over
+``{y: |y - gamma| <= eps*|x|}`` against a dilated test function; the mean
+of ``f`` alone is the one under ``constant_weight()``.
 """
 
 from __future__ import annotations
@@ -62,16 +63,16 @@ class MeanProfile:
 
 def mean_profile(
     f: PhantomSpec,
-    m: Optional[Weight],
+    m: Weight,
     phi: TestFunction,
     eps: float,
     gamma: float,
     x_grid=None,
 ) -> MeanProfile:
-    """Compute ``M_{eps,gamma}[f]`` (or ``M_{eps,gamma}[f m_gamma]``).
+    """Compute ``M_{eps,gamma}[f m_gamma]``.
 
     For ``x != 0`` this is the y-integral of
-    ``f(x, y) [m_gamma(x, y)] phi_{eps|x|}(gamma - y)`` over
+    ``f(x, y) m_gamma(x, y) phi_{eps|x|}(gamma - y)`` over
     ``|y - gamma| <= eps|x|``; at ``x = 0`` the defining point value.
     Like the moments, it refuses ``gamma < eps^2/4``.
     """
@@ -88,7 +89,7 @@ def mean_profile(
     at_zero = np.abs(x_grid) < 1e-13
     if np.any(at_zero):
         v = float(f(0.0, gamma))
-        if m is not None and v != 0:
+        if v != 0:
             v *= m(0.0, 0.0, gamma)
         values[at_zero] = v
     rows = np.flatnonzero(~at_zero)
@@ -107,10 +108,8 @@ def mean_profile(
         terms = np.array(f(xs, ys), dtype=float)
         nz = terms != 0
         xn, yn = xs[nz], ys[nz]
-        fm = terms[nz]
-        if m is not None:
-            # m_gamma(x, y) = m(x, (y - gamma)/x, gamma); no row has x = 0
-            fm = fm * m(xn, (yn - gamma) / xn, gamma)
+        # m_gamma(x, y) = m(x, (y - gamma)/x, gamma); no row has x = 0
+        fm = terms[nz] * m(xn, (yn - gamma) / xn, gamma)
         hw = eps * np.abs(xn)
         terms[nz] = np.broadcast_to(w, ys.shape)[nz] * fm \
             * (phi((gamma - yn) / hw) / hw)
@@ -129,23 +128,22 @@ def mean_profile(
 
 def convergence_gap(
     f: PhantomSpec,
-    m: Optional[Weight],
+    m: Weight,
     phi: TestFunction,
     eps: float,
     gamma: float,
     x_grid=None,
 ):
-    """Sup of ``|M(x) - f(x, gamma)[m_gamma]|`` and its ratio to the
-    Lipschitz envelope ``C_0 eps |x|``; the ratio is at most one for an
+    """Sup of ``|M(x) - f(x, gamma) m_gamma(x, gamma)|`` and its ratio to
+    the Lipschitz envelope ``C_0 eps |x|``; the ratio is at most one for an
     honest Lipschitz constant ``C_0``.
     """
     prof = mean_profile(f, m, phi, eps, gamma, x_grid=x_grid)
     target = np.array(f(prof.x, np.full_like(prof.x, gamma)), dtype=float)
-    if m is not None:
-        # on y = gamma, m_gamma(x, gamma) = m(x, 0, gamma) for every x;
-        # the weight only where f is nonzero
-        nz = target != 0
-        target[nz] *= m(prof.x[nz], 0.0, gamma)
+    # on y = gamma, m_gamma(x, gamma) = m(x, 0, gamma) for every x; the
+    # weight only where f is nonzero
+    nz = target != 0
+    target[nz] *= m(prof.x[nz], 0.0, gamma)
     gap = np.abs(prof.values - target)
     envelope = f.holder_bound * eps * np.abs(prof.x)
     with np.errstate(divide="ignore", invalid="ignore"):

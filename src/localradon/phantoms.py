@@ -3,9 +3,10 @@
 A phantom is one smooth bump, ``amplitude * bump * cutoff / center_norm``,
 optionally times a polynomial in ``(x - cx, y - cy)`` and times
 ``cos(oscillation*x)/oscillation``, or bilinear interpolation of tabulated
-samples.  Every phantom vanishes identically below the parabola; the bump
-uses an exponential cutoff so that the support constraint holds exactly
-while staying C-infinity.
+samples, in numpy, which is 0 outside the table's box.  Every phantom
+vanishes identically below the parabola; the bump uses an exponential
+cutoff so that the support constraint holds exactly while staying
+C-infinity.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class PhantomSpec:
     """An evaluable function ``f(x, y)`` supported in ``{y >= c*x**2}``.
 
     With ``grid`` set the phantom interpolates the samples ``(xs, ys,
-    values)``; otherwise it is the bump, times the polynomial with flat
-    ``(i, j, c)`` triples ``poly_coeffs`` when these are given, times
+    values)``, and its center and width are its box's center and larger
+    side; otherwise it is the bump, times the polynomial with flat ``(i, j,
+    c)`` triples ``poly_coeffs`` when these are given, times
     ``cos(oscillation*x)/oscillation`` when ``oscillation > 0``.
     """
 
@@ -51,13 +53,16 @@ class PhantomSpec:
     oscillation: float = 0.0
     poly_coeffs: tuple[float, ...] = ()
     grid: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    _interp: object = field(init=False, default=None, repr=False,
-                            compare=False)
     _poly: Optional[np.ndarray] = field(init=False, default=None, repr=False,
                                         compare=False)
     _norm: float = field(init=False, default=1.0, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.grid is not None:
+            # a table's box: its center, and its larger side as the width
+            self.grid = xs, ys, _ = _table(*self.grid)
+            self.center = (0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1]))
+            self.width = max(xs[-1] - xs[0], ys[-1] - ys[0])
         for name in ("center", "width", "amplitude", "support_constant",
                      "oscillation", "poly_coeffs"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -72,14 +77,6 @@ class PhantomSpec:
             self._poly = _poly_matrix(self.poly_coeffs)
         if self.grid is None:
             self._norm = _center_norm(self.center, self.support_constant)
-        else:
-            # only a tabulated phantom pays for scipy.interpolate's import
-            from scipy.interpolate import RegularGridInterpolator
-
-            xs, ys, vals = self.grid
-            self._interp = RegularGridInterpolator(
-                (xs, ys), vals, bounds_error=False, fill_value=0.0
-            )
 
     @property
     def kind(self) -> str:
@@ -119,9 +116,20 @@ class PhantomSpec:
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
         if self.grid is not None:
-            out = np.asarray(self._interp(np.stack([x, y], axis=-1)),
-                             dtype=float).reshape(x.shape)
-            out = np.where(y >= self.support_constant * x * x, out, 0.0)
+            # bilinear on the cell holding each point inside the table's box
+            # and on or above the parabola, the last cell for its top edges
+            xs, ys, v = self.grid
+            on = ((x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
+                  & (y >= self.support_constant * x * x))
+            px, py = x[on], y[on]
+            i = np.minimum(np.searchsorted(xs, px, "right"), xs.size - 1) - 1
+            j = np.minimum(np.searchsorted(ys, py, "right"), ys.size - 1) - 1
+            tx = (px - xs[i]) / (xs[i + 1] - xs[i])
+            ty = (py - ys[j]) / (ys[j + 1] - ys[j])
+            sx, sy = 1 - tx, 1 - ty
+            out = np.zeros(x.shape)
+            out[on] = (v[i, j] * sx * sy + v[i, j + 1] * sx * ty
+                       + v[i + 1, j] * tx * sy + v[i + 1, j + 1] * tx * ty)
         else:
             scale = self.amplitude
             if self._poly is not None:
@@ -158,6 +166,26 @@ def _center_norm(center, c) -> float:
             f" exp(-1/gap) the phantom is divided by is a normal double only"
             f" for gap >= {-1.0 / np.log(sys.float_info.min):.4g}")
     return norm
+
+
+def _table(xs, ys, values):
+    """The samples with ascending axes, a descending one flipped; refused
+    unless each axis has at least 2 finite, strictly monotone points and the
+    values are finite and of the axes' shape."""
+    xs, ys, values = (np.asarray(a, dtype=float) for a in (xs, ys, values))
+    for name, t in (("x", xs), ("y", ys)):
+        if not (t.ndim == 1 and t.size >= 2 and np.isfinite(t).all() and (
+                np.all(t[1:] > t[:-1]) or np.all(t[1:] < t[:-1]))):
+            raise ValueError(f"tabulated {name} axis must hold at least 2"
+                             f" finite, strictly monotone points")
+    if values.shape != (xs.size, ys.size) or not np.isfinite(values).all():
+        raise ValueError(f"tabulated values must be finite and of the axes'"
+                         f" shape {(xs.size, ys.size)}, not {values.shape}")
+    if xs[0] > xs[-1]:
+        xs, values = xs[::-1], values[::-1]
+    if ys[0] > ys[-1]:
+        ys, values = ys[::-1], values[:, ::-1]
+    return xs, ys, values
 
 
 def _poly_matrix(coeffs):
@@ -198,15 +226,8 @@ def tabulated_phantom(xs, ys, values, support_constant=1.0) -> PhantomSpec:
     Its Lipschitz constant cannot be inferred from samples: reading
     ``PhantomSpec.holder_bound`` raises.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return PhantomSpec(
-        center=(0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1])),
-        width=max(xs[-1] - xs[0], ys[-1] - ys[0]),
-        support_constant=support_constant,
-        grid=(xs, ys, values),
-    )
+    return PhantomSpec(support_constant=support_constant,
+                       grid=(xs, ys, values))
 
 
 def oscillatory_phantom(q: PhantomSpec, lam: float) -> PhantomSpec:

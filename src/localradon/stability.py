@@ -386,7 +386,7 @@ def _line_fit(x, y):
 def stability_curve(
     clean: Sinogram,
     f: PhantomSpec,
-    m: Optional[Weight],
+    m: Weight,
     phi: TestFunction,
     noise_levels,
     eps: float,
@@ -397,8 +397,8 @@ def stability_curve(
 ) -> StabilityReport:
     """Reconstruction error versus noise, with the estimate's bound per row
     and a fitted decay exponent ``alpha_hat`` in ``error ~ const *
-    log(1/H)^(-alpha_hat)``.  Each row's truth is the mean of ``f`` (times
-    ``m`` unless None) under the test function its reconstruction used."""
+    log(1/H)^(-alpha_hat)``.  Each row's truth is the mean of ``f`` times
+    ``m`` under the test function its reconstruction used."""
     noise_levels = sorted(noise_levels, reverse=True)
     if len(noise_levels) < 1:
         raise ValueError("need at least one noise level")

@@ -37,7 +37,12 @@ from localradon.transform import (
     check_transport_identity,
     synthesize_sinogram,
 )
-from localradon.weights import Weight, field_from_spec, gauss_nodes
+from localradon.weights import (
+    Weight,
+    constant_weight,
+    field_from_spec,
+    gauss_nodes,
+)
 
 from test_bumps import order_constants
 from test_kernels import MatrixOracle
@@ -93,7 +98,7 @@ def test_02_means_oracle(f_sym, m_exp, m_generic, phi8, sino_sym,
     worst = 0.0
     pairs = [(0.1, 0.3), (0.12, 0.3), (0.1, 0.33), (0.09, 0.27), (0.08, 0.3)]
     for eps, gamma in pairs:
-        ref = oracle(None, eps, gamma, 6)
+        ref = oracle(constant_weight(), eps, gamma, 6)
         got = moments_from_sinogram_unweighted(sino_sym, phi8, eps, gamma, 6)
         rel = np.abs(got.values - ref) / np.maximum(np.abs(ref),
                                                     1e-9 * abs(ref[0]))
@@ -202,7 +207,7 @@ def test_06_end_to_end_analytic(f_main, phi12, sino_clean, sino_weighted,
     """Reconstruction error under its bound at four noise levels."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     cal = calibrate_constants(phi12, EPS, GAMMA, 4, base)
-    _sweep(sino_clean, f_main, None, phi12, cal)
+    _sweep(sino_clean, f_main, constant_weight(), phi12, cal)
     _sweep(sino_weighted, f_main, m_exp, phi12, cal, fam=fam_exp)
 
 
@@ -211,7 +216,7 @@ def test_07_end_to_end_gevrey(f_main, phi_gevrey2, sino_clean, sino_weighted,
     """Same corpus under the Gevrey truncation rule and its bound."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0, sigma=2.0)
     cal = calibrate_constants(phi_gevrey2, EPS, GAMMA, 4, base)
-    _sweep(sino_clean, f_main, None, phi_gevrey2, cal)
+    _sweep(sino_clean, f_main, constant_weight(), phi_gevrey2, cal)
     _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, cal, fam=fam_exp)
 
 
@@ -230,8 +235,8 @@ def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
                           eps=res.profile.eps, gamma=GAMMA)
         l2, _ = profile_errors(res.profile, ref)
         assert l2 <= res.bound, sigma
-        _, ratio = convergence_gap(f_main, None, phi12, res.profile.eps,
-                                   GAMMA)
+        _, ratio = convergence_gap(f_main, constant_weight(), phi12,
+                                   res.profile.eps, GAMMA)
         assert ratio <= 1.0
 
 

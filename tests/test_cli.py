@@ -67,6 +67,23 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
     return path
 
 
+def write_table(path, xi=(-0.4, 0.4, 17), eta=(0.1, 0.8, 15), sample=None):
+    """The base bump sampled on the headers' axes as a grid CSV, with
+    ``sample = ((i, j), value)`` written over one sample; returns the
+    phantom section that reads it."""
+    xs, ys = np.linspace(*xi), np.linspace(*eta)
+    f = build_phantom(_check(BASE_CONFIG))
+    values = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+    if sample is not None:
+        values[sample[0]] = sample[1]
+    with open(path, "w") as fh:
+        fh.write("".join(f"# {name}: {lo} {hi} {n}\n"
+                         for name, (lo, hi, n) in (("xi", xi), ("eta", eta))))
+        for row in values:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return {"kind": "tabulated", "path": str(path)}
+
+
 def run_cli(tmp_path, subcommand, overrides=None):
     """Run ``subcommand`` in-process on the base config with ``overrides``;
     returns its artifact directory and its manifest results."""
@@ -532,15 +549,7 @@ def test_cli_missing_tabulated_file_exits_2(tmp_path, capsys):
 
 def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     # samples carry no Lipschitz bound: a run that reads c0 must be given it
-    f = build_phantom(_check(BASE_CONFIG))
-    xs, ys = np.linspace(-0.4, 0.4, 17), np.linspace(0.1, 0.8, 15)
-    values = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-    path = tmp_path / "phantom.csv"
-    with open(path, "w") as fh:
-        fh.write("# xi: -0.4 0.4 17\n# eta: 0.1 0.8 15\n")
-        for row in values:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    tab = {"phantom": {"kind": "tabulated", "path": str(path)}}
+    tab = {"phantom": write_table(tmp_path / "phantom.csv")}
     run_cli(tmp_path, "sinogram", tab)
     for subcommand, extra in (("reconstruct", {}), ("sweep", SWEEP),
                               ("slice", SLICE)):
@@ -679,6 +688,18 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     # config does not set
     ({"phantom": dict(BASE_CONFIG["phantom"], center=[0.0, 0.0015])},
      "phantom", "reconstruct"),
+    # a table is checked once, when the phantom is built: at (0, 0.3) a NaN
+    # or an inf sample, one point on the xi axis, a NaN axis value
+    ({"table": {"sample": ((8, 4), math.nan)}}, "phantom: tabulated values",
+     "sinogram"),
+    ({"table": {"sample": ((8, 4), math.nan)}, "constants": {"c0": 16.0}},
+     "phantom: tabulated values", "reconstruct"),
+    ({"table": {"sample": ((8, 4), math.inf)}}, "phantom: tabulated values",
+     "sinogram"),
+    ({"table": {"xi": (-0.4, 0.4, 1)}, "constants": {"c0": 16.0}},
+     "phantom: tabulated x axis", "reconstruct"),
+    ({"table": {"xi": (math.nan, 0.4, 17)}}, "phantom: tabulated x axis",
+     "sinogram"),
 ], ids=["field", "coef", "level", "hormander", "gevrey",
         "gevrey_underflow", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
@@ -697,9 +718,15 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
         "noise_levels_empty", "support_constant_nan", "poly_fraction",
         "poly_negative", "poly_bool", "poly_flat", "poly_short",
         "poly_ragged", "poly_text", "center_on_parabola_sinogram",
-        "center_on_parabola_reconstruct", "c0_overflow"])
+        "center_on_parabola_reconstruct", "c0_overflow", "table_nan_sample",
+        "table_nan_sample_reconstruct", "table_inf_sample", "table_one_xi",
+        "table_nan_axis"])
 def test_cli_invalid_value_exits_2(tmp_path, capsys, overrides, key,
                                    subcommand):
+    if "table" in overrides:
+        overrides = dict(overrides)
+        overrides["phantom"] = write_table(tmp_path / "phantom.csv",
+                                           **overrides.pop("table"))
     cfg = write_config(tmp_path, overrides)
     assert main([subcommand, "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 2
@@ -805,21 +832,31 @@ def test_cli_runs_leave_out_scipy(tmp_path):
     # scipy.integrate costs a process 0.6-0.9 s and about 50 MB,
     # scipy.linalg 0.35 s, scipy.stats a third of the CLI's import, and a
     # bare ``import scipy``, once kept for the manifest's version string,
-    # 9-18 ms; the manifest records scipy only when a run loaded it
+    # 9-18 ms; the manifest records scipy only when a run loaded it.  The
+    # child refuses every scipy import, so a run that needs one exits 1
     small = {"grid": {"xi": [-0.13, 0.13, 11], "eta": [-0.35, 0.35, 9]},
              "test_function": {"kind": "hormander", "param": 4},
              "tolerance": 1e-6}
+    tab = dict(small, phantom=write_table(tmp_path / "phantom.csv"))
     runs = [("reconstruct", small),
             ("reconstruct", dict(small, weight={
                 "kind": "from_ab", "a": "0.5*sin_xi", "b": "0.5*cos_eta"},
                 test_function={"kind": "gevrey", "param": 2.0},
                 grid={"xi": [-0.13, 0.13, 21], "eta": [-0.35, 0.35, 9]})),
-            ("sweep", dict(small, **SWEEP))]
+            ("sweep", dict(small, **SWEEP)),
+            ("sinogram", tab),
+            ("reconstruct", dict(tab, constants={"c0": 16.0}))]
     argvs = [[sub, "--config", str(write_config(tmp_path, cfg, f"{i}.yaml")),
               "--out", str(tmp_path / str(i)), "--quiet"]
              for i, (sub, cfg) in enumerate(runs)]
-    code = ("import json, sys; from localradon import cli; "
-            f"codes = [cli.main(a) for a in {argvs!r}]; "
+    code = ("import json, sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name}: scipy is refused')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from localradon import cli\n"
+            f"codes = [cli.main(a) for a in {argvs!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy')]))")
     src = os.path.dirname(os.path.dirname(localradon.__file__))
@@ -827,7 +864,7 @@ def test_cli_runs_leave_out_scipy(tmp_path):
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     codes, loaded = json.loads(run.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0], run.stderr
+    assert codes == [0] * len(runs), run.stderr
     for name in ("scipy", "scipy.interpolate", "scipy.integrate",
                  "scipy.linalg", "scipy.special", "scipy.stats"):
         assert name not in loaded, loaded

@@ -18,6 +18,7 @@ from localradon.phantoms import (
     smooth_bump,
     tabulated_phantom,
 )
+from localradon.weights import constant_weight
 
 
 def test_center_value_is_amplitude():
@@ -299,10 +300,86 @@ def test_tabulated_scalar_call_and_mean_profile(f_main):
     v = tab(0.0, 0.5)
     assert isinstance(v, float)
     assert v == pytest.approx(float(f_main(0.0, 0.5)), abs=2e-2)
-    prof = mean_profile(tab, None, hormander_sequence(4), 0.1, 0.3,
-                        x_grid=np.linspace(-0.3, 0.3, 7))
+    prof = mean_profile(tab, constant_weight(), hormander_sequence(4), 0.1,
+                        0.3, x_grid=np.linspace(-0.3, 0.3, 7))
     assert np.all(np.isfinite(prof.values))
     assert prof.values[3] == pytest.approx(float(tab(0.0, 0.3)), rel=1e-12)
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 15), (101, 101), (2, 2), (3, 5)])
+@pytest.mark.parametrize("flip_x, flip_y", [(False, False), (True, False),
+                                            (False, True), (True, True)])
+def test_tabulated_matches_regular_grid_interpolator(nx, ny, flip_x, flip_y):
+    # scipy's interpolant, 0 outside the box and then below the parabola,
+    # is the oracle; a descending axis is flipped by both
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(nx * ny)
+    xs, ys = np.linspace(-0.4, 0.4, nx), np.linspace(0.1, 0.8, ny)
+    values = rng.normal(size=(nx, ny))
+    if flip_x:
+        xs, values = xs[::-1], values[::-1]
+    if flip_y:
+        ys, values = ys[::-1], values[:, ::-1]
+    tab = tabulated_phantom(xs, ys, values, support_constant=1.5)
+    oracle = RegularGridInterpolator((xs, ys), values, bounds_error=False,
+                                     fill_value=0.0)
+    # random points over a larger box, the nodes, and points on the cells'
+    # x and y edges, the box's sides among them; many lie outside the box
+    # or below the parabola
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    x = np.concatenate([rng.uniform(-0.6, 0.6, 20000), gx.ravel(),
+                        rng.choice(xs, 4000), rng.uniform(-0.5, 0.5, 4000)])
+    y = np.concatenate([rng.uniform(-0.1, 1.0, 20000), gy.ravel(),
+                        rng.uniform(0.0, 0.9, 4000), rng.choice(ys, 4000)])
+    ref = np.where(y >= 1.5 * x * x, oracle(np.stack([x, y], -1)), 0.0)
+    got = tab(x, y)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(values).max()
+    assert (ref == 0).sum() > 10000 and (ref != 0).sum() > 5000
+    for px, py in ((0.0, 0.45), (xs[0], ys[-1]), (0.7, 0.5), (0.1, 0.0)):
+        v = tab(px, py)
+        assert isinstance(v, float)
+        assert abs(v - float(np.where(py >= 1.5 * px * px, oracle(
+            [px, py])[0], 0.0))) <= 1e-15 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("xs, ys, values, match", [
+    ([0.0], np.linspace(0.1, 0.8, 3), np.ones((1, 3)), "x axis"),
+    (np.linspace(-0.4, 0.4, 3), [0.5], np.ones((3, 1)), "y axis"),
+    ([-0.4, np.nan, 0.4], np.linspace(0.1, 0.8, 3), np.ones((3, 3)),
+     "x axis"),
+    (np.linspace(-0.4, 0.4, 3), [0.1, 0.5, np.inf], np.ones((3, 3)),
+     "y axis"),
+    ([-0.4, 0.4, 0.0], np.linspace(0.1, 0.8, 3), np.ones((3, 3)), "x axis"),
+    (np.linspace(-0.4, 0.4, 3), [0.1, 0.1, 0.8], np.ones((3, 3)), "y axis"),
+    (np.linspace(-0.4, 0.4, 3), np.linspace(0.1, 0.8, 3), np.ones((3, 4)),
+     "values"),
+    (np.linspace(-0.4, 0.4, 3), np.linspace(0.1, 0.8, 3),
+     [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], "values"),
+    (np.linspace(-0.4, 0.4, 3), np.linspace(0.1, 0.8, 3),
+     [[1.0, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 0.0]], "values"),
+], ids=["one_x", "one_y", "x_nan", "y_inf", "x_unordered", "y_repeated",
+        "shape", "value_nan", "value_inf"])
+def test_tabulated_table_refused_at_construction(xs, ys, values, match):
+    # refused when the phantom is built: an axis of one point (no cell), a
+    # non-finite axis value or sample (every line through its cells would
+    # carry it), and, as scipy refused them, an axis that is not strictly
+    # monotone and values not of the axes' shape
+    with pytest.raises(ValueError, match=f"tabulated {match}"):
+        tabulated_phantom(xs, ys, values)
+    with pytest.raises(ValueError, match=f"tabulated {match}"):
+        PhantomSpec(grid=(xs, ys, values))
+
+
+def test_tabulated_box_is_its_center_and_width():
+    xs, ys = np.linspace(-0.4, 0.4, 17), np.linspace(0.1, 0.8, 15)
+    values = np.ones((17, 15))
+    up = tabulated_phantom(xs, ys, values)
+    down = PhantomSpec(center=(9.0, 9.0), width=9.0,
+                       grid=(xs[::-1], ys[::-1], values))
+    assert up.center == down.center == (0.0, 0.45)
+    assert up.width == down.width == 0.8
+    assert up.x_extent() == down.x_extent() == 0.4
 
 
 def test_cutoff_subnormal_gap_is_silent():

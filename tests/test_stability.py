@@ -32,7 +32,12 @@ from localradon.stability import (
     truncation_order,
 )
 from localradon.transform import Sinogram, synthesize_sinogram, with_noise
-from localradon.weights import field_from_spec, gauss_nodes, panel_rule
+from localradon.weights import (
+    constant_weight,
+    field_from_spec,
+    gauss_nodes,
+    panel_rule,
+)
 
 EPS = 0.1
 GAMMA = 0.3
@@ -151,7 +156,7 @@ def test_bound_formulas_plugin():
 
 def test_moments_match_mean_oracle(sino_clean, f_main, phi12):
     m = moments_from_sinogram_unweighted(sino_clean, phi12, EPS, GAMMA, 2)
-    ref = moments_of_profile(f_main, None, phi12, 2)
+    ref = moments_of_profile(f_main, constant_weight(), phi12, 2)
     rel = np.abs(m.values - ref) / np.abs(ref)
     assert rel.max() < 1e-4
 
@@ -223,7 +228,8 @@ def test_reconstruct_mean_accuracy(sino_clean, f_main, phi12):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     consts = calibrate_constants(phi12, EPS, GAMMA, 4, consts)
     rec = reconstruct_mean(sino_clean, phi12, EPS, GAMMA, consts)
-    ref = mean_profile(f_main, None, phi12, EPS, GAMMA, x_grid=rec.profile.x)
+    ref = mean_profile(f_main, constant_weight(), phi12, EPS, GAMMA,
+                       x_grid=rec.profile.x)
     l2, sup = profile_errors(rec.profile, ref)
     assert rec.N >= 1
     assert rec.H == max(data_norm(sino_clean, EPS, GAMMA), H_FLOOR)
@@ -343,8 +349,8 @@ def test_with_noise_keeps_failed_cells():
 
 
 def test_profile_errors_known_difference(f_main, phi12):
-    prof = mean_profile(f_main, None, phi12, EPS, GAMMA)
-    shifted = mean_profile(f_main, None, phi12, EPS, GAMMA)
+    prof = mean_profile(f_main, constant_weight(), phi12, EPS, GAMMA)
+    shifted = mean_profile(f_main, constant_weight(), phi12, EPS, GAMMA)
     shifted.values = shifted.values + 0.01
     l2, sup = profile_errors(shifted, prof)
     assert l2 == pytest.approx(0.01 * math.sqrt(2.0), rel=1e-10)
