@@ -53,14 +53,14 @@ def _cardinal_numerators(m: int) -> tuple:
 
 @functools.cache
 def _cardinal_pieces(m: int, k: int) -> np.ndarray:
-    """Row ``j`` holds the coefficients, highest power first, of ``d^k
+    """Column ``j`` holds the coefficients, highest power first, of ``d^k
     M_m(j + u)`` in ``u`` on ``[0, 1]``: ``T[j][p] perm(p, k) / (m-1)!``
     for ``p = m-1, ..., k``, each correctly rounded by Python's division
-    of integers."""
+    of integers; one row, contiguous, per power."""
     den = math.factorial(m - 1)
     out = np.array([[row[p] * math.perm(p, k) / den
-                     for p in range(m - 1, k - 1, -1)]
-                    for row in _cardinal_numerators(m)])
+                     for row in _cardinal_numerators(m)]
+                    for p in range(m - 1, k - 1, -1)])
     out.flags.writeable = False     # shared by every caller through the cache
     return out
 
@@ -73,7 +73,7 @@ class TestFunction:
     param: float                    # N or sigma
     derivative_order_max: int
     breakpoints: Optional[np.ndarray] = None   # piecewise-poly knots, if any
-    _eval: Callable = field(default=None, repr=False)
+    _eval: Callable = field(default=None, repr=False)  # (x, orders) -> rows
 
     def __call__(self, x):
         return self.derivative_values(x, 0)
@@ -85,7 +85,7 @@ class TestFunction:
             )
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        v = self._eval(np.atleast_1d(x), k)
+        v = self._eval(np.atleast_1d(x), (k,))[0]
         return float(v[0]) if scalar else v
 
     def panel_edges(self, scale: float = 1.0) -> np.ndarray:
@@ -106,19 +106,21 @@ def hormander_sequence(N: int) -> TestFunction:
     m = N + 2
     a = 2.0 / m                     # box width; support = [-1, 1] exactly
 
-    def evaluate(x, k):
+    def evaluate(x, orders):
         # d^k phi_N(x) = a^(-k-1) M_m^(k)(x/a + m/2), zero off (0, m)
         s = x / a + m / 2.0
-        out = np.zeros_like(s)
+        out = np.zeros((len(orders),) + s.shape)
         inside = (s > 0) & (s < m)
         s = s[inside]
         j = np.minimum(np.floor(s), m - 1)
-        u = s - j
-        coef = _cardinal_pieces(m, k)[j.astype(int)]
-        v = coef[:, 0]
-        for col in coef[:, 1:].T:
-            v = v * u + col
-        out[inside] = v / a ** (k + 1)
+        u, j = s - j, j.astype(int)
+        for row, k in zip(out, orders):
+            coef = _cardinal_pieces(m, k)
+            v = coef[0, j]
+            for col in coef[1:]:
+                v *= u
+                v += col[j]
+            row[inside] = v / a ** (k + 1)
         return out
 
     return TestFunction(
@@ -157,17 +159,19 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
             f"sigma = {sigma:g} is too close to 1: the bump's mass "
             f"{mass:.3g} underflows a double (peak exp(-4^(1/(sigma-1))))")
 
-    def evaluate(x, k):
-        out = np.zeros_like(x)
+    def evaluate(x, orders):
+        # a jet's coefficients do not depend on its order: build one
+        out = np.zeros((len(orders),) + x.shape)
         on = np.abs(x) < 1.0
         on[on] = raw(x[on]) > 0.0       # where the bump is a nonzero double
         with np.errstate(over="ignore", invalid="ignore"):
-            d = raw(Jet.variable(x[on], k)).derivative(k) / mass
-        bad = ~np.isfinite(d)
-        if bad.any():
-            raise ValueError(f"phi^(k) overflows a double at k = {k}, "
-                             f"sigma = {sigma:g}, x = {float(x[on][bad][0])!r}")
-        out[on] = d
+            jet = raw(Jet.variable(x[on], max(orders)))
+            for row, k in zip(out, orders):
+                row[on] = jet.derivative(k) / mass
+        if not np.isfinite(out).all():
+            k, i = np.argwhere(~np.isfinite(out))[0]    # first order, first x
+            raise ValueError(f"phi^(k) overflows a double at k = {orders[k]}, "
+                             f"sigma = {sigma:g}, x = {float(x[i])!r}")
         return out
 
     return TestFunction(
@@ -176,26 +180,25 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
     )
 
 
-def _order_constant(tf: TestFunction, sup: float, k: int) -> float:
-    """``(sup / rate_k) ** (1/(k+1))``; the Gevrey rate ``k!**sigma`` is
-    taken in logs, since it overflows a double for large sigma."""
-    if tf.kind == "hormander":
-        return (sup / float(tf.param) ** k) ** (1.0 / (k + 1))
-    return math.exp((math.log(sup) - tf.param * math.lgamma(k + 1)) / (k + 1))
-
-
 def verify_derivative_bounds(tf: TestFunction, k_max: int,
                              grid_n: int = 4001) -> float:
     """Certify C with ``sup|phi^(k)| <= C^(k+1) * rate(k)`` for k <= k_max.
 
     C is the smallest such constant on a dense evaluation grid plus the
-    knots, where the derivatives of a piecewise polynomial peak.
+    knots, where the derivatives of a piecewise polynomial peak; the Gevrey
+    rate ``k!^sigma`` is taken in logs, as it overflows for large sigma.
+    One pass gives every order the values of ``derivative_values``: a
+    Hörmander bump finds each point's piece once, a Gevrey bump builds one
+    jet of order ``k_max``; an overflow raises the first such order's error.
     """
     if k_max > tf.derivative_order_max:
         raise ValueError("k_max exceeds the derivative order limit")
     xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, grid_n)
     if tf.breakpoints is not None:
         xs = np.append(xs, tf.breakpoints)
-    return float(max(
-        _order_constant(tf, np.abs(tf.derivative_values(xs, k)).max(), k)
-        for k in range(k_max + 1)))
+    sups = enumerate(np.abs(tf._eval(xs, range(k_max + 1))).max(axis=1))
+    if tf.kind == "hormander":
+        return float(max((sup / float(tf.param) ** k) ** (1.0 / (k + 1))
+                         for k, sup in sups))
+    return max(math.exp((math.log(sup) - tf.param * math.lgamma(k + 1))
+                        / (k + 1)) for k, sup in sups)

@@ -95,9 +95,9 @@ _NODES = 15
 _START_PANELS = 8
 _MAX_PANELS = 512
 _PANEL_BLOCK = 64
-# relative margin past the bump's width that a line's distance from its
-# center must clear to skip quadrature: far above the rounding of that
-# distance and of the nodes' coordinates
+# relative margin past the bump's width (or the table's box) that a line
+# must clear to skip quadrature: far above the rounding of its distance
+# and of the nodes' coordinates
 _MISS_MARGIN = 1e-9
 
 
@@ -106,11 +106,13 @@ def _chords(f: PhantomSpec, xi, eta):
     {y >= c x^2} inside the phantom's x-extent; ``lo >= hi`` where a line
     misses it.
 
-    A bump phantom is also empty (``hi = lo``) on every line at least
-    ``width * (1 + _MISS_MARGIN)`` from its center: every node of such a
-    line lies outside the bump's disc by far more than rounding, so the
-    phantom is exactly 0 there and the line's integral is the ``+0.0``,
-    with error 0, that its panels would have summed to.
+    A line is also empty (``hi = lo``) where it clearly misses the
+    phantom: at least ``width * (1 + _MISS_MARGIN)`` from a bump's center,
+    or, over its chord's part in a table's x-range, outside the table's
+    y-range by ``_MISS_MARGIN * (|xi| ext + |eta| + width)``.  Every node
+    of such a line lies outside the disc or the box by far more than
+    rounding, so the phantom is exactly 0 there and the line's integral is
+    the ``+0.0``, with error 0, that its panels would have summed to.
     """
     c = f.support_constant
     root = np.sqrt(np.maximum(xi * xi + 4.0 * c * eta, 0.0))
@@ -120,8 +122,14 @@ def _chords(f: PhantomSpec, xi, eta):
     if f.grid is None:
         cx, cy = f.center
         reach = f.width * (1.0 + _MISS_MARGIN) * np.sqrt(1.0 + xi * xi)
-        hi = np.where(np.abs(cy - xi * cx - eta) >= reach, lo, hi)
-    return lo, hi
+        miss = np.abs(cy - xi * cx - eta) >= reach
+    else:
+        xs, ys, _ = f.grid
+        # xi x at the ends of the line's chord within the box's x-range
+        y = xi * np.stack([np.maximum(lo, xs[0]), np.minimum(hi, xs[-1])])
+        tol = _MISS_MARGIN * (np.abs(xi) * ext + np.abs(eta) + f.width)
+        miss = (y.max(0) + eta < ys[0] - tol) | (y.min(0) + eta > ys[-1] + tol)
+    return lo, np.where(miss, lo, hi)
 
 
 def _embedded_panels(integrand, a, b, line):

@@ -246,6 +246,48 @@ def test_gevrey_certificate_rate_in_logs():
     assert math.isfinite(C) and abs(C - ref) <= 1e-14 * ref
 
 
+def per_order_certificate(tf, k_max):
+    """``verify_derivative_bounds`` order by order: the sup of each
+    order's ``derivative_values`` on the certificate's grid and knots, and
+    the least constant over the orders."""
+    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+    if tf.breakpoints is not None:
+        xs = np.append(xs, tf.breakpoints)
+    out = []
+    for k in range(k_max + 1):
+        sup = np.abs(tf.derivative_values(xs, k)).max()
+        if tf.kind == "hormander":
+            out.append((sup / float(tf.param) ** k) ** (1.0 / (k + 1)))
+        else:
+            out.append(math.exp((math.log(sup) - tf.param
+                                 * math.lgamma(k + 1)) / (k + 1)))
+    return float(max(out))
+
+
+@pytest.mark.parametrize("tf, k_max", [
+    *[pytest.param(hormander_sequence(N), N, id=f"hormander_{N}")
+      for N in range(1, 25)],
+    *[pytest.param(gevrey_bump(sigma), k, id=f"gevrey_{sigma}_{k}")
+      for sigma in (1.22, 1.25, 1.3, 2.0, 3.0, 10.0) for k in (12, 14, 20)],
+])
+def test_certificate_in_one_pass_is_order_by_order(tf, k_max):
+    # every order from one pass, bit for bit the order-by-order sups
+    assert verify_derivative_bounds(tf, k_max) == per_order_certificate(
+        tf, k_max)
+
+
+def test_certificate_refuses_the_first_order_that_overflows():
+    # sigma = 10 overflows a double first at order 32 on the grid's end
+    # points -+(1 - 1e-9): the one pass raises that order's ValueError
+    phi = gevrey_bump(10.0, derivative_order_max=40)
+    with pytest.raises(ValueError) as ref:
+        per_order_certificate(phi, 40)
+    assert "k = 32, sigma = 10, x = -0.999999999" in str(ref.value)
+    with pytest.raises(ValueError) as got:
+        verify_derivative_bounds(phi, 40)
+    assert str(got.value) == str(ref.value)
+
+
 def test_derivative_order_guard(phi12):
     with pytest.raises(ValueError):
         phi12.derivative_values(0.0, 13)

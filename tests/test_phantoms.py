@@ -104,9 +104,11 @@ def test_lipschitz_bound_matches_central_differences(spec):
     assert bound == pytest.approx(central_difference_bound(p), rel=1e-8)
 
 
-def whole_grid_bound(p):
-    """``lipschitz_bound`` as one pass over the whole 401 x 401 grid: the
-    same per-point expressions, on every support point at once."""
+def whole_grid_values(p):
+    """``lipschitz_bound``'s per-point quantity as one pass over the whole
+    401 x 401 grid: the same per-point expressions, on every support point
+    at once.  Returns the grid indices ``(i, j)`` of the support points and
+    the quantity there, ``|grad f|^2`` or the oscillatory bound."""
     cx, cy = p.center
     xs = np.linspace(cx - 1.2 * p.width, cx + 1.2 * p.width, 401)
     ys = np.linspace(cy - 1.2 * p.width, cy + 1.2 * p.width, 401)
@@ -118,7 +120,7 @@ def whole_grid_bound(p):
     with np.errstate(over="ignore"):        # subnormal gaps: exp(-inf) = 0
         e = np.exp(1.0 - 1.0 / s - 1.0 / gap)
     nz = e > 0                              # and 1/gap^2 would be inf
-    x, u, v, s, gap = x[nz], u[nz], v[nz], s[nz], gap[nz]
+    i, j, x, u, v, s, gap = i[nz], j[nz], x[nz], u[nz], v[nz], s[nz], gap[nz]
     norm = float(np.exp(-1.0 / (cy - p.support_constant * cx * cx)))
     f = p.amplitude / norm * e[nz]
     dr, dgap = -2.0 / (w2 * s * s), 1.0 / (gap * gap)
@@ -129,14 +131,19 @@ def whole_grid_bound(p):
         fx = poly * fx + f * polyval2d(u, v, polyder(p._poly, axis=0))
         fy = poly * fy + f * polyval2d(u, v, polyder(p._poly, axis=1))
         f = poly * f
-    g2 = fx**2 + fy**2
+    g = fx**2 + fy**2
     if p.oscillation > 0:
-        g = np.sqrt(g2) / p.oscillation + np.abs(f)
-        return 1.05 * float(g.max(initial=0.0))
-    return 1.05 * float(np.sqrt(g2.max(initial=0.0)))
+        g = np.sqrt(g) / p.oscillation + np.abs(f)
+    return i, j, g
 
 
-@pytest.mark.parametrize("spec", BOUND_SPECS + [
+def whole_grid_bound(p):
+    """``lipschitz_bound`` as one pass over the whole 401 x 401 grid."""
+    g = whole_grid_values(p)[2].max(initial=0.0)
+    return 1.05 * float(g if p.oscillation > 0 else np.sqrt(g))
+
+
+TILED_SPECS = BOUND_SPECS + [
     dict(center=(0.2, 0.3), width=0.25, support_constant=1.5),
     *[dict(center=(0.0, 0.45), width=0.3, oscillation=lam)
       for lam in (1.0, 10.0, 20.0, 40.0, 80.0, 300.0)],
@@ -146,34 +153,63 @@ def whole_grid_bound(p):
     # 333 x 333) and a negative amplitude off the axis
     dict(center=(0.0, 0.45), width=0.01),
     dict(center=(0.15, 0.4), width=0.2, amplitude=-3.0),
-], ids=BOUND_IDS + ["off_axis", "osc_1", "osc_10", "osc_20", "osc_40",
-                    "osc_80", "osc_300", "osc_polynomial_80", "narrow",
-                    "negative_off_axis"])
-def test_lipschitz_bound_in_row_blocks_is_the_whole_grid_max(spec,
-                                                             monkeypatch):
-    # each block keeps its max and max is exact, so any row blocking gives
-    # the whole grid's bound bit for bit; exp may differ by an ulp between
-    # CPUs, so the reference is recomputed rather than frozen
+]
+TILED_IDS = BOUND_IDS + ["off_axis", "osc_1", "osc_10", "osc_20", "osc_40",
+                         "osc_80", "osc_300", "osc_polynomial_80", "narrow",
+                         "negative_off_axis"]
+
+
+def tiled_spec(spec):
     spec = dict(spec)
     poly = np.asarray(spec.pop("poly_coeffs", ()), dtype=float).ravel()
-    p = PhantomSpec(poly_coeffs=tuple(poly), **spec)
+    return PhantomSpec(poly_coeffs=tuple(poly), **spec)
+
+
+@pytest.mark.parametrize("spec", TILED_SPECS, ids=TILED_IDS)
+def test_lipschitz_bound_in_row_blocks_is_the_whole_grid_max(spec,
+                                                             monkeypatch):
+    # the walk skips only tiles whose bound is below a max it has already
+    # found, and max is exact, so every tile size gives the whole grid's
+    # bound bit for bit; exp may differ by an ulp between CPUs, so the
+    # reference is recomputed rather than frozen
+    p = tiled_spec(spec)
     ref = whole_grid_bound(p)
-    for rows in (1, 7, 16, 401):
-        monkeypatch.setattr(phantoms, "_ROW_BLOCK", rows)
-        assert lipschitz_bound(p) == ref, rows
+    for size in (1, 7, 8, 401):
+        monkeypatch.setattr(phantoms, "_TILE", size)
+        assert lipschitz_bound(p) == ref, size
+
+
+@pytest.mark.parametrize("spec", TILED_SPECS, ids=TILED_IDS)
+@pytest.mark.parametrize("size", [1, 8])
+def test_tile_bound_holds_at_every_grid_point(spec, size, monkeypatch):
+    # the float value at each support point, formed as lipschitz_bound
+    # forms it, is at most its tile's bound, which is what lets the walk
+    # skip a tile; one-point tiles leave the bound only its pad (the point
+    # values exceed it unpadded by up to 5.7e-14 relative)
+    monkeypatch.setattr(phantoms, "_TILE", size)
+    p = tiled_spec(spec)
+    i, j, g = whole_grid_values(p)
+    # the first row and column of the support's bounding box in the grid
+    i0, j0 = (np.flatnonzero((np.linspace(c - 1.2 * p.width, c + 1.2 * p.width,
+                                          401) - c) ** 2 < p.width**2)[0]
+              for c in p.center)
+    bounds = phantoms._tiles(p)[1]
+    tile = bounds[(i - i0) // phantoms._TILE, (j - j0) // phantoms._TILE]
+    assert g.size > 0 and not np.any(g > tile)
 
 
 def test_lipschitz_bound_peak_allocation():
     # the whole-grid pass held about 10.6 MB of temporaries at its peak
-    p = smooth_bump(center=(0.0, 0.45), width=0.3)
-    lipschitz_bound(p)
-    tracemalloc.start()
-    try:
+    for spec, name in zip(BOUND_SPECS, BOUND_IDS):
+        p = smooth_bump(**spec)
         lipschitz_bound(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+        tracemalloc.start()
+        try:
+            lipschitz_bound(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, name
 
 
 @pytest.mark.parametrize("center, c", [

@@ -275,18 +275,27 @@ def test_a_line_that_misses_the_disc_evaluates_no_node(record, m_const):
 
 def test_tabulated_chords_ignore_the_disc(monkeypatch, record, m_const):
     # a tabulated phantom's center and width are its grid's box, not a
-    # disc: lines 1.1 and 1.6 from its center, past the width 1, keep their
-    # chords, and y = 1.6 (xi = 0) evaluates the phantom on [-0.5, 0.5]
+    # disc: lines 0.5 from its center, inside the width 1, cross the box
+    # and keep their chords; lines 1.1 and 1.6 from it pass the box and
+    # lose theirs, and y = 1.6 (xi = 0), above the box, evaluates no node
+    # and is +0.0 with error 0
     xs, ys = np.linspace(-0.5, 0.5, 5), np.linspace(0.0, 1.0, 5)
     tab = tabulated_phantom(xs, ys, np.ones((5, 5)))
     xi, eta = _tangent_lines(tab, offsets=(-0.5, 0.1, 0.6))
-    chords = transform._chords(tab, xi, eta)
+    lo, hi = transform._chords(tab, xi, eta)
     with _no_disc_test(monkeypatch):
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(chords, transform._chords(tab, xi, eta)))
+        lo_all, hi_all = transform._chords(tab, xi, eta)
+    cross = lo_all[:, 0] < hi_all[:, 0]
+    assert cross.any() and np.array_equal(lo, lo_all)
+    assert np.array_equal(hi[:, 0][cross], hi_all[:, 0][cross])
+    assert np.all(lo[:, 1:] >= hi[:, 1:])
+    assert np.any(lo_all[:, 1:] < hi_all[:, 1:])
     f = record(tab)
-    transform._line_integrals(f, m_const, 0, 0.0, 1.6, 1e-10)
-    assert f.points() > 0
+    values, errors, failed = transform._line_integrals(f, m_const, 0, 0.0,
+                                                       1.6, 1e-10)
+    assert f.points() == 0
+    assert values == 0.0 and not np.signbit(values)
+    assert errors == 0.0 and not failed
 
 
 def test_radon_input_validation(f_main, m_const):
