@@ -74,6 +74,9 @@ class TestFunction:
     derivative_order_max: int
     breakpoints: Optional[np.ndarray] = None   # piecewise-poly knots, if any
     _eval: Callable = field(default=None, repr=False)  # (x, orders) -> rows
+    # (k_max, grid_n) -> C of ``verify_derivative_bounds``
+    _certificates: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def __call__(self, x):
         return self.derivative_values(x, 0)
@@ -190,15 +193,22 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int,
     One pass gives every order the values of ``derivative_values``: a
     Hörmander bump finds each point's piece once, a Gevrey bump builds one
     jet of order ``k_max``; an overflow raises the first such order's error.
+    The certificate is kept on ``tf`` per ``(k_max, grid_n)``, so the
+    estimates of one test function certify it once.
     """
     if k_max > tf.derivative_order_max:
         raise ValueError("k_max exceeds the derivative order limit")
+    if (k_max, grid_n) in tf._certificates:
+        return tf._certificates[k_max, grid_n]
     xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, grid_n)
     if tf.breakpoints is not None:
         xs = np.append(xs, tf.breakpoints)
     sups = enumerate(np.abs(tf._eval(xs, range(k_max + 1))).max(axis=1))
     if tf.kind == "hormander":
-        return float(max((sup / float(tf.param) ** k) ** (1.0 / (k + 1))
-                         for k, sup in sups))
-    return max(math.exp((math.log(sup) - tf.param * math.lgamma(k + 1))
-                        / (k + 1)) for k, sup in sups)
+        C = float(max((sup / float(tf.param) ** k) ** (1.0 / (k + 1))
+                      for k, sup in sups))
+    else:
+        C = max(math.exp((math.log(sup) - tf.param * math.lgamma(k + 1))
+                         / (k + 1)) for k, sup in sups)
+    tf._certificates[k_max, grid_n] = C
+    return C

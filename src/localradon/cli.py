@@ -32,7 +32,6 @@ from .means import mean_profile
 from .phantoms import smooth_bump, tabulated_phantom
 from .stability import (
     BoundConstants,
-    calibrate_constants,
     counterexample_experiment,
     moments_from_sinogram_unweighted,
     moments_from_sinogram_weighted,
@@ -40,7 +39,6 @@ from .stability import (
     profile_errors,
     reconstruct_mean,
     reconstruct_slice,
-    slice_eps,
     stability_curve,
 )
 from .transform import Sinogram, check_transport_identity, synthesize_sinogram
@@ -419,25 +417,18 @@ def cmd_sinogram(cfg, out, seed, quiet):
     return [path], {}
 
 
-def _pipeline(cfg, seed, eps=None):
-    """What ``reconstruct``, ``slice`` and ``sweep`` share: the data, gamma,
-    test function, the top rows of the ``S_{j,k}`` family of a ``from_ab``
-    weight (None for a constant) to the weighted order cap, the deepest
-    level that reconstruction reads, and the constants calibrated at
-    ``eps`` (None: the ``slice_eps`` of ``eps0``) to the order the pipeline
-    allows."""
+def _pipeline(cfg, seed):
+    """What ``reconstruct``, ``slice``, ``sweep`` and ``verify`` share: the
+    data, gamma, test function, the top rows of the ``S_{j,k}`` family of a
+    ``from_ab`` weight (None for a constant) to the weighted order cap, the
+    deepest level that reconstruction reads, and the configured constants,
+    whose ``c_env`` each estimate calibrates itself."""
     f, m, g = _sinogram_from_config(cfg, seed)
     gamma, phi = cfg["gamma"], build_test_function(cfg)
     fam = None if m.a is None else sjk_family(
         m.a, m.b, gamma, order_cap(phi, weighted=True),
         grid_n=cfg["kernels"]["grid_n"], rows=[-1])
-    consts = build_constants(cfg, f)
-    if eps is None:
-        eps = slice_eps(g, gamma, consts, cfg["eps0"])
-    consts = calibrate_constants(phi, eps, gamma,
-                                 order_cap(phi, weighted=fam is not None),
-                                 consts)
-    return f, m, g, gamma, phi, fam, consts
+    return f, m, g, gamma, phi, fam, build_constants(cfg, f)
 
 
 def _scored(name, path, rec, truth, quiet):
@@ -460,13 +451,13 @@ def _scored(name, path, rec, truth, quiet):
 
 def cmd_reconstruct(cfg, out, seed, quiet):
     eps = cfg["eps"]
-    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
+    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     rec = reconstruct_mean(g, phi, eps, gamma, consts, fam=fam)
     true = mean_profile(f, m, rec.profile.test_function, eps, gamma,
                         x_grid=rec.profile.x)
     path = out / "reconstruction.csv"
     return [path], dict(_scored("reconstruct", path, rec, true.values, quiet),
-                        c_env=consts.c_env)
+                        c_env=rec.consts.c_env)
 
 
 def cmd_slice(cfg, out, seed, quiet):
@@ -482,7 +473,7 @@ def cmd_slice(cfg, out, seed, quiet):
 
 def cmd_sweep(cfg, out, seed, quiet):
     eps, levels = cfg["eps"], cfg["noise_levels"]
-    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed, eps)
+    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     report = stability_curve(g, f, m, phi, levels, eps, gamma, consts,
                              fam=fam, seed=seed)
     path = out / "sweep.csv"
@@ -539,29 +530,24 @@ def cmd_kernels(cfg, out, seed, quiet):
 def cmd_verify(cfg, out, seed, quiet):
     """Small invariant suite over the configured corpus."""
     results = {}
-    f, m, g = _sinogram_from_config(cfg, seed)
-    eps, gamma = cfg["eps"], cfg["gamma"]
-    phi = build_test_function(cfg)
+    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
+    eps = cfg["eps"]
 
     # test function certification, to the order the pipeline may use
-    weighted = m.a is not None
     results["phi_constant"] = verify_derivative_bounds(
-        phi, order_cap(phi, weighted))
+        phi, order_cap(phi, fam is not None))
 
     # transport identity (weighted case only)
-    if weighted:
+    if fam is not None:
         pts = [(0.02, 0.1), (-0.03, 0.2), (0.0, 0.25)]
         results["transport_residual"] = check_transport_identity(
             f, m, m.a, m.b, pts)
 
-    # moments k = 0..2 (weighted: from the top rows of the family) against
-    # those of the mean profile
-    if weighted:
-        fam = sjk_family(m.a, m.b, gamma, 2,
-                         grid_n=cfg["kernels"]["grid_n"], rows=[-1])
-        mom = moments_from_sinogram_weighted(g, fam, phi, eps, gamma, 2)
-    else:
-        mom = moments_from_sinogram_unweighted(g, phi, eps, gamma, 2)
+    # moments k = 0..2 (weighted: from the top rows of the pipeline's
+    # family) against those of the mean profile
+    mom = (moments_from_sinogram_unweighted(g, phi, eps, gamma, 2)
+           if fam is None else
+           moments_from_sinogram_weighted(g, fam, phi, eps, gamma, 2))
     t, w = gauss_nodes(200)
 
     def moments(values):
@@ -579,8 +565,7 @@ def cmd_verify(cfg, out, seed, quiet):
 
     # zero data soundness
     zero = Sinogram(xi=g.xi, eta=g.eta, values=np.zeros_like(g.values))
-    consts = build_constants(cfg, f)
-    rec0 = reconstruct_mean(zero, phi, eps, gamma, consts)
+    rec0 = reconstruct_mean(zero, phi, eps, gamma, consts, fam=fam)
     results["zero_data"] = float(np.abs(rec0.profile.values).max())
 
     ok = (

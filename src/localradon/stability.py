@@ -58,10 +58,10 @@ class BoundConstants:
     """Constants entering the reconstruction estimates.
 
     ``c0``/``alpha`` are the phantom's Hölder data (``alpha`` in (0, 1], 1:
-    Lipschitz), ``c_env`` the envelope constant C in the moment bound (set
-    only by ``calibrate_constants``), and ``sigma`` the Gevrey index of the
-    weight fields: None selects the analytic rule and bound, a value in
-    ``(1, inf)`` the Gevrey ones.  ``M = 4 A0 c0``.
+    Lipschitz), ``c_env`` the envelope constant C in the moment bound (the
+    estimates calibrate their own and never read this one), and ``sigma``
+    the Gevrey index of the weight fields: None selects the analytic rule
+    and bound, a value in ``(1, inf)`` the Gevrey ones.  ``M = 4 A0 c0``.
     """
 
     c0: float
@@ -138,9 +138,9 @@ def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
     With ``fam`` None (a = b = 0) only ``s_{k,k} = (gamma - eta)^(k-1) /
     (k-1)!`` is nonzero, on the eta nodes; otherwise each nonzero ``S_{j,k}``
     gives the xi-Taylor coefficients ``c[d]`` of its top row on the family's
-    grid, and the spline through them is read on the eta nodes.  Eta is
-    contracted once, ``G = (g w_eta) I``; each term is then ``G c^T`` and a
-    Horner step in xi."""
+    grid, read on the eta nodes through the grid's Chebyshev interpolating
+    polynomial ``I`` (``interpolation_matrix``).  Eta is contracted once,
+    ``G = (g w_eta) I``; each term is then ``G c^T`` and an xi Horner step."""
     _check_moment_inputs(g, phi, eps, gamma, N)
     if fam is not None and abs(fam.gamma - gamma) > 1e-12:
         raise ValueError("kernel family built for a different gamma")
@@ -254,11 +254,13 @@ def order_cap(phi: TestFunction, weighted: bool) -> int:
 @dataclass
 class Reconstruction:
     """One estimate: the profile, the truncation order ``N``, the data norm
-    ``H`` (floored at ``H_FLOOR``) that chose it, and the error bound."""
+    ``H`` (floored at ``H_FLOOR``) that chose it, the error bound, and the
+    constants, with the calibrated ``c_env``, that both read."""
     profile: MeanProfile
     N: int
     H: float
     bound: float
+    consts: BoundConstants
 
 
 def reconstruct_mean(
@@ -271,18 +273,20 @@ def reconstruct_mean(
 ) -> Reconstruction:
     """Estimate the mean profile from data alone.
 
-    Pipeline: data norm H, truncation order N, moments from the sinogram,
-    exact moment-to-Legendre map, truncated series, and the mean bound at
-    H.  Zero data yields N = 0 and the zero profile exactly.  Moments over
-    the envelope ``consts.c_env`` (``moment_bound_audit``) are refused.
+    Pipeline: ``c_env`` from ``calibrate_constants`` at the order cap, data
+    norm H, truncation order N, moments from the sinogram, exact
+    moment-to-Legendre map, truncated series, and the mean bound at H.  Zero
+    data yields N = 0 and the zero profile exactly.  Moments over that
+    envelope (``moment_bound_audit``) are refused.
     """
+    cap = order_cap(phi, fam is not None)
+    consts = calibrate_constants(phi, eps, gamma, cap, consts)
     x_grid = chebyshev_grid()
     H_raw = data_norm(g, eps, gamma)
     H = max(H_raw, H_FLOOR)
     N, values = 0, np.zeros(x_grid.size)
     if H_raw > 0.0:
-        N = min(truncation_order(H, consts, eps),
-                order_cap(phi, fam is not None))
+        N = min(truncation_order(H, consts, eps), cap)
         if phi.kind == "hormander" and phi.param != N:
             # the mollified-hat index is tied to the truncation order
             phi = hormander_sequence(max(N, 1))
@@ -298,7 +302,7 @@ def reconstruct_mean(
                             dtype=float)
     prof = MeanProfile(x=x_grid, values=values, eps=eps, gamma=gamma,
                        test_function=phi)
-    return Reconstruction(prof, N, H, mean_bound(H, consts, eps))
+    return Reconstruction(prof, N, H, mean_bound(H, consts, eps), consts)
 
 
 def reconstruct_slice(
@@ -313,7 +317,7 @@ def reconstruct_slice(
     ``slice_eps`` (``profile.eps``) under the slice bound."""
     rec = reconstruct_mean(g, phi, slice_eps(g, gamma, consts, eps0), gamma,
                            consts, fam=fam)
-    return replace(rec, bound=slice_bound(rec.H, consts))
+    return replace(rec, bound=slice_bound(rec.H, rec.consts))
 
 
 def slice_eps(g: Sinogram, gamma: float, consts: BoundConstants,
@@ -342,12 +346,13 @@ def moment_bound_audit(m: MomentVector, H: float, eps: float,
 def calibrate_constants(phi: TestFunction, eps: float, gamma: float, N: int,
                         consts: BoundConstants) -> BoundConstants:
     """The envelope constant the moment-bound proof needs, ``sqrt(2) C_phi
-    max(2 gamma, 1)`` with ``C_phi`` certified on every call at order
-    ``min(N, derivative_order_max)`` (the sqrt(2) absorbs ``k <=
-    sqrt(2)^(k+1)``), floored at ``e * eps`` to keep ``log(C/eps)``
-    positive.  It reads no data.  The floor is a proof for ``a = b = 0``,
-    for any data; weighted moments also carry ``S_{j,k}`` terms it leaves
-    out, so a weighted run relies on ``reconstruct_mean``'s envelope check.
+    max(2 gamma, 1)`` with ``C_phi`` certified at order ``min(N,
+    derivative_order_max)``, once per order on each ``phi`` (the sqrt(2)
+    absorbs ``k <= sqrt(2)^(k+1)``), floored at ``e * eps`` to keep
+    ``log(C/eps)`` positive.  It reads no data.  The floor is a proof for
+    ``a = b = 0``, for any data; weighted moments also carry ``S_{j,k}``
+    terms it leaves out, so a weighted run relies on ``reconstruct_mean``'s
+    envelope check.
     """
     C_phi = verify_derivative_bounds(phi, min(N, phi.derivative_order_max))
     floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)

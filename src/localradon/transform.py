@@ -40,7 +40,7 @@ __all__ = [
 
 def __getattr__(name):
     # perfbench/spans.py still rebinds ``transform.integrate`` to count quad
-    # calls; delete this once the benchmark stops (ROADMAP item 7)
+    # calls; delete this once the benchmark stops (ROADMAP item 1)
     if name == "integrate":
         from scipy import integrate
         return integrate

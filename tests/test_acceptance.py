@@ -21,7 +21,6 @@ from localradon.means import convergence_gap, mean_profile
 from localradon.phantoms import smooth_bump
 from localradon.stability import (
     BoundConstants,
-    calibrate_constants,
     counterexample_experiment,
     data_norm,
     moments_from_sinogram_unweighted,
@@ -206,18 +205,16 @@ def test_06_end_to_end_analytic(f_main, phi12, sino_clean, sino_weighted,
                                 m_exp, fam_exp):
     """Reconstruction error under its bound at four noise levels."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    cal = calibrate_constants(phi12, EPS, GAMMA, 4, base)
-    _sweep(sino_clean, f_main, constant_weight(), phi12, cal)
-    _sweep(sino_weighted, f_main, m_exp, phi12, cal, fam=fam_exp)
+    _sweep(sino_clean, f_main, constant_weight(), phi12, base)
+    _sweep(sino_weighted, f_main, m_exp, phi12, base, fam=fam_exp)
 
 
 def test_07_end_to_end_gevrey(f_main, phi_gevrey2, sino_clean, sino_weighted,
                               m_exp, fam_exp):
     """Same corpus under the Gevrey truncation rule and its bound."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0, sigma=2.0)
-    cal = calibrate_constants(phi_gevrey2, EPS, GAMMA, 4, base)
-    _sweep(sino_clean, f_main, constant_weight(), phi_gevrey2, cal)
-    _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, cal, fam=fam_exp)
+    _sweep(sino_clean, f_main, constant_weight(), phi_gevrey2, base)
+    _sweep(sino_weighted, f_main, m_exp, phi_gevrey2, base, fam=fam_exp)
 
 
 def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
@@ -225,9 +222,8 @@ def test_08_slice_estimate(f_main, phi12, phi_gevrey2, sino_wide):
     mean-to-slice convergence ratio."""
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
     for phi, sigma in ((phi12, None), (phi_gevrey2, 2.0)):
-        cal = calibrate_constants(phi, EPS, GAMMA, 4,
-                                  replace(base, sigma=sigma))
-        res = reconstruct_slice(sino_wide, phi, GAMMA, cal, eps0=0.28)
+        res = reconstruct_slice(sino_wide, phi, GAMMA,
+                                replace(base, sigma=sigma), eps0=0.28)
         target = np.asarray(
             f_main(res.profile.x, np.full_like(res.profile.x, GAMMA)))
         from localradon.means import MeanProfile
@@ -276,6 +272,5 @@ def test_11_end_to_end_generic_weight(f_main, phi12, fam_generic):
                                 np.linspace(-0.35, 0.35, 57), tol=1e-10)
     assert clean.failed is None
     base = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    cal = calibrate_constants(phi12, EPS, GAMMA, 4, base)
-    report = _sweep(clean, f_main, m, phi12, cal, fam=fam_generic)
+    report = _sweep(clean, f_main, m, phi12, base, fam=fam_generic)
     assert len(report.rows) == len(NOISE_LEVELS)

@@ -29,7 +29,7 @@ from localradon.cli import (
     write_sinogram_csv,
 )
 import localradon
-from localradon import cli, phantoms
+from localradon import cli, phantoms, stability
 from localradon.bumps import hormander_sequence, verify_derivative_bounds
 from localradon.legendre import LegendreSeries
 from localradon.means import MeanProfile, mean_profile
@@ -268,39 +268,41 @@ def test_constants_sigma_selects_the_gevrey_rule(tmp_path):
 
 
 def calibrations(monkeypatch):
-    """The ``(N, eps)`` of every calibration the CLI runs from now on."""
-    calls, calibrate = [], cli.calibrate_constants
+    """The ``(N, eps)`` of every calibration the estimates run from now
+    on."""
+    calls, calibrate = [], stability.calibrate_constants
 
     def spy(phi, eps, gamma, N, consts):
         calls.append((N, eps))
         return calibrate(phi, eps, gamma, N, consts)
 
-    monkeypatch.setattr(cli, "calibrate_constants", spy)
+    monkeypatch.setattr(stability, "calibrate_constants", spy)
     return calls
 
 
 PHI12 = {"test_function": {"kind": "hormander", "param": 12}}
 
 
-def test_calibration_obeys_weighted_cap(monkeypatch, phi12):
+def test_calibration_obeys_weighted_cap(tmp_path, monkeypatch, phi12):
     # phi12 allows N = 12, but a weighted run may not pass WEIGHTED_K_MAX:
     # the pipeline's family stops there, and calibration stays inside it
     assert order_cap(phi12, weighted=True) == WEIGHTED_K_MAX
     calls = calibrations(monkeypatch)
-    fam = cli._pipeline(_check(dict(BASE_CONFIG, weight=FROM_AB,
-                                    kernels={"grid_n": 24}, **PHI12)),
-                        3, 0.1)[5]
+    weighted = dict(weight=FROM_AB, kernels={"grid_n": 24}, **PHI12)
+    _, res = run_cli(tmp_path, "reconstruct", weighted)
     assert calls == [(WEIGHTED_K_MAX, 0.1)]
+    assert res["N"] <= WEIGHTED_K_MAX
+    fam = cli._pipeline(_check(dict(BASE_CONFIG, **weighted)), 3)[5]
     assert max(k for _, k in fam.kernels) <= WEIGHTED_K_MAX
     with pytest.raises(KeyError, match="k_max"):
         fam[(0, WEIGHTED_K_MAX + 1)]
 
 
-def test_calibration_at_the_pipelines_order(monkeypatch, phi12):
+def test_calibration_at_the_pipelines_order(tmp_path, monkeypatch, phi12):
     # an unweighted phi12 run may reconstruct up to N = 12, so calibration,
     # and the C_phi it certifies, must reach N = 12 too
     calls = calibrations(monkeypatch)
-    cli._pipeline(_check(dict(BASE_CONFIG, **PHI12)), 3, 0.1)
+    run_cli(tmp_path, "reconstruct", PHI12)
     assert calls == [(order_cap(phi12, weighted=False), 0.1)] == [(12, 0.1)]
 
 

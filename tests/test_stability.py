@@ -13,6 +13,7 @@ from localradon.bumps import (
 from localradon.kernels import sjk_family
 from localradon.legendre import MomentVector
 from localradon.means import mean_profile
+from localradon.phantoms import smooth_bump
 from localradon.stability import (
     BoundConstants,
     H_FLOOR,
@@ -29,6 +30,8 @@ from localradon.stability import (
     reconstruct_mean,
     reconstruct_slice,
     slice_bound,
+    slice_eps,
+    stability_curve,
     truncation_order,
 )
 from localradon.transform import Sinogram, synthesize_sinogram, with_noise
@@ -327,6 +330,55 @@ def test_calibration_certifies_its_own_order(f_main):
     again = calibrate_constants(phi, EPS, GAMMA, 1, consts)
     assert again.c_env == fresh.c_env
     assert fresh.c_env >= math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
+
+
+def test_estimates_calibrate_the_constants_they_are_handed(sino_wide):
+    # the README example: handed BoundConstants(c0=...), whose c_env is the
+    # default 2.0, the estimate still uses the proof floor at the order cap
+    # (3.0435), so it picks N = 1 and bound 258.2, not N = 2 and 226.5
+    f = smooth_bump(center=(0.0, 0.45), width=0.3)
+    g = synthesize_sinogram(f, constant_weight(), np.linspace(-0.13, 0.13, 21),
+                            np.linspace(-0.35, 0.35, 29), tol=1e-8)
+    phi = hormander_sequence(8)
+    base = BoundConstants(c0=f.holder_bound)
+    cap = order_cap(phi, weighted=False)
+    cal = calibrate_constants(phi, EPS, GAMMA, cap, base)
+    handed, calibrated = (reconstruct_mean(g, phi, EPS, GAMMA, c)
+                          for c in (base, cal))
+    assert (handed.N, handed.bound) == (calibrated.N, calibrated.bound)
+    assert handed.consts.c_env == calibrated.consts.c_env == cal.c_env
+    assert handed.N == 1 and handed.bound == pytest.approx(258.2, abs=0.05)
+    # a slice calibrates at the eps that its rule picks from the data
+    eps = slice_eps(sino_wide, GAMMA, base, 0.28)
+    cal = calibrate_constants(phi, eps, GAMMA, cap, base)
+    handed, calibrated = (reconstruct_slice(sino_wide, phi, GAMMA, c, 0.28)
+                          for c in (base, cal))
+    assert handed.profile.eps == eps
+    assert (handed.N, handed.bound) == (calibrated.N, calibrated.bound)
+    assert handed.consts.c_env == calibrated.consts.c_env == cal.c_env
+    assert handed.bound == slice_bound(handed.H, cal)
+
+
+def test_a_sweep_certifies_C_phi_once(f_main, sino_clean, sino_weighted,
+                                      m_exp, fam_exp):
+    # four estimates calibrate four times, but the certificate of the one
+    # test function they share is evaluated once (the evaluations of more
+    # than one derivative order are the certificate's)
+    for g, m, fam in ((sino_clean, constant_weight(), None),
+                      (sino_weighted, m_exp, fam_exp)):
+        phi = hormander_sequence(12)
+        orders, evaluate = [], phi._eval
+
+        def counted(x, ks):
+            orders.append(len(ks))
+            return evaluate(x, ks)
+
+        phi._eval = counted
+        stability_curve(g, f_main, m, phi, [1e-10, 1e-8, 1e-6, 1e-4], EPS,
+                        GAMMA, BoundConstants(c0=f_main.holder_bound),
+                        fam=fam)
+        cap = order_cap(phi, weighted=fam is not None)
+        assert [n for n in orders if n > 1] == [cap + 1]
 
 
 def test_with_noise_deterministic(sino_clean):
