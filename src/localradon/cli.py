@@ -387,16 +387,27 @@ def write_manifest(out: Path, cfg: dict, seed: int, artifacts, extra=None):
         manifest.update(extra)
     path = out / "manifest.json"
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 
 def _write_rows_csv(path, fieldnames, rows):
+    """A header and one line per row, floats as ``%.17g`` and anything else
+    as ``str``: each row formatted by one format string, the file written
+    at once."""
+    columns = [[row[k] for row in rows] for k in fieldnames]
+    formats = []
+    for i, column in enumerate(columns):
+        if all(isinstance(v, float) for v in column):
+            formats.append("%.17g")
+        else:
+            formats.append("%s")
+            columns[i] = [f"{v:.17g}" if isinstance(v, float) else str(v)
+                          for v in column]
+    line = ",".join(formats) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[k]:.17g}" if isinstance(row[k], float)
-                              else str(row[k]) for k in fieldnames) + "\n")
+        fh.write(",".join(fieldnames) + "\n"
+                 + "".join(line % values for values in zip(*columns)))
 
 
 def _sinogram_from_config(cfg, seed):
@@ -481,8 +492,9 @@ def cmd_sweep(cfg, out, seed, quiet):
     _write_rows_csv(path, fields, report.rows)
     jpath = out / "sweep.json"
     with open(jpath, "w") as fh:
-        json.dump({"rows": report.rows, "alpha_hat": report.alpha_hat,
-                   "fit": report.fit}, fh, indent=2)
+        fh.write(json.dumps({"rows": report.rows,
+                             "alpha_hat": report.alpha_hat,
+                             "fit": report.fit}, indent=2))
     if not quiet:
         for r in report.rows:
             print(f"sigma={r['sigma']:.1e} H={r['H']:.3e} N={r['N']} "
@@ -576,7 +588,7 @@ def cmd_verify(cfg, out, seed, quiet):
     )
     path = out / "verify.json"
     with open(path, "w") as fh:
-        json.dump({"results": results, "ok": ok}, fh, indent=2)
+        fh.write(json.dumps({"results": results, "ok": ok}, indent=2))
     if not quiet:
         for k, v in results.items():
             print(f"{k}: {v:.3e}")

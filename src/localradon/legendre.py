@@ -46,7 +46,9 @@ class MomentVector:
 
 @dataclass
 class LegendreSeries:
-    """Coefficients against the L2-normalized Legendre polynomials."""
+    """Coefficients against the L2-normalized Legendre polynomials: one
+    series, or a stack of series of one order along the first axis, whose
+    values at ``x`` come from one matmul, with shape ``x.shape + (L,)``."""
 
     coeffs: np.ndarray
 
@@ -55,11 +57,11 @@ class LegendreSeries:
 
     @property
     def order(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
 
     def __call__(self, x):
         N = self.order
-        out = legendre_vandermonde(N, x) @ (_norms(N) * self.coeffs)
+        out = legendre_vandermonde(N, x) @ (_norms(N) * self.coeffs).T
         return out if out.shape else float(out)
 
 

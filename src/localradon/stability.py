@@ -17,11 +17,25 @@ import numpy as np
 
 from .bumps import TestFunction, hormander_sequence, verify_derivative_bounds
 from .kernels import KernelFamily, interpolation_matrix
-from .legendre import MOMENT_MAP_N_CAP, MomentVector, moments_to_coefficients
+from .legendre import (
+    MOMENT_MAP_N_CAP,
+    LegendreSeries,
+    MomentVector,
+    moments_to_coefficients,
+)
 from .means import MeanProfile, chebyshev_grid, mean_profile
 from .phantoms import PhantomSpec, oscillatory_phantom
-from .transform import Sinogram, synthesize_sinogram, with_noise
-from .weights import Weight, constant_weight, panel_rule
+from .transform import Sinogram, add_noise, synthesize_sinogram
+# perfbench/spans.py rebinds ``stability.with_noise``, which the sweep no
+# longer calls; delete this once the benchmark stops (ROADMAP item 1)
+from .transform import with_noise  # noqa: F401
+from .weights import (
+    Weight,
+    constant_weight,
+    gauss_nodes,
+    panel_rule,
+    spline_matrix,
+)
 
 __all__ = [
     "BoundConstants",
@@ -30,6 +44,7 @@ __all__ = [
     "A0",
     "H_FLOOR",
     "data_norm",
+    "moment_operator",
     "moments_from_sinogram_unweighted",
     "moments_from_sinogram_weighted",
     "truncation_order",
@@ -101,12 +116,22 @@ def data_norm(g: Sinogram, eps: float, gamma: float) -> float:
     """``sup over |eta| <= gamma of int |g(xi, eta)| over |xi| <= eps``, read
     from the spline the moments read: on the grid rows with ``|eta| <
     gamma`` and the rows ``eta = +-gamma``, by the Gauss panel rule."""
+    return float(_data_norms(g, g.values, eps, gamma))
+
+
+def _data_norms(g: Sinogram, values: np.ndarray, eps: float,
+                gamma: float) -> np.ndarray:
+    """``data_norm`` of every sinogram of ``values`` (``(..., n_xi,
+    n_eta)``) on the grid of ``g``, whose cells they share: one ``B_xi V
+    B_rows^T`` contraction for the stack."""
     _check_data(g, eps, gamma)
     # increasing and distinct, as the grid is; np.unique would import
     # numpy.ma, 35 ms of a process
     rows = np.concatenate([[-gamma], g.eta[np.abs(g.eta) < gamma], [gamma]])
     xs, ws = (a.ravel() for a in panel_rule(np.linspace(-eps, eps, 33), 10))
-    return float((ws @ np.abs(g.interpolant(xs, rows))).max())
+    spline = (spline_matrix(g.xi, xs) @ values
+              @ spline_matrix(g.eta, rows).T)
+    return (ws @ np.abs(spline)).max(axis=-1)
 
 
 def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
@@ -130,46 +155,63 @@ def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
         )
 
 
-def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
-             N: int, fam: Optional[KernelFamily] = None) -> MomentVector:
-    """``m_0 = int g(xi, gamma) phi_eps(xi) dxi`` and ``m_k = sum_j (-1)^j
-    iint s_{j,k}(xi, gamma, eta) g(xi, eta) phi_eps^(j)(xi) deta dxi``.
+def moment_operator(xi, eta, phi: TestFunction, eps: float, gamma: float,
+                    N: int, fam: Optional[KernelFamily] = None) -> np.ndarray:
+    """The moments as one linear map of the data: ``W`` of shape ``(N + 1,
+    n_xi, n_eta)`` with ``m_k = sum(W[k] * g.values)`` for a sinogram ``g``
+    on the grid ``xi`` x ``eta``, where ``m_0 = int g(xi, gamma)
+    phi_eps(xi) dxi`` and ``m_k = sum_j (-1)^j iint s_{j,k}(xi, gamma, eta)
+    g(xi, eta) phi_eps^(j)(xi) deta dxi``.
 
+    ``g`` is read through its bicubic spline (``spline_matrix`` rows) on
+    ``phi.panel_edges(eps)`` with a 10-point Gauss rule in xi and on 12
+    panels with an 8-point rule in eta, and at ``eta = gamma`` for ``m_0``.
     With ``fam`` None (a = b = 0) only ``s_{k,k} = (gamma - eta)^(k-1) /
-    (k-1)!`` is nonzero, on the eta nodes; otherwise each nonzero ``S_{j,k}``
-    gives the xi-Taylor coefficients ``c[d]`` of its top row on the family's
-    grid, read on the eta nodes through the grid's Chebyshev interpolating
-    polynomial ``I`` (``interpolation_matrix``).  Eta is contracted once,
-    ``G = (g w_eta) I``; each term is then ``G c^T`` and an xi Horner step."""
-    _check_moment_inputs(g, phi, eps, gamma, N)
+    (k-1)!`` is nonzero, on the eta nodes; otherwise each ``S_{j,k}``
+    gives the xi-Taylor coefficients ``c[d]`` of its top row on the
+    family's grid, read on the eta nodes through the grid's Chebyshev
+    interpolating polynomial (``interpolation_matrix``).  So ``W[k] =
+    sum_{j, d} x_{j,d} (x) e_{j,k,d}``, the outer products of the xi
+    factors ``(-1)^j phi_eps^(j) xi^d`` and the eta factors ``c[d]``, each
+    integrated against its axis's spline rows: one contraction over every
+    ``(j, d)``.
+    """
     if fam is not None and abs(fam.gamma - gamma) > 1e-12:
         raise ValueError("kernel family built for a different gamma")
     xi_n, xi_w = (a.ravel() for a in panel_rule(phi.panel_edges(eps), 10))
     eta_n, eta_w = (a.ravel()
                     for a in panel_rule(np.linspace(-gamma, gamma, 13), 8))
-    G = g.interpolant(xi_n, eta_n) * eta_w          # (n_xi, n_eta)
+    # eta_f[j, k, d]: the eta factors on the grid, (N+1, N+1, d, n_eta)
+    to_eta = eta_w[:, None] * spline_matrix(eta, eta_n)
+    ks = np.arange(1, N + 1)
     if fam is None:
-        terms = [(k, k, (gamma - eta_n)[None] ** (k - 1)
-                  / math.factorial(k - 1)) for k in range(1, N + 1)]
+        eta_f = np.zeros((N + 1, N + 1, 1, eta.size))
+        s_kk = (gamma - eta_n) ** (ks[:, None] - 1) \
+            / np.array([math.factorial(k - 1) for k in ks])[:, None]
+        eta_f[ks, ks, 0] = s_kk @ to_eta
     else:
-        S = {(j, k): fam[(j, k)] for k in range(1, N + 1)
-             for j in range(k + 1)}
-        terms = [(j, k, s.row(-1)) for (j, k), s in S.items()
-                 if not s.is_zero()]
-        G = G @ interpolation_matrix(fam.p.eta, eta_n)  # (n_xi, grid_n)
-    moments = np.zeros(N + 1)
-    row_g = g.interpolant(xi_n, [gamma])[:, 0]
-    moments[0] = float(np.sum(xi_w * phi(xi_n / eps) / eps * row_g))
-    phij = {}                                       # j -> phi_eps^(j) on xi_n
-    for j, k, c in terms:
-        if j not in phij:
-            phij[j] = phi.derivative_values(xi_n / eps, j) / eps ** (j + 1)
-        h = G @ c.T                                 # (n_xi, order + 1)
-        sg = h[:, -1]
-        for col in h[:, -2::-1].T:
-            sg = sg * xi_n + col
-        moments[k] += (-1) ** j * float(np.sum(xi_w * phij[j] * sg))
-    return MomentVector(moments)
+        top = {(j, k): fam[(j, k)].row(-1) for k in ks for j in range(k + 1)}
+        d = max((r.shape[0] for r in top.values()), default=1)
+        c = np.zeros((N + 1, N + 1, d, fam.p.eta.size))
+        for (j, k), r in top.items():
+            c[j, k, :r.shape[0]] = r
+        eta_f = c @ (interpolation_matrix(fam.p.eta, eta_n).T @ to_eta)
+    eta_f[0, 0, 0] = spline_matrix(eta, [gamma])[0]
+    # xi_f[j, d]: the xi factors on the grid, (N+1, d, n_xi)
+    phij = np.array([(-1) ** j * phi.derivative_values(xi_n / eps, j)
+                     / eps ** (j + 1) for j in range(N + 1)])
+    xi_f = ((xi_w * phij)[:, None] * xi_n ** np.arange(eta_f.shape[2])[:, None]
+            @ spline_matrix(xi, xi_n))
+    return np.tensordot(xi_f, eta_f, axes=([0, 1], [0, 2])).transpose(1, 0, 2)
+
+
+def _moments(g: Sinogram, phi: TestFunction, eps: float, gamma: float,
+             N: int, fam: Optional[KernelFamily] = None) -> MomentVector:
+    """The checked moments of ``g``: ``moment_operator`` applied to its
+    values."""
+    _check_moment_inputs(g, phi, eps, gamma, N)
+    W = moment_operator(g.xi, g.eta, phi, eps, gamma, N, fam)
+    return MomentVector(np.tensordot(W, g.values, 2))
 
 
 def moments_from_sinogram_unweighted(
@@ -177,7 +219,8 @@ def moments_from_sinogram_unweighted(
 ) -> MomentVector:
     """Moments of the mean profile directly from data: the a = b = 0 case,
     ``m_k = (-1)^k iint (gamma - eta)^(k-1)/(k-1)! g(xi, eta)
-    phi_eps^(k)(xi) deta dxi``, since only ``S_{k,k}`` is nonzero."""
+    phi_eps^(k)(xi) deta dxi``, since only ``S_{k,k}`` is nonzero; ``W
+    g`` with ``W`` the ``moment_operator`` without a family."""
     return _moments(g, phi, eps, gamma, N)
 
 
@@ -187,8 +230,8 @@ def moments_from_sinogram_weighted(
 ) -> MomentVector:
     """Weighted moments ``m_k = sum_j (-1)^j int (S_{j,k} g)(xi, gamma)
     d_xi^j phi_eps(xi) dxi``, from the top rows of the family (which may
-    hold that row alone); degenerates to the unweighted formula when
-    a = b = 0."""
+    hold that row alone); ``W g`` with ``W`` the ``moment_operator`` of
+    ``fam``, which degenerates to the unweighted one when a = b = 0."""
     return _moments(g, phi, eps, gamma, N, fam)
 
 
@@ -277,32 +320,63 @@ def reconstruct_mean(
     norm H, truncation order N, moments from the sinogram, exact
     moment-to-Legendre map, truncated series, and the mean bound at H.  Zero
     data yields N = 0 and the zero profile exactly.  Moments over that
-    envelope (``moment_bound_audit``) are refused.
+    envelope (``moment_bound_audit``) are refused.  It is the estimate of
+    a stack of one sinogram (``_reconstruct_stack``).
     """
+    return _reconstruct_stack(g, g.values[None], phi, eps, gamma, consts,
+                              fam)[0]
+
+
+def _reconstruct_stack(g: Sinogram, values: np.ndarray, phi: TestFunction,
+                       eps: float, gamma: float, consts: BoundConstants,
+                       fam: Optional[KernelFamily] = None) -> list:
+    """The ``reconstruct_mean`` of every sinogram of the stack ``values``
+    (``(L, n_xi, n_eta)``) on the grid of ``g``, with its failed cells.
+
+    One calibration serves every level; the data norms come from one
+    contraction, each distinct N builds one ``moment_operator``, the
+    moments of its levels are one ``tensordot`` and every level's series
+    is evaluated by one matmul.  Each level keeps its own checks: finite
+    values, its N (0, with the zero profile, for zero data) and the
+    envelope audit of its moments.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sinogram contains non-finite values")
     cap = order_cap(phi, fam is not None)
     consts = calibrate_constants(phi, eps, gamma, cap, consts)
     x_grid = chebyshev_grid()
-    H_raw = data_norm(g, eps, gamma)
-    H = max(H_raw, H_FLOOR)
-    N, values = 0, np.zeros(x_grid.size)
-    if H_raw > 0.0:
-        N = min(truncation_order(H, consts, eps), cap)
-        if phi.kind == "hormander" and phi.param != N:
+    H_raw = _data_norms(g, values, eps, gamma).tolist()
+    H = [max(h, H_FLOOR) for h in H_raw]
+    N = [min(truncation_order(h, consts, eps), cap) if raw > 0.0 else 0
+         for h, raw in zip(H, H_raw)]
+    phis = [phi] * len(N)
+    coeffs = np.zeros((len(N), max(N) + 1))
+    for n in sorted(set(N) - {0}):
+        used = phi
+        if phi.kind == "hormander" and phi.param != n:
             # the mollified-hat index is tied to the truncation order
-            phi = hormander_sequence(max(N, 1))
-        moments = (moments_from_sinogram_unweighted(g, phi, eps, gamma, N)
-                   if fam is None else
-                   moments_from_sinogram_weighted(g, fam, phi, eps, gamma, N))
-        fitted = moment_bound_audit(moments, H, eps, consts)
-        if fitted > consts.c_env:
-            raise ValueError(
-                f"moments exceed their envelope: fitted C {fitted:.4g} > "
-                f"c_env {consts.c_env:.4g}")
-        values = np.asarray(moments_to_coefficients(moments)(x_grid),
-                            dtype=float)
-    prof = MeanProfile(x=x_grid, values=values, eps=eps, gamma=gamma,
-                       test_function=phi)
-    return Reconstruction(prof, N, H, mean_bound(H, consts, eps), consts)
+            used = hormander_sequence(n)
+        _check_moment_inputs(g, used, eps, gamma, n)
+        W = moment_operator(g.xi, g.eta, used, eps, gamma, n, fam)
+        levels = [i for i, n_i in enumerate(N) if n_i == n]
+        for i, m in zip(levels, np.tensordot(values[levels], W,
+                                             axes=([1, 2], [1, 2]))):
+            moments = MomentVector(m)
+            fitted = moment_bound_audit(moments, H[i], eps, consts)
+            if fitted > consts.c_env:
+                raise ValueError(
+                    f"moments exceed their envelope: fitted C {fitted:.4g} "
+                    f"> c_env {consts.c_env:.4g}")
+            coeffs[i, :n + 1] = moments_to_coefficients(moments).coeffs
+            phis[i] = used
+    profiles = np.zeros((len(N), x_grid.size))
+    live = np.flatnonzero(N)
+    if live.size:
+        profiles[live] = LegendreSeries(coeffs[live])(x_grid).T
+    return [Reconstruction(MeanProfile(x=x_grid, values=v, eps=eps,
+                                       gamma=gamma, test_function=used),
+                           n, h, mean_bound(h, consts, eps), consts)
+            for v, used, n, h in zip(profiles, phis, N, H)]
 
 
 def reconstruct_slice(
@@ -363,11 +437,17 @@ def profile_errors(est: MeanProfile, ref: MeanProfile):
     """(L2, sup-on-|x|<=1/2) errors between two profiles on a shared grid."""
     if est.x.shape != ref.x.shape or not np.allclose(est.x, ref.x):
         raise ValueError("profiles live on different grids")
-    diff = est.values - ref.values
-    l2 = replace(est, values=diff).l2_norm()
-    half = np.abs(est.x) <= 0.5
-    sup = float(np.abs(diff[half]).max())
-    return l2, sup
+    l2, sup = _error_norms(est.x, est.values - ref.values)
+    return float(l2), float(sup)
+
+
+def _error_norms(x: np.ndarray, diff: np.ndarray):
+    """The L2 norm (``MeanProfile.l2_norm``: of the spline through the
+    samples, by 200-point Gauss) and the sup on ``|x| <= 1/2`` of each
+    difference ``diff[..., :]`` sampled on ``x``."""
+    t, w = gauss_nodes(200)
+    l2 = np.sqrt(np.sum(w * (spline_matrix(x, t) @ diff.T).T ** 2, axis=-1))
+    return l2, np.abs(diff[..., np.abs(x) <= 0.5]).max(axis=-1)
 
 
 @dataclass
@@ -403,22 +483,30 @@ def stability_curve(
     """Reconstruction error versus noise, with the estimate's bound per row
     and a fitted decay exponent ``alpha_hat`` in ``error ~ const *
     log(1/H)^(-alpha_hat)``.  Each row's truth is the mean of ``f`` times
-    ``m`` under the test function its reconstruction used."""
+    ``m`` under the test function its reconstruction used.
+
+    Level ``i`` of the levels sorted down is ``add_noise(clean.values,
+    sigma, seed + i)``, the data of ``with_noise``; the levels are
+    reconstructed as one stack (``_reconstruct_stack``, so they share one
+    ``moment_operator`` per N), and scored in one contraction."""
     noise_levels = sorted(noise_levels, reverse=True)
     if len(noise_levels) < 1:
         raise ValueError("need at least one noise level")
-    rows, truths = [], {}
-    for i, sigma in enumerate(noise_levels):
-        rec = reconstruct_mean(with_noise(clean, sigma, seed + i), phi, eps,
-                               gamma, consts, fam=fam)
-        used = rec.profile.test_function
-        key = (used.kind, used.param)
+    values = np.stack([add_noise(clean.values, sigma, seed + i)
+                       for i, sigma in enumerate(noise_levels)])
+    recs = _reconstruct_stack(clean, values, phi, eps, gamma, consts, fam)
+    used = [rec.profile.test_function for rec in recs]
+    keys = [(phi_i.kind, phi_i.param) for phi_i in used]
+    truths = {}
+    for key, phi_i in zip(keys, used):
         if key not in truths:
-            truths[key] = mean_profile(f, m, used, eps, gamma,
-                                       x_grid=rec.profile.x)
-        l2, sup = profile_errors(rec.profile, truths[key])
-        rows.append({"sigma": sigma, "H": rec.H, "N": rec.N, "l2_error": l2,
-                     "sup_error_half": sup, "bound": rec.bound})
+            truths[key] = mean_profile(f, m, phi_i, eps, gamma,
+                                       x_grid=recs[0].profile.x).values
+    l2, sup = _error_norms(recs[0].profile.x, np.array(
+        [rec.profile.values - truths[key] for rec, key in zip(recs, keys)]))
+    rows = [{"sigma": sigma, "H": rec.H, "N": rec.N, "l2_error": float(e),
+             "sup_error_half": float(s), "bound": rec.bound}
+            for sigma, rec, e, s in zip(noise_levels, recs, l2, sup)]
     rows.sort(key=lambda r: -r["H"])
     logs = np.log([math.log(1.0 / r["H"]) for r in rows])
     errs = np.log([max(r["l2_error"], 1e-300) for r in rows])

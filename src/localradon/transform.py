@@ -31,6 +31,7 @@ __all__ = [
     "radon_moment",
     "synthesize_sinogram",
     "with_noise",
+    "add_noise",
     "check_adjoint",
     "check_moment_identity",
     "check_transport_identity",
@@ -173,12 +174,19 @@ def _line_integrals(f: PhantomSpec, m: Weight, k: int, xi, eta, tol: float):
     n = xi.size
     values, errors = np.zeros(n), np.zeros(n)
     failed = np.zeros(n, dtype=bool)
+    # a constant Weight multiplies every node by its level (no node at
+    # level 1), bit for bit the product on the nonzero nodes alone
+    level = m.level if isinstance(m, Weight) and m.a is None else None
 
     def integrand(x, line):
-        # the weight only where x^k f is nonzero: the product is the same
-        # there, and the same (signed) zero elsewhere
         xl, el = xi[line], eta[line]
-        v = x**k * f(x, xl * x + el)
+        v = f(x, xl * x + el)
+        if k:
+            v = x**k * v
+        if level is not None:
+            return v if level == 1.0 else v * level
+        # any other weight only where x^k f is nonzero: the product is the
+        # same there, and the same (signed) zero elsewhere
         nz = v != 0
         # the line of each nonzero node: x has one row per panel
         on = np.repeat(line[:, 0], np.count_nonzero(nz, axis=1))
@@ -270,14 +278,20 @@ def synthesize_sinogram(
 
 
 def with_noise(g: Sinogram, sigma: float, seed: int) -> Sinogram:
-    """A copy of a clean sinogram with the Gaussian noise
-    ``default_rng(seed).normal(0, sigma, shape)`` added."""
-    rng = default_rng(seed)
-    values = g.values + rng.normal(0.0, sigma, g.values.shape) \
-        if sigma > 0 else g.values.copy()
-    return Sinogram(xi=g.xi, eta=g.eta, values=values, noise_sigma=sigma,
+    """A copy of a clean sinogram with the noise of :func:`add_noise`."""
+    return Sinogram(xi=g.xi, eta=g.eta,
+                    values=add_noise(g.values, sigma, seed), noise_sigma=sigma,
                     provenance=dict(g.provenance, noise_seed=seed),
                     failed=g.failed)
+
+
+def add_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """``values`` plus the Gaussian noise ``default_rng(seed).normal(0,
+    sigma, shape)`` (a copy when ``sigma`` is 0): the one seeded draw that
+    synthesis, :func:`with_noise` and the sweeps share."""
+    if sigma > 0:
+        return values + default_rng(seed).normal(0.0, sigma, values.shape)
+    return values.copy()
 
 
 def check_adjoint(f: PhantomSpec, m: Weight, phi_xi, phi_eta,

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from localradon import stability
 from localradon.bumps import (
     gevrey_bump,
     hormander_sequence,
@@ -18,6 +19,7 @@ from localradon.stability import (
     BoundConstants,
     H_FLOOR,
     _line_fit,
+    _reconstruct_stack,
     calibrate_constants,
     counterexample_experiment,
     data_norm,
@@ -180,6 +182,16 @@ def test_weighted_degenerates_to_unweighted(sino_clean, fam_zero, phi12):
     assert np.abs(mw.values - mu.values).max() < 1e-10
 
 
+def test_moments_of_order_zero(sino_weighted, fam_exp, phi12):
+    # m_0 reads no kernel: with a family, at N = 0 too, it is the m_0
+    # of the unweighted extraction
+    m0 = [moments_from_sinogram_weighted(sino_weighted, fam_exp, phi12, EPS,
+                                         GAMMA, N).values[0] for N in (0, 2)]
+    m0.append(moments_from_sinogram_unweighted(sino_weighted, phi12, EPS,
+                                               GAMMA, 0).values[0])
+    assert m0 == pytest.approx([m0[2]] * 3, rel=1e-14)
+
+
 @pytest.mark.parametrize("weighted", [False, True],
                          ids=["unweighted", "weighted"])
 def test_moment_input_guards(sino_clean, phi12, fam_exp, weighted):
@@ -306,6 +318,10 @@ def test_a_faulty_kernel_is_refused(f_main, m_generic):
             continue
         with pytest.raises(ValueError, match="exceed their envelope"):
             reconstruct_mean(g, phi, EPS, GAMMA, consts, fam=fam)
+        # a sweep reads the same moments, through one operator per N
+        with pytest.raises(ValueError, match="exceed their envelope"):
+            stability_curve(g, f_main, m_generic, phi, [1e-10, 1e-8], EPS,
+                            GAMMA, consts, fam=fam)
 
 
 def test_calibrate_floors(phi12, f_main):
@@ -361,9 +377,9 @@ def test_estimates_calibrate_the_constants_they_are_handed(sino_wide):
 
 def test_a_sweep_certifies_C_phi_once(f_main, sino_clean, sino_weighted,
                                       m_exp, fam_exp):
-    # four estimates calibrate four times, but the certificate of the one
-    # test function they share is evaluated once (the evaluations of more
-    # than one derivative order are the certificate's)
+    # the certificate of the one test function that a sweep's levels share
+    # is evaluated once (the evaluations of more than one derivative order
+    # are the certificate's)
     for g, m, fam in ((sino_clean, constant_weight(), None),
                       (sino_weighted, m_exp, fam_exp)):
         phi = hormander_sequence(12)
@@ -379,6 +395,66 @@ def test_a_sweep_certifies_C_phi_once(f_main, sino_clean, sino_weighted,
                         fam=fam)
         cap = order_cap(phi, weighted=fam is not None)
         assert [n for n in orders if n > 1] == [cap + 1]
+
+
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["constant", "fam_exp"])
+def test_a_sweep_is_its_levels_estimates(f_main, sino_clean, sino_weighted,
+                                         m_exp, fam_exp, weighted,
+                                         monkeypatch):
+    # the stacked sweep returns the rows of one reconstruct_mean and
+    # profile_errors per level, on the with_noise data of that level, and
+    # builds one moment operator for the one N they pick
+    g, m, fam = (sino_weighted, m_exp, fam_exp) if weighted else \
+        (sino_clean, constant_weight(), None)
+    phi, levels, seed = hormander_sequence(12), [1e-10, 1e-8, 1e-6, 1e-4], 3
+    consts = BoundConstants(c0=f_main.holder_bound)
+    built, operator = [], stability.moment_operator
+    monkeypatch.setattr(stability, "moment_operator",
+                        lambda *args: built.append(args[5])
+                        or operator(*args))
+    rows = stability_curve(g, f_main, m, phi, levels, EPS, GAMMA, consts,
+                           fam=fam, seed=seed).rows
+    assert len({r["N"] for r in rows}) == 1 and len(built) == 1
+    for i, sigma in enumerate(sorted(levels, reverse=True)):
+        rec = reconstruct_mean(with_noise(g, sigma, seed + i), phi, EPS,
+                               GAMMA, consts, fam=fam)
+        truth = mean_profile(f_main, m, rec.profile.test_function, EPS,
+                             GAMMA, x_grid=rec.profile.x)
+        l2, sup = profile_errors(rec.profile, truth)
+        row = next(r for r in rows if r["sigma"] == sigma)
+        assert (row["N"], row["H"]) == (rec.N, rec.H)
+        for key, ref in (("l2_error", l2), ("sup_error_half", sup),
+                         ("bound", rec.bound)):
+            assert row[key] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_a_stack_groups_its_levels_by_N(sino_clean, f_main, phi12,
+                                        monkeypatch):
+    # levels that pick N = 1, N = 2 and (zero data) N = 0 get one moment
+    # operator per nonzero N and each the estimate it gets alone
+    values = sino_clean.values[None] * np.array([1.0, 0.1, 0.0])[:, None,
+                                                                  None]
+    consts = BoundConstants(c0=f_main.holder_bound)
+    built, operator = [], stability.moment_operator
+    monkeypatch.setattr(stability, "moment_operator",
+                        lambda *args: built.append(args[5])
+                        or operator(*args))
+    recs = _reconstruct_stack(sino_clean, values, phi12, EPS, GAMMA, consts)
+    assert [r.N for r in recs] == [1, 2, 0] and built == [1, 2]
+    for v, rec in zip(values, recs):
+        alone = reconstruct_mean(replace(sino_clean, values=v), phi12, EPS,
+                                 GAMMA, consts)
+        assert (alone.N, alone.H, alone.bound) == (rec.N, rec.H, rec.bound)
+        assert alone.profile.test_function.param == \
+            rec.profile.test_function.param
+        assert np.allclose(rec.profile.values, alone.profile.values,
+                           rtol=0, atol=1e-12 * np.abs(
+                               alone.profile.values).max(initial=0))
+    assert np.all(recs[2].profile.values == 0.0)
+    values[1, 3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _reconstruct_stack(sino_clean, values, phi12, EPS, GAMMA, consts)
 
 
 def test_with_noise_deterministic(sino_clean):

@@ -69,6 +69,25 @@ def test_radon_weight_scaling(f_main, m_const):
     assert v3 == pytest.approx(3.0 * v1, rel=1e-10)
 
 
+def test_a_constant_weight_is_applied_bit_for_bit(f_main, record):
+    # the engine multiplies by a constant Weight's level on every node (not
+    # at all at level 1); evaluating the weight per node gives the same
+    # bits: m = exp(0) = 1 exactly, and the level through a wrapper that
+    # the engine cannot read.  Against 2.5 times the level-1 values they
+    # agree only to the tolerance, since the stop rule reads |value|
+    xi, eta = np.linspace(-0.13, 0.13, 11), np.linspace(-0.35, 0.35, 15)
+    zero = Weight(field_from_spec("zero"), field_from_spec("zero"))
+    for m, per_node in ((constant_weight(), zero),
+                        (constant_weight(2.5), record(constant_weight(2.5)))):
+        assert np.array_equal(
+            synthesize_sinogram(f_main, m, xi, eta, tol=1e-10).values,
+            synthesize_sinogram(f_main, per_node, xi, eta, tol=1e-10).values)
+        assert np.array_equal(
+            radon_moment(f_main, m, 1, xi[:, None], eta, 1e-10),
+            radon_moment(f_main, per_node, 1, xi[:, None], eta, 1e-10))
+    assert per_node.points() > 0
+
+
 def test_radon_moment_on_arrays_matches_sinogram(f_main, m_const, m_exp):
     xi = np.linspace(-0.13, 0.13, 5)
     eta = np.linspace(0.2, 0.7, 6)
