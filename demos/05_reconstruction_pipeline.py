@@ -33,9 +33,9 @@ def main():
     # every estimate calibrates c_env itself, at the order the pipeline
     # allows; it depends on phi, eps and gamma only, not on the data
     base = BoundConstants(c0=f.holder_bound, alpha=1.0)
-    used = reconstruct_mean(clean, phi, EPS, GAMMA, base).consts
+    rec = reconstruct_mean(clean, phi, EPS, GAMMA, base)
     print(f"constants: A0={A0:.4f} (fixed), "
-          f"C_env={used.c_env:.4f} (calibrated by the estimates)")
+          f"C_env={rec.c_env:.4f} (calibrated by the estimates)")
 
     # each row is scored against the mean under the test function its
     # reconstruction used

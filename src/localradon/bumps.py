@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 N_MAX = 24
+# the dense points ``verify_derivative_bounds`` certifies on, knots aside
+CERTIFICATE_GRID = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+CERTIFICATE_GRID.flags.writeable = False
 
 
 @functools.cache
@@ -74,7 +77,7 @@ class TestFunction:
     derivative_order_max: int
     breakpoints: Optional[np.ndarray] = None   # piecewise-poly knots, if any
     _eval: Callable = field(default=None, repr=False)  # (x, orders) -> rows
-    # (k_max, grid_n) -> C of ``verify_derivative_bounds``
+    # k_max -> C of ``verify_derivative_bounds``
     _certificates: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
@@ -183,24 +186,23 @@ def gevrey_bump(sigma: float, derivative_order_max: int = 20) -> TestFunction:
     )
 
 
-def verify_derivative_bounds(tf: TestFunction, k_max: int,
-                             grid_n: int = 4001) -> float:
+def verify_derivative_bounds(tf: TestFunction, k_max: int) -> float:
     """Certify C with ``sup|phi^(k)| <= C^(k+1) * rate(k)`` for k <= k_max.
 
-    C is the smallest such constant on a dense evaluation grid plus the
+    C is the smallest such constant on ``CERTIFICATE_GRID`` plus the
     knots, where the derivatives of a piecewise polynomial peak; the Gevrey
     rate ``k!^sigma`` is taken in logs, as it overflows for large sigma.
     One pass gives every order the values of ``derivative_values``: a
     Hörmander bump finds each point's piece once, a Gevrey bump builds one
     jet of order ``k_max``; an overflow raises the first such order's error.
-    The certificate is kept on ``tf`` per ``(k_max, grid_n)``, so the
-    estimates of one test function certify it once.
+    The certificate is kept on ``tf`` per ``k_max``, so the estimates of
+    one test function certify it once.
     """
     if k_max > tf.derivative_order_max:
         raise ValueError("k_max exceeds the derivative order limit")
-    if (k_max, grid_n) in tf._certificates:
-        return tf._certificates[k_max, grid_n]
-    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, grid_n)
+    if k_max in tf._certificates:
+        return tf._certificates[k_max]
+    xs = CERTIFICATE_GRID
     if tf.breakpoints is not None:
         xs = np.append(xs, tf.breakpoints)
     sups = enumerate(np.abs(tf._eval(xs, range(k_max + 1))).max(axis=1))
@@ -210,5 +212,5 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int,
     else:
         C = max(math.exp((math.log(sup) - tf.param * math.lgamma(k + 1))
                          / (k + 1)) for k, sup in sups)
-    tf._certificates[k_max, grid_n] = C
+    tf._certificates[k_max] = C
     return C

@@ -433,7 +433,7 @@ def _pipeline(cfg, seed):
     data, gamma, test function, the top rows of the ``S_{j,k}`` family of a
     ``from_ab`` weight (None for a constant) to the weighted order cap, the
     deepest level that reconstruction reads, and the configured constants,
-    whose ``c_env`` each estimate calibrates itself."""
+    the phantom's class; each estimate derives its own ``c_env``."""
     f, m, g = _sinogram_from_config(cfg, seed)
     gamma, phi = cfg["gamma"], build_test_function(cfg)
     fam = None if m.a is None else sjk_family(
@@ -468,7 +468,7 @@ def cmd_reconstruct(cfg, out, seed, quiet):
                         x_grid=rec.profile.x)
     path = out / "reconstruction.csv"
     return [path], dict(_scored("reconstruct", path, rec, true.values, quiet),
-                        c_env=rec.consts.c_env)
+                        c_env=rec.c_env)
 
 
 def cmd_slice(cfg, out, seed, quiet):

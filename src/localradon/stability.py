@@ -70,23 +70,22 @@ WEIGHTED_K_MAX = 6
 
 @dataclass
 class BoundConstants:
-    """Constants entering the reconstruction estimates.
+    """The a-priori class of the phantom that the estimates assume.
 
     ``c0``/``alpha`` are the phantom's Hölder data (``alpha`` in (0, 1], 1:
-    Lipschitz), ``c_env`` the envelope constant C in the moment bound (the
-    estimates calibrate their own and never read this one), and ``sigma``
-    the Gevrey index of the weight fields: None selects the analytic rule
-    and bound, a value in ``(1, inf)`` the Gevrey ones.  ``M = 4 A0 c0``.
+    Lipschitz) and ``sigma`` the Gevrey index of the weight fields: None
+    selects the analytic rule and bound, a value in ``(1, inf)`` the Gevrey
+    ones.  ``M = 4 A0 c0``.  The envelope constant belongs to the test
+    function: ``calibrate_constants`` derives it.
     """
 
     c0: float
     alpha: float = 1.0
-    c_env: float = 2.0
     sigma: Optional[float] = None
 
     def __post_init__(self):
         # a NaN fails every comparison, so each value must pass one
-        if not all(0 < v < math.inf for v in (self.c0, self.c_env)):
+        if not 0 < self.c0 < math.inf:
             raise ValueError("constants must be finite and positive")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], not {self.alpha}")
@@ -136,7 +135,8 @@ def _data_norms(g: Sinogram, values: np.ndarray, eps: float,
 
 def _check_moment_inputs(g: Sinogram, phi: TestFunction, eps: float,
                          gamma: float, N: int):
-    """The preconditions shared by both moment extractions."""
+    """The preconditions of every moment extraction: both public ones and
+    each ``N`` of ``_reconstruct_stack``."""
     if N > phi.derivative_order_max:
         raise ValueError("derivative order of the test function exceeded")
     if gamma < eps * eps / 4.0 - 1e-12:
@@ -235,8 +235,9 @@ def moments_from_sinogram_weighted(
     return _moments(g, phi, eps, gamma, N, fam)
 
 
-def truncation_order(H: float, consts: BoundConstants, eps: float) -> int:
-    """The estimate-optimal Legendre cutoff.
+def truncation_order(H: float, consts: BoundConstants, c_env: float,
+                     eps: float) -> int:
+    """The estimate-optimal Legendre cutoff for the envelope ``C = c_env``.
 
     Analytic rule (``consts.sigma`` None): largest N with ``N <= (log(M/H)
     - log(C/eps)) / log(C/eps)``.  Gevrey rule (``sigma > 1``): ``N =
@@ -247,7 +248,7 @@ def truncation_order(H: float, consts: BoundConstants, eps: float) -> int:
         raise ValueError("data too noisy for method (H >= M)")
     if H <= 0:
         raise ValueError("H must be positive (floor zero data first)")
-    ce = consts.c_env / eps
+    ce = c_env / eps
     if ce <= 1.0:
         raise ValueError("envelope C/eps must exceed 1")
     if consts.sigma is None:
@@ -262,27 +263,28 @@ def truncation_order(H: float, consts: BoundConstants, eps: float) -> int:
     return N
 
 
-def mean_bound(H: float, consts: BoundConstants, eps: float) -> float:
+def mean_bound(H: float, consts: BoundConstants, c_env: float,
+               eps: float) -> float:
     """The reconstruction error bound for the mean profile."""
     M = consts.M
-    ce = consts.c_env / eps
+    ce = c_env / eps
     t = math.log(M / H)
     if consts.sigma is None:
         return 4.0 * M * (math.log(ce) / t) ** consts.alpha
     return 4.0 * M * (math.log(ce) * math.log(t) / t) ** consts.alpha
 
 
-def slice_bound(H: float, consts: BoundConstants) -> float:
+def slice_bound(H: float, consts: BoundConstants, c_env: float) -> float:
     """Explicit slice-estimate bound (mean bound at the selected eps plus
     the mean-to-slice convergence term)."""
     M = consts.M
     t = math.log(M / H)
     llt = math.log(t)
     if consts.sigma is None:
-        return 4.0 * M * ((math.log(consts.c_env) + llt) / t) ** consts.alpha \
+        return 4.0 * M * ((math.log(c_env) + llt) / t) ** consts.alpha \
             + consts.c0 * (2.0 / t) ** consts.alpha
     return 4.0 * M * (
-        (math.log(consts.c_env) + llt) * llt / t
+        (math.log(c_env) + llt) * llt / t
     ) ** consts.alpha + 2.0 * M / t ** consts.alpha
 
 
@@ -298,12 +300,12 @@ def order_cap(phi: TestFunction, weighted: bool) -> int:
 class Reconstruction:
     """One estimate: the profile, the truncation order ``N``, the data norm
     ``H`` (floored at ``H_FLOOR``) that chose it, the error bound, and the
-    constants, with the calibrated ``c_env``, that both read."""
+    envelope constant ``c_env`` (``calibrate_constants``) both read."""
     profile: MeanProfile
     N: int
     H: float
     bound: float
-    consts: BoundConstants
+    c_env: float
 
 
 def reconstruct_mean(
@@ -343,12 +345,12 @@ def _reconstruct_stack(g: Sinogram, values: np.ndarray, phi: TestFunction,
     if not np.all(np.isfinite(values)):
         raise ValueError("sinogram contains non-finite values")
     cap = order_cap(phi, fam is not None)
-    consts = calibrate_constants(phi, eps, gamma, cap, consts)
+    c_env = calibrate_constants(phi, eps, gamma, cap)
     x_grid = chebyshev_grid()
     H_raw = _data_norms(g, values, eps, gamma).tolist()
     H = [max(h, H_FLOOR) for h in H_raw]
-    N = [min(truncation_order(h, consts, eps), cap) if raw > 0.0 else 0
-         for h, raw in zip(H, H_raw)]
+    N = [min(truncation_order(h, consts, c_env, eps), cap) if raw > 0.0
+         else 0 for h, raw in zip(H, H_raw)]
     phis = [phi] * len(N)
     coeffs = np.zeros((len(N), max(N) + 1))
     for n in sorted(set(N) - {0}):
@@ -363,10 +365,10 @@ def _reconstruct_stack(g: Sinogram, values: np.ndarray, phi: TestFunction,
                                              axes=([1, 2], [1, 2]))):
             moments = MomentVector(m)
             fitted = moment_bound_audit(moments, H[i], eps, consts)
-            if fitted > consts.c_env:
+            if fitted > c_env:
                 raise ValueError(
                     f"moments exceed their envelope: fitted C {fitted:.4g} "
-                    f"> c_env {consts.c_env:.4g}")
+                    f"> c_env {c_env:.4g}")
             coeffs[i, :n + 1] = moments_to_coefficients(moments).coeffs
             phis[i] = used
     profiles = np.zeros((len(N), x_grid.size))
@@ -375,7 +377,7 @@ def _reconstruct_stack(g: Sinogram, values: np.ndarray, phi: TestFunction,
         profiles[live] = LegendreSeries(coeffs[live])(x_grid).T
     return [Reconstruction(MeanProfile(x=x_grid, values=v, eps=eps,
                                        gamma=gamma, test_function=used),
-                           n, h, mean_bound(h, consts, eps), consts)
+                           n, h, mean_bound(h, consts, c_env, eps), c_env)
             for v, used, n, h in zip(profiles, phis, N, H)]
 
 
@@ -391,7 +393,7 @@ def reconstruct_slice(
     ``slice_eps`` (``profile.eps``) under the slice bound."""
     rec = reconstruct_mean(g, phi, slice_eps(g, gamma, consts, eps0), gamma,
                            consts, fam=fam)
-    return replace(rec, bound=slice_bound(rec.H, rec.consts))
+    return replace(rec, bound=slice_bound(rec.H, consts, rec.c_env))
 
 
 def slice_eps(g: Sinogram, gamma: float, consts: BoundConstants,
@@ -417,20 +419,19 @@ def moment_bound_audit(m: MomentVector, H: float, eps: float,
     return max(float(np.max(base ** (1.0 / (k + 1)))) * eps, 1e-30)
 
 
-def calibrate_constants(phi: TestFunction, eps: float, gamma: float, N: int,
-                        consts: BoundConstants) -> BoundConstants:
-    """The envelope constant the moment-bound proof needs, ``sqrt(2) C_phi
-    max(2 gamma, 1)`` with ``C_phi`` certified at order ``min(N,
-    derivative_order_max)``, once per order on each ``phi`` (the sqrt(2)
-    absorbs ``k <= sqrt(2)^(k+1)``), floored at ``e * eps`` to keep
-    ``log(C/eps)`` positive.  It reads no data.  The floor is a proof for
-    ``a = b = 0``, for any data; weighted moments also carry ``S_{j,k}``
-    terms it leaves out, so a weighted run relies on ``reconstruct_mean``'s
-    envelope check.
+def calibrate_constants(phi: TestFunction, eps: float, gamma: float,
+                        N: int) -> float:
+    """The envelope constant ``c_env`` the moment-bound proof needs for
+    moments up to order ``N``: ``sqrt(2) C_phi max(2 gamma, 1)`` with
+    ``C_phi`` certified at order ``N``, once per order on each ``phi`` (the
+    sqrt(2) absorbs ``k <= sqrt(2)^(k+1)``), floored at ``e * eps`` to keep
+    ``log(C/eps)`` positive.  An ``N`` past ``phi.derivative_order_max`` is
+    refused.  It reads no data.  The floor is a proof for ``a = b = 0``,
+    for any data; weighted moments also carry ``S_{j,k}`` terms it leaves
+    out, so a weighted run relies on ``reconstruct_mean``'s envelope check.
     """
-    C_phi = verify_derivative_bounds(phi, min(N, phi.derivative_order_max))
-    floor = math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0)
-    return replace(consts, c_env=max(floor, math.e * eps))
+    C_phi = verify_derivative_bounds(phi, N)
+    return max(math.sqrt(2.0) * C_phi * max(2 * gamma, 1.0), math.e * eps)
 
 
 def profile_errors(est: MeanProfile, ref: MeanProfile):

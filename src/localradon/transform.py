@@ -21,7 +21,6 @@ from .weights import (
     constant_weight,
     gauss_nodes,
     panel_rule,
-    spline_matrix,
 )
 
 __all__ = [
@@ -76,13 +75,6 @@ class Sinogram:
                                  f"{np.shape(cells)}, not the grid's {grid}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sinogram contains non-finite values")
-
-    def interpolant(self, xi, eta) -> np.ndarray:
-        """The bicubic spline through the samples (lower degree along an
-        axis of fewer points) on the grid ``xi`` x ``eta``, ``B_xi V
-        B_eta^T`` with each ``B`` a :func:`spline_matrix`."""
-        return (spline_matrix(self.xi, xi) @ self.values
-                @ spline_matrix(self.eta, eta).T)
 
 
 # The line-integral engine: every chord starts as _START_PANELS equal

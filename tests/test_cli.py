@@ -272,9 +272,9 @@ def calibrations(monkeypatch):
     on."""
     calls, calibrate = [], stability.calibrate_constants
 
-    def spy(phi, eps, gamma, N, consts):
+    def spy(phi, eps, gamma, N):
         calls.append((N, eps))
-        return calibrate(phi, eps, gamma, N, consts)
+        return calibrate(phi, eps, gamma, N)
 
     monkeypatch.setattr(stability, "calibrate_constants", spy)
     return calls

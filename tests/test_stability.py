@@ -105,9 +105,9 @@ def test_bound_constants_validation():
     assert BoundConstants(c0=1.0, alpha=0.5).alpha == 0.5
     # a Hölder exponent lies in (0, 1]; a larger one would lower the bound
     for bad in ({"alpha": math.nan}, {"alpha": 0.0}, {"alpha": 1.5},
-                {"alpha": 2.0}, {"alpha": math.inf}, {"c_env": math.inf},
-                {"sigma": 1.0}, {"sigma": 0.5}, {"sigma": math.inf},
-                {"sigma": math.nan}):
+                {"alpha": 2.0}, {"alpha": math.inf}, {"c0": math.inf},
+                {"c0": math.nan}, {"sigma": 1.0}, {"sigma": 0.5},
+                {"sigma": math.inf}, {"sigma": math.nan}):
         with pytest.raises(ValueError):
             BoundConstants(**{"c0": 1.0, "alpha": 1.0, **bad})
 
@@ -125,37 +125,38 @@ def test_line_fit_matches_linregress():
 
 
 def test_truncation_order_plugin_values():
-    c = BoundConstants(c0=1.0, alpha=1.0, c_env=math.e * 0.1)
+    c, c_env = BoundConstants(c0=1.0, alpha=1.0), math.e * 0.1
     # log(M/H) = 20 and log(C/eps) = 1 give N = 19
     H = c.M * math.exp(-20.0)
-    assert truncation_order(H, c, 0.1) == 19
+    assert truncation_order(H, c, c_env, 0.1) == 19
     # gevrey: y = 100 gives floor(100 / log 100) = 21
     H = c.M * math.exp(-100.0)
-    assert truncation_order(H, replace(c, sigma=2.0), 0.1) == 21
+    assert truncation_order(H, replace(c, sigma=2.0), c_env, 0.1) == 21
 
 
 def test_truncation_order_noise_guards():
-    c = BoundConstants(c0=1.0, alpha=1.0, c_env=math.e * 0.1)
+    c, c_env = BoundConstants(c0=1.0, alpha=1.0), math.e * 0.1
     with pytest.raises(ValueError, match="data too noisy"):
-        truncation_order(c.M * 2.0, c, 0.1)
+        truncation_order(c.M * 2.0, c, c_env, 0.1)
     with pytest.raises(ValueError, match="data too noisy"):
-        truncation_order(c.M * math.exp(-0.5), c, 0.1)
+        truncation_order(c.M * math.exp(-0.5), c, c_env, 0.1)
     with pytest.raises(ValueError, match="data too noisy"):
-        truncation_order(c.M * math.exp(-2.0), replace(c, sigma=2.0), 0.1)
+        truncation_order(c.M * math.exp(-2.0), replace(c, sigma=2.0), c_env,
+                         0.1)
     with pytest.raises(ValueError):
-        truncation_order(0.0, c, 0.1)
+        truncation_order(0.0, c, c_env, 0.1)
 
 
 def test_bound_formulas_plugin():
-    c = BoundConstants(c0=1.0, alpha=1.0, c_env=1.0)
+    c, c_env = BoundConstants(c0=1.0, alpha=1.0), 1.0
     H = c.M * math.exp(-math.e**2)
     t = math.e**2
-    assert mean_bound(H, c, 0.5) == pytest.approx(
+    assert mean_bound(H, c, c_env, 0.5) == pytest.approx(
         4 * c.M * math.log(2.0) / t, rel=1e-12)
-    assert slice_bound(H, c) == pytest.approx(
+    assert slice_bound(H, c, c_env) == pytest.approx(
         4 * c.M * (2.0 / t) + (2.0 / t), rel=1e-12)
     # gevrey variants carry the extra loglog factor
-    assert mean_bound(H, replace(c, sigma=2.0), 0.5) == pytest.approx(
+    assert mean_bound(H, replace(c, sigma=2.0), c_env, 0.5) == pytest.approx(
         4 * c.M * math.log(2.0) * 2.0 / t, rel=1e-12)
 
 
@@ -241,14 +242,16 @@ def test_reconstruct_mean_zero_data(phi12):
 
 def test_reconstruct_mean_accuracy(sino_clean, f_main, phi12):
     consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    consts = calibrate_constants(phi12, EPS, GAMMA, 4, consts)
+    c_env = calibrate_constants(phi12, EPS, GAMMA,
+                                order_cap(phi12, weighted=False))
     rec = reconstruct_mean(sino_clean, phi12, EPS, GAMMA, consts)
     ref = mean_profile(f_main, constant_weight(), phi12, EPS, GAMMA,
                        x_grid=rec.profile.x)
     l2, sup = profile_errors(rec.profile, ref)
     assert rec.N >= 1
     assert rec.H == max(data_norm(sino_clean, EPS, GAMMA), H_FLOOR)
-    assert rec.bound == mean_bound(rec.H, consts, EPS)
+    assert rec.c_env == c_env
+    assert rec.bound == mean_bound(rec.H, consts, c_env, EPS)
     assert l2 <= rec.bound
 
 
@@ -306,8 +309,7 @@ def test_a_faulty_kernel_is_refused(f_main, m_generic):
                             np.linspace(-0.35, 0.35, 29), tol=1e-8)
     phi = hormander_sequence(4)
     cap = order_cap(phi, weighted=True)
-    consts = calibrate_constants(phi, EPS, GAMMA, cap,
-                                 BoundConstants(c0=f_main.holder_bound))
+    consts = BoundConstants(c0=f_main.holder_bound)
     for scale in (1.0, 1e6):
         fam = sjk_family(m_generic.a, m_generic.b, GAMMA, cap, rows=[-1])
         fam[(0, cap)]            # every level composed before the fault
@@ -324,55 +326,62 @@ def test_a_faulty_kernel_is_refused(f_main, m_generic):
                             GAMMA, consts, fam=fam)
 
 
-def test_calibrate_floors(phi12, f_main):
-    consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    cal = calibrate_constants(phi12, EPS, GAMMA, 4, consts)
+def test_calibrate_floors(phi12):
+    cal = calibrate_constants(phi12, EPS, GAMMA, 4)
     C_phi = verify_derivative_bounds(phi12, 4)
     floor = math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
-    assert cal.c_env >= floor - 1e-12
-    assert cal.c_env >= math.e * EPS
+    assert cal >= floor - 1e-12
+    assert cal >= math.e * EPS
 
 
-def test_calibration_certifies_its_own_order(f_main):
+def test_calibration_certifies_its_own_order():
     # a Gevrey bump's certified constant grows with the order (1.303 at
     # k = 0, 1.661 at k >= 1 for sigma = 2), so a certificate made earlier
     # at a lower order may not lower the proof floor of a calibration at N
-    consts = BoundConstants(c0=f_main.holder_bound, alpha=1.0)
-    fresh = calibrate_constants(gevrey_bump(2.0, 14), EPS, GAMMA, 1,
-                                consts)
+    fresh = calibrate_constants(gevrey_bump(2.0, 14), EPS, GAMMA, 1)
     phi = gevrey_bump(2.0, 14)
     C_phi = verify_derivative_bounds(phi, 1)
     assert verify_derivative_bounds(phi, 0) < C_phi
-    again = calibrate_constants(phi, EPS, GAMMA, 1, consts)
-    assert again.c_env == fresh.c_env
-    assert fresh.c_env >= math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
+    again = calibrate_constants(phi, EPS, GAMMA, 1)
+    assert again == fresh
+    assert fresh >= math.sqrt(2.0) * C_phi * max(2 * GAMMA, 1.0)
 
 
-def test_estimates_calibrate_the_constants_they_are_handed(sino_wide):
-    # the README example: handed BoundConstants(c0=...), whose c_env is the
-    # default 2.0, the estimate still uses the proof floor at the order cap
-    # (3.0435), so it picks N = 1 and bound 258.2, not N = 2 and 226.5
+def test_public_rules_reproduce_an_estimates_decision(sino_wide):
+    # the README example: the c_env an estimate records is the proof floor
+    # at the order cap (3.0435), and the public rules at that c_env give
+    # its N = 1 and bound 258.2, not the N = 2 and 226.5 of a c_env of 2.0
     f = smooth_bump(center=(0.0, 0.45), width=0.3)
     g = synthesize_sinogram(f, constant_weight(), np.linspace(-0.13, 0.13, 21),
                             np.linspace(-0.35, 0.35, 29), tol=1e-8)
     phi = hormander_sequence(8)
     base = BoundConstants(c0=f.holder_bound)
     cap = order_cap(phi, weighted=False)
-    cal = calibrate_constants(phi, EPS, GAMMA, cap, base)
-    handed, calibrated = (reconstruct_mean(g, phi, EPS, GAMMA, c)
-                          for c in (base, cal))
-    assert (handed.N, handed.bound) == (calibrated.N, calibrated.bound)
-    assert handed.consts.c_env == calibrated.consts.c_env == cal.c_env
-    assert handed.N == 1 and handed.bound == pytest.approx(258.2, abs=0.05)
+    rec = reconstruct_mean(g, phi, EPS, GAMMA, base)
+    assert rec.c_env == calibrate_constants(phi, EPS, GAMMA, cap)
+    assert rec.c_env == pytest.approx(3.0435, abs=5e-5)
+    assert min(truncation_order(rec.H, base, rec.c_env, EPS), cap) \
+        == rec.N == 1
+    assert mean_bound(rec.H, base, rec.c_env, EPS) == rec.bound
+    assert rec.bound == pytest.approx(258.2, abs=0.05)
     # a slice calibrates at the eps that its rule picks from the data
     eps = slice_eps(sino_wide, GAMMA, base, 0.28)
-    cal = calibrate_constants(phi, eps, GAMMA, cap, base)
-    handed, calibrated = (reconstruct_slice(sino_wide, phi, GAMMA, c, 0.28)
-                          for c in (base, cal))
-    assert handed.profile.eps == eps
-    assert (handed.N, handed.bound) == (calibrated.N, calibrated.bound)
-    assert handed.consts.c_env == calibrated.consts.c_env == cal.c_env
-    assert handed.bound == slice_bound(handed.H, cal)
+    rec = reconstruct_slice(sino_wide, phi, GAMMA, base, 0.28)
+    assert rec.profile.eps == eps
+    assert rec.c_env == calibrate_constants(phi, eps, GAMMA, cap)
+    assert min(truncation_order(rec.H, base, rec.c_env, eps), cap) == rec.N
+    assert slice_bound(rec.H, base, rec.c_env) == rec.bound
+
+
+def test_removed_inputs_are_refused():
+    # the envelope belongs to the test function: no caller may set it, and
+    # no calibration past the test function's order is silently capped
+    with pytest.raises(TypeError):
+        BoundConstants(c0=1.0, c_env=3.0)
+    with pytest.raises(ValueError, match="derivative order limit"):
+        calibrate_constants(hormander_sequence(3), EPS, GAMMA, 4)
+    with pytest.raises(TypeError):
+        verify_derivative_bounds(hormander_sequence(3), 3, grid_n=1501)
 
 
 def test_a_sweep_certifies_C_phi_once(f_main, sino_clean, sino_weighted,

@@ -427,12 +427,6 @@ def test_sinogram_validation():
     assert g.values.shape == g.failed.shape == (5, 7)
 
 
-def test_sinogram_interpolant_matches_samples(sino_clean):
-    j = 30
-    row = sino_clean.interpolant(sino_clean.xi, [sino_clean.eta[j]])[:, 0]
-    assert np.allclose(row, sino_clean.values[:, j], atol=1e-12)
-
-
 def test_synthesize_noise_is_seeded(f_main, m_const):
     xi = np.linspace(-0.05, 0.05, 5)
     eta = np.linspace(0.3, 0.5, 7)
