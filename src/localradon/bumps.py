@@ -68,18 +68,16 @@ def _cardinal_pieces(m: int, k: int) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class TestFunction:
-    """Even nonnegative bump on [-1, 1] with unit mass and derivative access."""
+    """Even nonnegative bump on [-1, 1] with unit mass and derivative access,
+    equal only to itself (so it can key a dict)."""
 
     kind: str                       # "hormander" | "gevrey"
     param: float                    # N or sigma
     derivative_order_max: int
     breakpoints: Optional[np.ndarray] = None   # piecewise-poly knots, if any
     _eval: Callable = field(default=None, repr=False)  # (x, orders) -> rows
-    # k_max -> C of ``verify_derivative_bounds``
-    _certificates: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
 
     def __call__(self, x):
         return self.derivative_values(x, 0)
@@ -195,22 +193,17 @@ def verify_derivative_bounds(tf: TestFunction, k_max: int) -> float:
     One pass gives every order the values of ``derivative_values``: a
     Hörmander bump finds each point's piece once, a Gevrey bump builds one
     jet of order ``k_max``; an overflow raises the first such order's error.
-    The certificate is kept on ``tf`` per ``k_max``, so the estimates of
-    one test function certify it once.
+    Every call computes the certificate: an estimate calibrates once per
+    call, and a sweep's levels are one stack.
     """
     if k_max > tf.derivative_order_max:
         raise ValueError("k_max exceeds the derivative order limit")
-    if k_max in tf._certificates:
-        return tf._certificates[k_max]
     xs = CERTIFICATE_GRID
     if tf.breakpoints is not None:
         xs = np.append(xs, tf.breakpoints)
     sups = enumerate(np.abs(tf._eval(xs, range(k_max + 1))).max(axis=1))
     if tf.kind == "hormander":
-        C = float(max((sup / float(tf.param) ** k) ** (1.0 / (k + 1))
-                      for k, sup in sups))
-    else:
-        C = max(math.exp((math.log(sup) - tf.param * math.lgamma(k + 1))
-                         / (k + 1)) for k, sup in sups)
-    tf._certificates[k_max] = C
-    return C
+        return float(max((sup / float(tf.param) ** k) ** (1.0 / (k + 1))
+                         for k, sup in sups))
+    return max(math.exp((math.log(sup) - tf.param * math.lgamma(k + 1))
+                        / (k + 1)) for k, sup in sups)

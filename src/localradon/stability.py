@@ -423,7 +423,7 @@ def calibrate_constants(phi: TestFunction, eps: float, gamma: float,
                         N: int) -> float:
     """The envelope constant ``c_env`` the moment-bound proof needs for
     moments up to order ``N``: ``sqrt(2) C_phi max(2 gamma, 1)`` with
-    ``C_phi`` certified at order ``N``, once per order on each ``phi`` (the
+    ``C_phi`` certified at order ``N`` on each call, once per estimate (the
     sqrt(2) absorbs ``k <= sqrt(2)^(k+1)``), floored at ``e * eps`` to keep
     ``log(C/eps)`` positive.  An ``N`` past ``phi.derivative_order_max`` is
     refused.  It reads no data.  The floor is a proof for ``a = b = 0``,
@@ -484,7 +484,8 @@ def stability_curve(
     """Reconstruction error versus noise, with the estimate's bound per row
     and a fitted decay exponent ``alpha_hat`` in ``error ~ const *
     log(1/H)^(-alpha_hat)``.  Each row's truth is the mean of ``f`` times
-    ``m`` under the test function its reconstruction used.
+    ``m`` under the test function its reconstruction used, one object
+    (and one ``mean_profile``) for every level of one N.
 
     Level ``i`` of the levels sorted down is ``add_noise(clean.values,
     sigma, seed + i)``, the data of ``with_noise``; the levels are
@@ -497,14 +498,11 @@ def stability_curve(
                        for i, sigma in enumerate(noise_levels)])
     recs = _reconstruct_stack(clean, values, phi, eps, gamma, consts, fam)
     used = [rec.profile.test_function for rec in recs]
-    keys = [(phi_i.kind, phi_i.param) for phi_i in used]
-    truths = {}
-    for key, phi_i in zip(keys, used):
-        if key not in truths:
-            truths[key] = mean_profile(f, m, phi_i, eps, gamma,
-                                       x_grid=recs[0].profile.x).values
-    l2, sup = _error_norms(recs[0].profile.x, np.array(
-        [rec.profile.values - truths[key] for rec, key in zip(recs, keys)]))
+    x = recs[0].profile.x
+    truths = {p: mean_profile(f, m, p, eps, gamma, x_grid=x).values
+              for p in dict.fromkeys(used)}
+    l2, sup = _error_norms(x, np.array(
+        [rec.profile.values - truths[p] for rec, p in zip(recs, used)]))
     rows = [{"sigma": sigma, "H": rec.H, "N": rec.N, "l2_error": float(e),
              "sup_error_half": float(s), "bound": rec.bound}
             for sigma, rec, e, s in zip(noise_levels, recs, l2, sup)]

@@ -254,19 +254,21 @@ def synthesize_sinogram(
 ) -> Sinogram:
     """Sample ``R_m[f]`` on the grid, optionally adding seeded Gaussian noise.
 
-    Cells where quadrature fails are set to zero and flagged.
+    Cells where quadrature fails are set to zero and flagged.  The noise is
+    ``add_noise``'s draw, so the result is ``with_noise`` of the clean one.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
     eta_grid = np.asarray(eta_grid, dtype=float)
     values, _, failed = _line_integrals(f, m, 0, xi_grid[:, None],
                                         eta_grid[None, :], tol)
     values[failed] = 0.0
-    clean = Sinogram(
-        xi=xi_grid, eta=eta_grid, values=values,
-        provenance={"phantom": f.kind, "weight": m.label, "seed": seed},
+    return Sinogram(
+        xi=xi_grid, eta=eta_grid, values=add_noise(values, noise_sigma, seed),
+        noise_sigma=noise_sigma,
+        provenance={"phantom": f.kind, "weight": m.label, "seed": seed,
+                    "noise_seed": seed},
         failed=failed if failed.any() else None,
     )
-    return with_noise(clean, noise_sigma, seed)
 
 
 def with_noise(g: Sinogram, sigma: float, seed: int) -> Sinogram:

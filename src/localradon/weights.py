@@ -33,13 +33,13 @@ __all__ = [
     "spline_matrix",
 ]
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def gauss_nodes(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    """``n``-point Gauss--Legendre ``(nodes, weights)``, shared read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def panel_rule(edges, n: int):
@@ -214,13 +214,20 @@ def field_from_spec(spec: str) -> AnalyticField:
 
 @dataclass
 class Weight:
-    """Positive weight ``m(x, xi, eta)``: the constant ``level`` when ``a``
-    is None, otherwise the transport solution for ``(a, b)`` that equals 1
-    on ``xi = 0``."""
+    """Positive weight ``m(x, xi, eta)``: the constant ``level`` in ``(0,
+    inf)`` when ``a`` and ``b`` are None, otherwise (both set, ``level``
+    1) the transport solution for ``(a, b)`` that equals 1 on ``xi = 0``."""
 
     a: Optional[AnalyticField] = None
     b: Optional[AnalyticField] = None
     level: float = 1.0
+
+    def __post_init__(self):
+        if (self.a is None) != (self.b is None) or (
+                self.a is not None and self.level != 1.0):
+            raise ValueError("a weight is a field pair (a, b) or a level")
+        if not 0 < self.level < np.inf:
+            raise ValueError("weight must be positive and finite")
 
     @property
     def label(self) -> str:
@@ -244,8 +251,6 @@ class Weight:
 
 
 def constant_weight(level: float = 1.0) -> Weight:
-    if not 0 < level < np.inf:
-        raise ValueError("weight must be positive and finite")
     return Weight(level=level)
 
 

@@ -293,6 +293,15 @@ def test_derivative_order_guard(phi12):
         phi12.derivative_values(0.0, 13)
 
 
+def test_test_functions_are_equal_only_to_themselves():
+    # identity equality: no array comparison, and a test function keys a
+    # dict
+    phi = hormander_sequence(3)
+    assert (phi == hormander_sequence(3)) is False
+    assert phi == phi and gevrey_bump(2.0) != gevrey_bump(2.0)
+    assert {phi: 1}[phi] == 1
+
+
 def test_panel_edges_contain_every_knot():
     phi = hormander_sequence(8)
     edges = phi.panel_edges()

@@ -27,6 +27,7 @@ from localradon.transform import (
     radon,
     radon_moment,
     synthesize_sinogram,
+    with_noise,
 )
 from localradon.weights import Weight, constant_weight, field_from_spec
 
@@ -438,6 +439,23 @@ def test_synthesize_noise_is_seeded(f_main, m_const):
                              seed=12, tol=1e-8)
     assert np.array_equal(g1.values, g2.values)
     assert not np.array_equal(g1.values, g3.values)
+
+
+def test_noisy_synthesis_is_with_noise_of_the_clean_one(f_main, m_const):
+    # one draw: the noisy sinogram is the clean one through with_noise,
+    # values, sigma, provenance and failed cells alike
+    xi = np.linspace(-0.05, 0.05, 5)
+    eta = np.linspace(0.3, 0.5, 7)
+    clean = synthesize_sinogram(f_main, m_const, xi, eta, seed=11, tol=1e-8)
+    noisy = synthesize_sinogram(f_main, m_const, xi, eta, noise_sigma=1e-3,
+                                seed=11, tol=1e-8)
+    ref = with_noise(clean, 1e-3, 11)
+    assert np.array_equal(noisy.values, ref.values)
+    assert noisy.noise_sigma == ref.noise_sigma == 1e-3
+    assert noisy.provenance == ref.provenance
+    assert list(noisy.provenance) == ["phantom", "weight", "seed",
+                                      "noise_seed"]
+    assert noisy.failed is ref.failed is None
 
 
 def test_adjoint_identity(f_main, m_const, m_exp, phi12):

@@ -56,6 +56,28 @@ def test_constant_weight_positive_only():
         constant_weight(-1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"a": "one"}, {"b": "one"}, {"a": "one", "b": "zero", "level": 2.0},
+    {"level": -1.0}, {"level": 0.0}, {"level": math.inf},
+    {"level": math.nan}], ids=["a_only", "b_only", "fields_and_level",
+                               "negative", "zero", "inf", "nan"])
+def test_weight_is_a_field_pair_or_a_level(kwargs):
+    # a weight is both fields or a level in (0, inf), and nothing else
+    kwargs = {k: v if k == "level" else field_from_spec(v)
+              for k, v in kwargs.items()}
+    with pytest.raises(ValueError):
+        Weight(**kwargs)
+
+
+def test_gauss_nodes_are_shared_and_read_only():
+    t, w = gauss_nodes(7)
+    assert gauss_nodes(7)[0] is t
+    for a in (t, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert np.array_equal((t, w), np.polynomial.legendre.leggauss(7))
+
+
 def test_exp_weight_closed_form(m_exp):
     # a = 1, b = 0 solves the transport equation with m = exp(x xi)
     for x, xi, eta in POINTS:
