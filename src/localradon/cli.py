@@ -129,7 +129,6 @@ SCHEMA = {
     "weight": [
         Key("kind", Check(lambda v: v in ("constant", "from_ab"),
                           "constant | from_ab"), "constant"),
-        Key("level", POSITIVE, 1.0, ("constant",)),
         Key("a", TEXT, "zero", ("from_ab",)),
         Key("b", TEXT, "zero", ("from_ab",)),
     ],
@@ -139,7 +138,7 @@ SCHEMA = {
                           "hormander | gevrey"), "hormander"),
         Key("param", _whole(1), 12, ("hormander",)),
         Key("param", POSITIVE._replace(cast=float), 2.0, ("gevrey",)),
-        Key("k_max", _whole(0), 14, ("gevrey",)),
+        Key("k_max", _whole(1), 14, ("gevrey",)),
     ],
     "constants": [
         Key("c0", POSITIVE, None),
@@ -269,7 +268,7 @@ def build_phantom(cfg: _Values):
 def build_weight(cfg: _Values):
     spec = cfg["weight"]
     if spec["kind"] == "constant":
-        return constant_weight(spec["level"])
+        return constant_weight()
     with _config_key("weight.a"):
         a = field_from_spec(spec["a"])
     with _config_key("weight.b"):
@@ -472,18 +471,20 @@ def cmd_reconstruct(cfg, out, seed, quiet):
 
 
 def cmd_slice(cfg, out, seed, quiet):
-    f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
+    f, _, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     rec = reconstruct_slice(g, phi, gamma, consts, cfg["eps0"], fam=fam)
-    # the slice f(., gamma) m_gamma, with m_gamma(x, gamma) = m(x, 0, gamma)
+    # the slice f(., gamma) m_gamma is f(., gamma): m(x, 0, gamma) = 1
     x = rec.profile.x
     path = out / "slice.csv"
-    return [path], dict(_scored("slice", path, rec,
-                                f(x, gamma) * m(x, 0.0, gamma), quiet),
+    return [path], dict(_scored("slice", path, rec, f(x, gamma), quiet),
                         eps=rec.profile.eps)
 
 
 def cmd_sweep(cfg, out, seed, quiet):
     eps, levels = cfg["eps"], cfg["noise_levels"]
+    if cfg["noise_sigma"] > 0:
+        raise ConfigError("noise_sigma must be 0: a sweep adds "
+                          "noise_levels to clean data")
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     report = stability_curve(g, f, m, phi, levels, eps, gamma, consts,
                              fam=fam, seed=seed)

@@ -73,8 +73,9 @@ def mean_profile(
 
     For ``x != 0`` this is the y-integral of
     ``f(x, y) m_gamma(x, y) phi_{eps|x|}(gamma - y)`` over
-    ``|y - gamma| <= eps|x|``; at ``x = 0`` the defining point value.
-    Like the moments, it refuses ``gamma < eps^2/4``.
+    ``|y - gamma| <= eps|x|``; at ``x = 0`` the defining point value
+    ``f(0, gamma)``, since every weight is 1 on ``xi = 0``.  Like the
+    moments, it refuses ``gamma < eps^2/4``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -88,10 +89,7 @@ def mean_profile(
     values = np.empty(x_grid.size)
     at_zero = np.abs(x_grid) < 1e-13
     if np.any(at_zero):
-        v = float(f(0.0, gamma))
-        if v != 0:
-            v *= m(0.0, 0.0, gamma)
-        values[at_zero] = v
+        values[at_zero] = float(f(0.0, gamma))
     rows = np.flatnonzero(~at_zero)
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
@@ -134,17 +132,13 @@ def convergence_gap(
     gamma: float,
     x_grid=None,
 ):
-    """Sup of ``|M(x) - f(x, gamma) m_gamma(x, gamma)|`` and its ratio to
-    the Lipschitz envelope ``C_0 eps |x|``; the ratio is at most one for an
-    honest Lipschitz constant ``C_0``.
+    """Sup of ``|M(x) - f(x, gamma)|`` and its ratio to the Lipschitz
+    envelope ``C_0 eps |x|``; the ratio is at most one for an honest
+    Lipschitz constant ``C_0``.  The target ``f m_gamma`` at ``y = gamma``
+    is ``f(x, gamma)``: there ``m_gamma = m(x, 0, gamma) = 1``.
     """
     prof = mean_profile(f, m, phi, eps, gamma, x_grid=x_grid)
-    target = np.array(f(prof.x, np.full_like(prof.x, gamma)), dtype=float)
-    # on y = gamma, m_gamma(x, gamma) = m(x, 0, gamma) for every x; the
-    # weight only where f is nonzero
-    nz = target != 0
-    target[nz] *= m(prof.x[nz], 0.0, gamma)
-    gap = np.abs(prof.values - target)
+    gap = np.abs(prof.values - f(prof.x, np.full_like(prof.x, gamma)))
     envelope = f.holder_bound * eps * np.abs(prof.x)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(envelope > 0, gap / envelope, 0.0)

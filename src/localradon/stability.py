@@ -345,6 +345,8 @@ def _reconstruct_stack(g: Sinogram, values: np.ndarray, phi: TestFunction,
     if not np.all(np.isfinite(values)):
         raise ValueError("sinogram contains non-finite values")
     cap = order_cap(phi, fam is not None)
+    if cap < 1:
+        raise ValueError(f"order cap {cap}: an estimate needs order 1")
     c_env = calibrate_constants(phi, eps, gamma, cap)
     x_grid = chebyshev_grid()
     H_raw = _data_norms(g, values, eps, gamma).tolist()
@@ -389,8 +391,8 @@ def reconstruct_slice(
     eps0: float,
     fam: Optional[KernelFamily] = None,
 ) -> Reconstruction:
-    """Slice estimate ``f(., gamma)`` (or ``f m_gamma``): the mean at
-    ``slice_eps`` (``profile.eps``) under the slice bound."""
+    """Slice estimate ``f(., gamma)``: the mean at ``slice_eps``
+    (``profile.eps``) under the slice bound."""
     rec = reconstruct_mean(g, phi, slice_eps(g, gamma, consts, eps0), gamma,
                            consts, fam=fam)
     return replace(rec, bound=slice_bound(rec.H, consts, rec.c_env))
@@ -488,9 +490,12 @@ def stability_curve(
     (and one ``mean_profile``) for every level of one N.
 
     Level ``i`` of the levels sorted down is ``add_noise(clean.values,
-    sigma, seed + i)``, the data of ``with_noise``; the levels are
-    reconstructed as one stack (``_reconstruct_stack``, so they share one
-    ``moment_operator`` per N), and scored in one contraction."""
+    sigma, seed + i)``, the data of ``with_noise``, so ``clean`` must be
+    clean (``noise_sigma`` 0).  The levels are reconstructed as one stack
+    (``_reconstruct_stack``, so they share one ``moment_operator`` per N),
+    and scored in one contraction."""
+    if clean.noise_sigma > 0:
+        raise ValueError("a sweep needs clean data, with noise_sigma 0")
     noise_levels = sorted(noise_levels, reverse=True)
     if len(noise_levels) < 1:
         raise ValueError("need at least one noise level")

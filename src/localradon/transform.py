@@ -166,17 +166,16 @@ def _line_integrals(f: PhantomSpec, m: Weight, k: int, xi, eta, tol: float):
     n = xi.size
     values, errors = np.zeros(n), np.zeros(n)
     failed = np.zeros(n, dtype=bool)
-    # a constant Weight multiplies every node by its level (no node at
-    # level 1), bit for bit the product on the nonzero nodes alone
-    level = m.level if isinstance(m, Weight) and m.a is None else None
+    # the unit Weight multiplies no node: bit for bit the product by 1
+    unit = isinstance(m, Weight) and m.a is None
 
     def integrand(x, line):
         xl, el = xi[line], eta[line]
         v = f(x, xl * x + el)
         if k:
             v = x**k * v
-        if level is not None:
-            return v if level == 1.0 else v * level
+        if unit:
+            return v
         # any other weight only where x^k f is nonzero: the product is the
         # same there, and the same (signed) zero elsewhere
         nz = v != 0
@@ -282,7 +281,9 @@ def with_noise(g: Sinogram, sigma: float, seed: int) -> Sinogram:
 def add_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """``values`` plus the Gaussian noise ``default_rng(seed).normal(0,
     sigma, shape)`` (a copy when ``sigma`` is 0): the one seeded draw that
-    synthesis, :func:`with_noise` and the sweeps share."""
+    synthesis, :func:`with_noise` and the sweeps share; sigma in [0, inf)."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"noise sigma must be in [0, inf), not {sigma}")
     if sigma > 0:
         return values + default_rng(seed).normal(0.0, sigma, values.shape)
     return values.copy()

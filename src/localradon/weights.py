@@ -1,8 +1,8 @@
 """Weight functions for the weighted Radon transform.
 
-Two kinds are supported, both in the class the inversion covers: a
-positive constant, and the weight synthesized from a field pair
-``(a, b)`` so that the transport equation
+Two kinds are supported, both in the class the inversion covers: the
+unit weight, and the one synthesized from a field pair ``(a, b)`` so that
+the transport equation
 
     d_xi m - x d_eta m = (x*a(xi, eta) + b(xi, eta)) * m
 
@@ -214,31 +214,27 @@ def field_from_spec(spec: str) -> AnalyticField:
 
 @dataclass
 class Weight:
-    """Positive weight ``m(x, xi, eta)``: the constant ``level`` in ``(0,
-    inf)`` when ``a`` and ``b`` are None, otherwise (both set, ``level``
-    1) the transport solution for ``(a, b)`` that equals 1 on ``xi = 0``."""
+    """Positive weight ``m(x, xi, eta)``, exactly 1 on ``xi = 0``: the
+    transport solution for ``(a, b)``, or the unit weight when both are
+    None (a constant ``c`` only rescales ``f``: the phantom's amplitude)."""
 
     a: Optional[AnalyticField] = None
     b: Optional[AnalyticField] = None
-    level: float = 1.0
 
     def __post_init__(self):
-        if (self.a is None) != (self.b is None) or (
-                self.a is not None and self.level != 1.0):
-            raise ValueError("a weight is a field pair (a, b) or a level")
-        if not 0 < self.level < np.inf:
-            raise ValueError("weight must be positive and finite")
+        if (self.a is None) != (self.b is None):
+            raise ValueError("a weight is a field pair (a, b) or neither")
 
     @property
     def label(self) -> str:
         if self.a is None:
-            return f"const({self.level})"
+            return "const(1.0)"
         return f"from_ab({self.a.name},{self.b.name})"
 
     def __call__(self, x, xi, eta):
         if self.a is None:              # only the broadcast shape is needed
-            out = np.full(np.broadcast_shapes(
-                np.shape(x), np.shape(xi), np.shape(eta)), self.level)
+            out = np.ones(np.broadcast_shapes(
+                np.shape(x), np.shape(xi), np.shape(eta)))
         else:
             out = self._from_ab(*np.broadcast_arrays(
                 *(np.asarray(v, dtype=float) for v in (x, xi, eta))))
@@ -250,8 +246,9 @@ class Weight:
                       + self.b.integral(x, xi, eta))
 
 
-def constant_weight(level: float = 1.0) -> Weight:
-    return Weight(level=level)
+def constant_weight() -> Weight:
+    """The unit weight ``m = 1``: the plain Radon transform."""
+    return Weight()
 
 
 def pde_residual(m: Weight, a: AnalyticField, b: AnalyticField,

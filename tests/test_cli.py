@@ -33,7 +33,13 @@ from localradon import cli, phantoms, stability
 from localradon.bumps import hormander_sequence, verify_derivative_bounds
 from localradon.legendre import LegendreSeries
 from localradon.means import MeanProfile, mean_profile
-from localradon.stability import WEIGHTED_K_MAX, data_norm, order_cap
+from localradon.stability import (
+    WEIGHTED_K_MAX,
+    BoundConstants,
+    data_norm,
+    mean_bound,
+    order_cap,
+)
 from localradon.transform import Sinogram
 
 FROM_AB = {"kind": "from_ab", "a": "one", "b": "zero"}
@@ -168,8 +174,7 @@ def test_config_hash_of_the_checked_values(tmp_path):
     # (and an integer as a whole float) keeps the hash; BASE_CONFIG sets
     # seed 3, so its twin here leaves the seed at its default 0
     base = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
-    twin = dict(base, seed=0, noise_sigma=0.0,
-                weight={"kind": "constant", "level": 1.0},
+    twin = dict(base, seed=0, noise_sigma=0.0, weight={"kind": "constant"},
                 test_function={"kind": "hormander", "param": 8.0})
     hashes = []
     for name, cfg in (("base", base), ("twin", twin), ("seeded", BASE_CONFIG)):
@@ -346,23 +351,33 @@ def test_cli_sweep(tmp_path):
         res["alpha_hat"]
 
 
+def test_cli_sweep_refuses_noisy_data(tmp_path, monkeypatch, capsys):
+    # the sweep's first level repeats the synthesis draw of noise_sigma at
+    # the same seed; the config is refused before anything is synthesized
+    synthesized = []
+    monkeypatch.setattr(cli, "synthesize_sinogram",
+                        lambda *args, **kwargs: synthesized.append(args))
+    cfg = write_config(tmp_path, dict(SWEEP, noise_sigma=1e-4))
+    assert main(["sweep", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: noise_sigma ")
+    assert synthesized == []
+
+
 def test_cli_slice(tmp_path):
     f = build_phantom(_check(BASE_CONFIG))
-    for level in (1.0, 2.0):
-        (tmp_path / str(level)).mkdir()
-        out, res = run_cli(tmp_path / str(level), "slice", dict(
-            SLICE, weight={"kind": "constant", "level": level}))
-        assert 0 < res["eps"] < SLICE["eps0"]
-        assert res["N"] >= 1 and res["bound"] > 0
-        rows = np.loadtxt(out / "slice.csv", delimiter=",", skiprows=1)
-        assert np.all(np.isfinite(rows))
-        # scored against the slice f(., gamma) m_gamma, m_gamma = level
-        assert np.array_equal(rows[:, 2],
-                              level * f(rows[:, 0], np.full(len(rows), 0.3)))
-        gap = MeanProfile(x=rows[:, 0], values=rows[:, 1] - rows[:, 2],
-                          eps=res["eps"], gamma=0.3)
-        assert res["l2_error"] == pytest.approx(gap.l2_norm(), rel=1e-12)
-        assert res["l2_error"] <= res["bound"]
+    out, res = run_cli(tmp_path, "slice", SLICE)
+    assert 0 < res["eps"] < SLICE["eps0"]
+    assert res["N"] >= 1 and res["bound"] > 0
+    rows = np.loadtxt(out / "slice.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    # scored against the slice f(., gamma) m_gamma = f(., gamma): every
+    # weight is 1 on xi = 0
+    assert np.array_equal(rows[:, 2], f(rows[:, 0], np.full(len(rows), 0.3)))
+    gap = MeanProfile(x=rows[:, 0], values=rows[:, 1] - rows[:, 2],
+                      eps=res["eps"], gamma=0.3)
+    assert res["l2_error"] == pytest.approx(gap.l2_norm(), rel=1e-12)
+    assert res["l2_error"] <= res["bound"]
 
 
 def test_cli_slice_refuses_an_error_over_its_bound(tmp_path, monkeypatch,
@@ -476,22 +491,31 @@ def test_cli_verify_fails_a_wrong_legendre_map(tmp_path, monkeypatch):
     assert not report["ok"] and report["results"]["legendre_roundtrip"] > 1
 
 
-def test_constant_level_scored_against_its_truth(tmp_path):
-    # data of the weight 2 are 2 R[f], so both columns must double
-    columns = {}
-    for level in (1, 2):
-        cfg = write_config(tmp_path, {"weight": {"kind": "constant",
-                                                 "level": level}},
-                           name=f"level{level}.yaml")
-        out = tmp_path / f"rec{level}"
+def test_amplitude_scales_estimate_truth_and_c0(tmp_path):
+    # the data of amplitude 2 are 2 R[f], so both columns must double, and
+    # the phantom's class doubles with them: the bound is the one at 2 c0
+    columns, results, c0 = {}, {}, {}
+    for amplitude in (1, 2):
+        phantom = dict(BASE_CONFIG["phantom"], amplitude=amplitude)
+        cfg = write_config(tmp_path, {"phantom": phantom},
+                           name=f"amplitude{amplitude}.yaml")
+        out = tmp_path / f"rec{amplitude}"
         assert main(["reconstruct", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 0
         rows = np.loadtxt(out / "reconstruction.csv", delimiter=",",
                           skiprows=1)
-        columns[level] = rows[:, 1:]
+        columns[amplitude] = rows[:, 1:]
+        results[amplitude] = json.loads(
+            (out / "manifest.json").read_text())["results"]
+        c0[amplitude] = build_phantom(load_config(str(cfg))).holder_bound
         assert main(["verify", "--config", str(cfg), "--out",
-                     str(tmp_path / f"ver{level}"), "--quiet"]) == 0
+                     str(tmp_path / f"ver{amplitude}"), "--quiet"]) == 0
     assert np.array_equal(columns[2], 2.0 * columns[1])
+    assert c0[2] == 2.0 * c0[1]
+    r = results[2]
+    assert r["bound"] == mean_bound(r["H"], BoundConstants(c0=2.0 * c0[1]),
+                                    r["c_env"], BASE_CONFIG["eps"])
+    assert r["bound"] > results[1]["bound"]
 
 
 def test_cli_kernels(tmp_path):
@@ -569,6 +593,7 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
      "reconstruct"),
     ({"weight": {"kind": "from_ab", "a": "x*one"}}, "weight.a",
      "reconstruct"),
+    # a constant weight has no level: phantom.amplitude rescales f and c0
     ({"weight": {"kind": "constant", "level": 0}}, "weight.level",
      "reconstruct"),
     ({"test_function": {"kind": "hormander", "param": 30}},
@@ -591,6 +616,9 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
     ({"test_function": {"kind": "hormander", "param": 4.9}},
      "test_function.param", "reconstruct"),
     ({"test_function": {"kind": "gevrey", "param": 2.0, "k_max": 8.5}},
+     "test_function.k_max", "reconstruct"),
+    # order 0 would leave no moment: nonzero data read as zero, N = 0
+    ({"test_function": {"kind": "gevrey", "param": 2.0, "k_max": 0}},
      "test_function.k_max", "reconstruct"),
     ({"weight": FROM_AB, "kernels": {"grid_n": 1}}, "kernels.grid_n",
      "reconstruct"),
@@ -705,7 +733,8 @@ def test_tabulated_phantom_needs_c0(tmp_path, capsys):
 ], ids=["field", "coef", "level", "hormander", "gevrey",
         "gevrey_underflow", "width", "grid_n",
         "mode", "eps", "gamma", "eps0", "tolerance", "tolerance_negative",
-        "param_fraction", "gevrey_k_max", "kernels_grid_n", "kernels_k_max",
+        "param_fraction", "gevrey_k_max", "gevrey_k_max_zero",
+        "kernels_grid_n", "kernels_k_max",
         "attenuation", "seed", "noise_sigma", "noise_levels",
         "noise_levels_text", "level_nan", "level_inf", "coef_nan", "eps_inf",
         "gamma_inf", "tolerance_inf", "noise_sigma_inf", "grid_reversed",
@@ -762,7 +791,7 @@ VALUE_PATHS = [("phantom", "kind"), ("phantom", "center"),
                ("test_function", "param"), (None, "eps"), (None, "gamma"),
                (None, "seed"), (None, "tolerance")]
 OTHER_KIND = [("weight", {"kind": "constant", "a": "one"}, "a"),
-              ("weight", {"kind": "from_ab", "level": 2.0}, "level"),
+              ("weight", {"kind": "constant", "b": "one"}, "b"),
               ("test_function", {"kind": "hormander", "k_max": 4}, "k_max"),
               ("phantom", dict(BASE_CONFIG["phantom"], path="f.csv"),
                "path"),

@@ -85,12 +85,16 @@ def test_mean_evaluates_the_weight_only_where_f_is_nonzero(
     f, m = record(f_main), record(m_generic)
     xs = chebyshev_grid(41)
     gap, _ = convergence_gap(f, m, phi12, EPS, GAMMA, x_grid=xs)
-    # the weight sees the x of every point where f is nonzero, in order
-    needed = np.concatenate([np.asarray(x)[f_main(x, y) != 0].ravel()
-                             for x, y in f.calls])
+    # the weight sees the x of every node with x != 0 where f is nonzero,
+    # in order, and nothing else: the point value at x = 0 (f's first
+    # call) and the target f(x, gamma) (its last) read no weight, which
+    # is 1 on xi = 0
+    (x0, _), *rows, target = f.calls
+    assert x0 == 0.0 and np.array_equal(target, [xs, np.full_like(xs, GAMMA)])
+    needed = np.concatenate([x[f_main(x, y) != 0] for x, y in rows])
     seen = np.concatenate([x.ravel() for x, _, _ in m.calls])
-    assert np.array_equal(seen, needed)
-    assert 0 < seen.size < sum(x.size for x, _ in f.calls)
+    assert np.array_equal(seen, needed) and np.all(seen != 0)
+    assert 0 < seen.size < sum(x.size for x, _ in rows)
 
     # the same profile and gap as with the weight on every node
     prof = mean_profile(f_main, m_generic, phi12, EPS, GAMMA, x_grid=xs)

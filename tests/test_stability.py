@@ -466,6 +466,27 @@ def test_a_stack_groups_its_levels_by_N(sino_clean, f_main, phi12,
         _reconstruct_stack(sino_clean, values, phi12, EPS, GAMMA, consts)
 
 
+def test_a_sweep_refuses_noisy_data(sino_clean, f_main):
+    # level 0 is add_noise(values, sigma_0, seed): on data synthesized with
+    # noise at that seed it repeats the synthesis draw, so the row holds
+    # twice the noise it reports
+    noisy = with_noise(sino_clean, 1e-4, 0)
+    with pytest.raises(ValueError, match="clean data"):
+        stability_curve(noisy, f_main, constant_weight(),
+                        hormander_sequence(12), [1e-4], EPS, GAMMA,
+                        BoundConstants(c0=f_main.holder_bound))
+
+
+def test_an_estimate_needs_order_one(sino_clean):
+    # a test function allowing no moment past order 0 would turn nonzero
+    # data into the zero-data estimate N = 0, with no record of the cap
+    phi = gevrey_bump(2.0, 0)
+    assert order_cap(phi, weighted=False) == 0
+    for g in (sino_clean, flat_sinogram(0.0)):
+        with pytest.raises(ValueError, match="order 1"):
+            reconstruct_mean(g, phi, EPS, GAMMA, BoundConstants(c0=16.0))
+
+
 def test_with_noise_deterministic(sino_clean):
     g1 = with_noise(sino_clean, 1e-5, 7)
     g2 = with_noise(sino_clean, 1e-5, 7)

@@ -20,6 +20,7 @@ from localradon.phantoms import (
 from localradon.transform import (
     QuadratureError,
     Sinogram,
+    add_noise,
     check_adjoint,
     check_moment_identity,
     check_transport_identity,
@@ -64,28 +65,28 @@ def test_radon_vanishes_off_support(f_main, m_const):
     assert radon(f_main, m_const, 0.2, -0.2, tol=1e-10) == 0.0
 
 
-def test_radon_weight_scaling(f_main, m_const):
-    v1 = radon(f_main, m_const, 0.05, 0.3, tol=1e-11)
-    v3 = radon(f_main, constant_weight(3.0), 0.05, 0.3, tol=1e-11)
-    assert v3 == pytest.approx(3.0 * v1, rel=1e-10)
+def test_radon_weight_scaling(f_main, m_const, m_exp):
+    # a constant factor of the data is the phantom's amplitude, under any
+    # weight
+    f3 = smooth_bump(f_main.center, f_main.width, 3.0 * f_main.amplitude)
+    for m in (m_const, m_exp):
+        v1 = radon(f_main, m, 0.05, 0.3, tol=1e-11)
+        v3 = radon(f3, m, 0.05, 0.3, tol=1e-11)
+        assert v3 == pytest.approx(3.0 * v1, rel=1e-10)
 
 
 def test_a_constant_weight_is_applied_bit_for_bit(f_main, record):
-    # the engine multiplies by a constant Weight's level on every node (not
-    # at all at level 1); evaluating the weight per node gives the same
-    # bits: m = exp(0) = 1 exactly, and the level through a wrapper that
-    # the engine cannot read.  Against 2.5 times the level-1 values they
-    # agree only to the tolerance, since the stop rule reads |value|
+    # the engine multiplies no node by the unit Weight; evaluating the
+    # weight a = b = 0 on every node gives the same bits, m = exp(0) = 1
     xi, eta = np.linspace(-0.13, 0.13, 11), np.linspace(-0.35, 0.35, 15)
-    zero = Weight(field_from_spec("zero"), field_from_spec("zero"))
-    for m, per_node in ((constant_weight(), zero),
-                        (constant_weight(2.5), record(constant_weight(2.5)))):
-        assert np.array_equal(
-            synthesize_sinogram(f_main, m, xi, eta, tol=1e-10).values,
-            synthesize_sinogram(f_main, per_node, xi, eta, tol=1e-10).values)
-        assert np.array_equal(
-            radon_moment(f_main, m, 1, xi[:, None], eta, 1e-10),
-            radon_moment(f_main, per_node, 1, xi[:, None], eta, 1e-10))
+    m = constant_weight()
+    per_node = record(Weight(field_from_spec("zero"), field_from_spec("zero")))
+    assert np.array_equal(
+        synthesize_sinogram(f_main, m, xi, eta, tol=1e-10).values,
+        synthesize_sinogram(f_main, per_node, xi, eta, tol=1e-10).values)
+    assert np.array_equal(
+        radon_moment(f_main, m, 1, xi[:, None], eta, 1e-10),
+        radon_moment(f_main, per_node, 1, xi[:, None], eta, 1e-10))
     assert per_node.points() > 0
 
 
@@ -439,6 +440,22 @@ def test_synthesize_noise_is_seeded(f_main, m_const):
                              seed=12, tol=1e-8)
     assert np.array_equal(g1.values, g2.values)
     assert not np.array_equal(g1.values, g3.values)
+
+
+def test_noise_sigma_outside_zero_to_inf_is_refused(f_main, m_const):
+    # synthesis, with_noise and the sweeps draw through add_noise; a
+    # negative or NaN sigma would label the clean values noisy
+    xi = np.linspace(-0.05, 0.05, 5)
+    eta = np.linspace(0.3, 0.5, 7)
+    clean = synthesize_sinogram(f_main, m_const, xi, eta, seed=11, tol=1e-8)
+    for sigma in (-1.0, math.nan, math.inf):
+        for draw in (lambda: add_noise(clean.values, sigma, 11),
+                     lambda: with_noise(clean, sigma, 11),
+                     lambda: synthesize_sinogram(f_main, m_const, xi, eta,
+                                                 noise_sigma=sigma, seed=11,
+                                                 tol=1e-8)):
+            with pytest.raises(ValueError, match="noise sigma"):
+                draw()
 
 
 def test_noisy_synthesis_is_with_noise_of_the_clean_one(f_main, m_const):

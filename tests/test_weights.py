@@ -49,23 +49,17 @@ def test_field_value_vec_matches_scalar(name):
             fd, rel=1e-8, abs=1e-9)
 
 
-def test_constant_weight_positive_only():
-    m = constant_weight(2.0)
-    assert m(0.3, 0.1, 0.2) == 2.0
-    with pytest.raises(ValueError):
-        constant_weight(-1.0)
-
-
 @pytest.mark.parametrize("kwargs", [
     {"a": "one"}, {"b": "one"}, {"a": "one", "b": "zero", "level": 2.0},
-    {"level": -1.0}, {"level": 0.0}, {"level": math.inf},
+    {"level": 2.0}, {"level": -1.0}, {"level": 0.0}, {"level": math.inf},
     {"level": math.nan}], ids=["a_only", "b_only", "fields_and_level",
-                               "negative", "zero", "inf", "nan"])
+                               "level", "negative", "zero", "inf", "nan"])
 def test_weight_is_a_field_pair_or_a_level(kwargs):
-    # a weight is both fields or a level in (0, inf), and nothing else
+    # a weight is both fields or neither: a field alone is refused, and
+    # there is no level, of any value (a constant is the amplitude of f)
     kwargs = {k: v if k == "level" else field_from_spec(v)
               for k, v in kwargs.items()}
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError if "level" in kwargs else ValueError):
         Weight(**kwargs)
 
 
@@ -182,7 +176,9 @@ _COEF = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 @settings(max_examples=100, deadline=None)
 def test_weight_scales_as_a_power(a, b, ka, kb, c, seed):
     # the exponent is linear in (a, b): m_{c a, c b} = m_{a, b} ** c, to
-    # the rounding of the exponent's terms; 1 exactly on xi = 0
+    # the rounding of the exponent's terms; every weight, the unit one too,
+    # is 1 exactly on xi = 0, so the mean's point value at x = 0, its
+    # limit and the slice's truth read f alone
     fa, fb = field_from_spec(f"{ka!r}*{a}"), field_from_spec(f"{kb!r}*{b}")
     m = Weight(fa, fb)
     mc = Weight(field_from_spec(f"{c * ka!r}*{a}"),
@@ -193,7 +189,8 @@ def test_weight_scales_as_a_power(a, b, ka, kb, c, seed):
     want = m(x, xi, eta) ** c
     rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(c) + terms)
     assert np.all(np.abs(mc(x, xi, eta) - want) <= rounding * want)
-    assert np.all(m(x, 0.0, eta) == 1.0) and np.all(mc(x, 0.0, eta) == 1.0)
+    for w in (m, mc, constant_weight()):
+        assert np.all(w(x, 0.0, eta) == 1.0)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
@@ -201,7 +198,7 @@ def test_weight_on_empty_input(m_exp, m_generic, shape):
     # the line engine and the means call the weight on no point where a
     # block of panels or rows misses the phantom
     empty = np.empty(shape)
-    for m in (constant_weight(2.0), m_exp, m_generic):
+    for m in (constant_weight(), m_exp, m_generic):
         for args in ((empty, empty, 0.3), (0.2, empty, 0.3),
                      (empty, 0.1, [0.3])):
             out = m(*args)
@@ -216,10 +213,10 @@ def test_weight_broadcasts(m_exp):
     xi = np.array([[0.0], [0.1], [-0.2]])
     assert np.allclose(m_exp(x, xi, 0.2), np.exp(xi * x), rtol=1e-12)
     # the constant weight forms only the broadcast shape of its arguments
-    const = constant_weight(2.0)
-    assert np.array_equal(const(x, xi, 0.2), np.full((3, 7), 2.0))
-    assert np.array_equal(const(0.1, xi, [[0.2]]), np.full((3, 1), 2.0))
-    assert const(0.1, 0.2, 0.3) == 2.0 and isinstance(const(0.1, 0.2, 0.3),
+    const = constant_weight()
+    assert np.array_equal(const(x, xi, 0.2), np.ones((3, 7)))
+    assert np.array_equal(const(0.1, xi, [[0.2]]), np.ones((3, 1)))
+    assert const(0.1, 0.2, 0.3) == 1.0 and isinstance(const(0.1, 0.2, 0.3),
                                                       float)
     for m in (const, m_exp):
         with pytest.raises(ValueError):
