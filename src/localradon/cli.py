@@ -1,9 +1,9 @@
 """Experiment harness.
 
-Subcommands synthesize sinograms, run the reconstruction pipelines, sweep
-noise levels, run the counterexample, certify kernels, and verify the
-library's invariants.  Every run writes its artifacts plus a manifest
-(config hash, seed, package versions) so results are traceable.
+Subcommands synthesize sinograms, run the pipelines, sweep noise levels,
+run the counterexample, certify kernels and verify the library's
+invariants.  A run writes its artifacts and a manifest (config hash, seed,
+versions, results), then prints its path and results as one JSON line.
 
 Config is a YAML file; see ``localradon --help`` for the key list.
 """
@@ -369,7 +369,21 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_manifest(out: Path, cfg: dict, seed: int, artifacts, extra=None):
+def _json(value, **kwargs) -> str:
+    """``value`` as strict JSON, a non-finite float as ``null``: the manifest,
+    ``sweep.json``, ``verify.json`` and the console line."""
+    def strict(v):
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(strict(value), allow_nan=False, **kwargs)
+
+
+def write_manifest(out: Path, cfg: dict, seed: int, artifacts, results):
+    """Write ``out/manifest.json``, the run's record: config hash, seed,
+    package versions, artifact paths and ``results``; returns its path."""
     manifest = {
         "config_hash": _config_hash(cfg),
         "seed": seed,
@@ -381,12 +395,11 @@ def write_manifest(out: Path, cfg: dict, seed: int, artifacts, extra=None):
             "localradon": __version__,
         },
         "artifacts": [str(a) for a in artifacts],
+        "results": results,
     }
-    if extra:
-        manifest.update(extra)
     path = out / "manifest.json"
     with open(path, "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+        fh.write(_json(manifest, indent=2, sort_keys=True))
     return path
 
 
@@ -418,12 +431,10 @@ def _sinogram_from_config(cfg, seed):
     return f, m, g
 
 
-def cmd_sinogram(cfg, out, seed, quiet):
+def cmd_sinogram(cfg, out, seed):
     _, _, g = _sinogram_from_config(cfg, seed)
     path = out / "sinogram.csv"
     write_sinogram_csv(path, g)
-    if not quiet:
-        print(f"wrote {path} ({g.values.shape[0]}x{g.values.shape[1]})")
     return [path], {}
 
 
@@ -441,7 +452,7 @@ def _pipeline(cfg, seed):
     return f, m, g, gamma, phi, fam, build_constants(cfg, f)
 
 
-def _scored(name, path, rec, truth, quiet):
+def _scored(name, path, rec, truth):
     """Write the estimate of ``rec`` and its ``truth`` to ``path`` and
     refuse an L2 error over the bound; returns the manifest results."""
     prof = rec.profile
@@ -450,37 +461,35 @@ def _scored(name, path, rec, truth, quiet):
                     [{"x": x, "estimate": v, "truth": t}
                      for x, v, t in zip(prof.x.tolist(), prof.values.tolist(),
                                         truth.tolist())])
-    if not quiet:
-        print(f"eps={prof.eps:.4f} N={rec.N} H={rec.H:.3e} l2={l2:.3e} "
-              f"bound={rec.bound:.3e}")
     if l2 > rec.bound:
-        raise RuntimeError(f"{name}: error exceeds the estimate bound")
+        raise RuntimeError(f"{name}: error exceeds the estimate bound: "
+                           f"l2 error {l2:.3e} > bound {rec.bound:.3e}")
     return {"H": rec.H, "N": rec.N, "l2_error": l2, "sup_error_half": sup,
             "bound": rec.bound}
 
 
-def cmd_reconstruct(cfg, out, seed, quiet):
+def cmd_reconstruct(cfg, out, seed):
     eps = cfg["eps"]
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     rec = reconstruct_mean(g, phi, eps, gamma, consts, fam=fam)
     true = mean_profile(f, m, rec.profile.test_function, eps, gamma,
                         x_grid=rec.profile.x)
     path = out / "reconstruction.csv"
-    return [path], dict(_scored("reconstruct", path, rec, true.values, quiet),
+    return [path], dict(_scored("reconstruct", path, rec, true.values),
                         c_env=rec.c_env)
 
 
-def cmd_slice(cfg, out, seed, quiet):
+def cmd_slice(cfg, out, seed):
     f, _, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
     rec = reconstruct_slice(g, phi, gamma, consts, cfg["eps0"], fam=fam)
     # the slice f(., gamma) m_gamma is f(., gamma): m(x, 0, gamma) = 1
     x = rec.profile.x
     path = out / "slice.csv"
-    return [path], dict(_scored("slice", path, rec, f(x, gamma), quiet),
+    return [path], dict(_scored("slice", path, rec, f(x, gamma)),
                         eps=rec.profile.eps)
 
 
-def cmd_sweep(cfg, out, seed, quiet):
+def cmd_sweep(cfg, out, seed):
     eps, levels = cfg["eps"], cfg["noise_levels"]
     if cfg["noise_sigma"] > 0:
         raise ConfigError("noise_sigma must be 0: a sweep adds "
@@ -493,35 +502,28 @@ def cmd_sweep(cfg, out, seed, quiet):
     _write_rows_csv(path, fields, report.rows)
     jpath = out / "sweep.json"
     with open(jpath, "w") as fh:
-        fh.write(json.dumps({"rows": report.rows,
-                             "alpha_hat": report.alpha_hat,
-                             "fit": report.fit}, indent=2))
-    if not quiet:
-        for r in report.rows:
-            print(f"sigma={r['sigma']:.1e} H={r['H']:.3e} N={r['N']} "
-                  f"l2={r['l2_error']:.3e} bound={r['bound']:.3e}")
-        print(f"alpha_hat={report.alpha_hat:.4f}")
-    if any(r["l2_error"] > r["bound"] for r in report.rows):
-        raise RuntimeError("sweep: some row exceeds the estimate bound")
+        fh.write(_json({"rows": report.rows, "alpha_hat": report.alpha_hat,
+                        "fit": report.fit}, indent=2))
+    worst = max(report.rows, key=lambda r: r["l2_error"] / r["bound"])
+    if worst["l2_error"] > worst["bound"]:
+        raise RuntimeError(
+            f"sweep: some row exceeds the estimate bound: sigma "
+            f"{worst['sigma']:.1e}, l2 error {worst['l2_error']:.3e} > "
+            f"bound {worst['bound']:.3e}")
     return [path, jpath], {"alpha_hat": report.alpha_hat}
 
 
-def cmd_counterexample(cfg, out, seed, quiet):
+def cmd_counterexample(cfg, out, seed):
     q = build_phantom(cfg)
     xi, eta = build_grids(cfg)
     rows, slopes = counterexample_experiment(q, cfg["lambdas"], xi, eta,
                                              tol=cfg["tolerance"])
     path = out / "counterexample.csv"
     _write_rows_csv(path, ["lambda", "f_norm", "data_norm"], rows)
-    if not quiet:
-        for r in rows:
-            print(f"lambda={r['lambda']:<4} |f|={r['f_norm']:.4e} "
-                  f"|Rf|={r['data_norm']:.4e}")
-        print("slopes:", " ".join(f"{s:.2f}" for s in slopes))
     return [path], {"slopes": slopes}
 
 
-def cmd_kernels(cfg, out, seed, quiet):
+def cmd_kernels(cfg, out, seed):
     m = build_weight(cfg)
     if m.a is None:
         m = Weight(field_from_spec("zero"), field_from_spec("zero"))
@@ -533,14 +535,13 @@ def cmd_kernels(cfg, out, seed, quiet):
     rows = [{"j": j, "k": k, "ratio": r} for (j, k), r in
             sorted(rep.ratios.items(), key=lambda t: (t[0][1], t[0][0]))]
     _write_rows_csv(path, ["j", "k", "ratio"], rows)
-    if not quiet:
-        print(f"certified C={rep.constant:.4f} worst ratio={rep.worst:.4f}")
     if rep.worst > 1.0:
-        raise RuntimeError("kernel bound ratio exceeds one")
+        raise RuntimeError(f"kernel bound ratio exceeds one: worst ratio "
+                           f"{rep.worst:.4f}")
     return [path], {"C": rep.constant, "worst_ratio": rep.worst}
 
 
-def cmd_verify(cfg, out, seed, quiet):
+def cmd_verify(cfg, out, seed):
     """Small invariant suite over the configured corpus."""
     results = {}
     f, m, g, gamma, phi, fam, consts = _pipeline(cfg, seed)
@@ -581,21 +582,15 @@ def cmd_verify(cfg, out, seed, quiet):
     rec0 = reconstruct_mean(zero, phi, eps, gamma, consts, fam=fam)
     results["zero_data"] = float(np.abs(rec0.profile.values).max())
 
-    ok = (
-        results.get("transport_residual", 0.0) <= 1e-4
-        and results["moment_oracle_rel"] <= 1e-4
-        and results["legendre_roundtrip"] <= 1e-10
-        and results["zero_data"] == 0.0
-    )
+    limits = {"transport_residual": 1e-4, "moment_oracle_rel": 1e-4,
+              "legendre_roundtrip": 1e-10, "zero_data": 0.0}
+    failed = [k for k, limit in limits.items()
+              if k in results and not results[k] <= limit]
     path = out / "verify.json"
     with open(path, "w") as fh:
-        fh.write(json.dumps({"results": results, "ok": ok}, indent=2))
-    if not quiet:
-        for k, v in results.items():
-            print(f"{k}: {v:.3e}")
-        print("ok" if ok else "FAILED")
-    if not ok:
-        raise RuntimeError("verification suite failed")
+        fh.write(_json({"results": results, "ok": not failed}, indent=2))
+    if failed:
+        raise RuntimeError(f"verification suite failed: {', '.join(failed)}")
     return [path], {"verify": results}
 
 
@@ -622,7 +617,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override config seed")
-    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--quiet", action="store_true", help="no JSON line")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error(f"--seed must be an integer >= 0, not {args.seed}")
@@ -632,15 +627,17 @@ def main(argv=None) -> int:
         out = Path(args.out or cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         seed = cfg["seed"] if args.seed is None else args.seed
-        artifacts, extra = COMMANDS[args.subcommand](cfg, out, seed,
-                                                     args.quiet)
+        artifacts, results = COMMANDS[args.subcommand](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"{args.subcommand} failed: {exc}", file=sys.stderr)
         return 1
-    write_manifest(out, cfg, seed, artifacts, extra={"results": extra})
+    path = write_manifest(out, cfg, seed, artifacts, results)
+    if not args.quiet:
+        print(_json({"manifest": str(path), "results": results},
+                    sort_keys=True))
     return 0
 
 

@@ -235,6 +235,15 @@ def moments_from_sinogram_weighted(
     return _moments(g, phi, eps, gamma, N, fam)
 
 
+def _log_ratio(H: float, consts: BoundConstants) -> float:
+    """``t = log(M/H)`` of every bound rule; refuses ``H`` outside (0, M)."""
+    if H >= consts.M:
+        raise ValueError("data too noisy for method (H >= M)")
+    if H <= 0:
+        raise ValueError("H must be positive (floor zero data first)")
+    return math.log(consts.M / H)
+
+
 def truncation_order(H: float, consts: BoundConstants, c_env: float,
                      eps: float) -> int:
     """The estimate-optimal Legendre cutoff for the envelope ``C = c_env``.
@@ -243,18 +252,13 @@ def truncation_order(H: float, consts: BoundConstants, c_env: float,
     - log(C/eps)) / log(C/eps)``.  Gevrey rule (``sigma > 1``): ``N =
     floor(y / log y)`` with ``y = log(M/H) / log(C/eps)``.
     """
-    M = consts.M
-    if H >= M:
-        raise ValueError("data too noisy for method (H >= M)")
-    if H <= 0:
-        raise ValueError("H must be positive (floor zero data first)")
-    ce = c_env / eps
+    t, ce = _log_ratio(H, consts), c_env / eps
     if ce <= 1.0:
         raise ValueError("envelope C/eps must exceed 1")
     if consts.sigma is None:
-        N = math.floor((math.log(M / H) - math.log(ce)) / math.log(ce))
+        N = math.floor((t - math.log(ce)) / math.log(ce))
     else:
-        y = math.log(M / H) / math.log(ce)
+        y = t / math.log(ce)
         if y <= math.e:
             raise ValueError("data too noisy for method (y <= e)")
         N = math.floor(y / math.log(y))
@@ -265,10 +269,8 @@ def truncation_order(H: float, consts: BoundConstants, c_env: float,
 
 def mean_bound(H: float, consts: BoundConstants, c_env: float,
                eps: float) -> float:
-    """The reconstruction error bound for the mean profile."""
-    M = consts.M
-    ce = c_env / eps
-    t = math.log(M / H)
+    """The reconstruction error bound for the mean profile, H in (0, M)."""
+    M, ce, t = consts.M, c_env / eps, _log_ratio(H, consts)
     if consts.sigma is None:
         return 4.0 * M * (math.log(ce) / t) ** consts.alpha
     return 4.0 * M * (math.log(ce) * math.log(t) / t) ** consts.alpha
@@ -276,9 +278,8 @@ def mean_bound(H: float, consts: BoundConstants, c_env: float,
 
 def slice_bound(H: float, consts: BoundConstants, c_env: float) -> float:
     """Explicit slice-estimate bound (mean bound at the selected eps plus
-    the mean-to-slice convergence term)."""
-    M = consts.M
-    t = math.log(M / H)
+    the mean-to-slice convergence term), for ``H`` in ``(0, M)``."""
+    M, t = consts.M, _log_ratio(H, consts)
     llt = math.log(t)
     if consts.sigma is None:
         return 4.0 * M * ((math.log(c_env) + llt) / t) ** consts.alpha \
@@ -485,9 +486,11 @@ def stability_curve(
 ) -> StabilityReport:
     """Reconstruction error versus noise, with the estimate's bound per row
     and a fitted decay exponent ``alpha_hat`` in ``error ~ const *
-    log(1/H)^(-alpha_hat)``.  Each row's truth is the mean of ``f`` times
-    ``m`` under the test function its reconstruction used, one object
-    (and one ``mean_profile``) for every level of one N.
+    log(1/H)^(-alpha_hat)``: NaN with fewer than two distinct ``H``, and
+    NaN with ``fit["reason"]`` when an ``H >= 1`` has no ``log(log(1/H))``.
+    Each row's truth is the mean of ``f`` times ``m`` under the test
+    function its reconstruction used, one object (and one
+    ``mean_profile``) for every level of one N.
 
     Level ``i`` of the levels sorted down is ``add_noise(clean.values,
     sigma, seed + i)``, the data of ``with_noise``, so ``clean`` must be
@@ -512,16 +515,15 @@ def stability_curve(
              "sup_error_half": float(s), "bound": rec.bound}
             for sigma, rec, e, s in zip(noise_levels, recs, l2, sup)]
     rows.sort(key=lambda r: -r["H"])
+    if rows[0]["H"] >= 1.0:
+        return StabilityReport(rows, math.nan, {"reason": "a data norm "
+                                                "H >= 1 has no log(log(1/H))"})
     logs = np.log([math.log(1.0 / r["H"]) for r in rows])
-    errs = np.log([max(r["l2_error"], 1e-300) for r in rows])
-    if len(rows) >= 2 and np.ptp(logs) > 0:
-        slope, intercept, r = _line_fit(logs, errs)
-        alpha_hat = -slope
-        diag = {"intercept": intercept, "rvalue": r}
-    else:
-        alpha_hat = float("nan")
-        diag = {}
-    return StabilityReport(rows=rows, alpha_hat=alpha_hat, fit=diag)
+    if len(rows) < 2 or np.ptp(logs) == 0:
+        return StabilityReport(rows, math.nan)
+    slope, intercept, r = _line_fit(
+        logs, np.log([max(r["l2_error"], 1e-300) for r in rows]))
+    return StabilityReport(rows, -slope, {"intercept": intercept, "rvalue": r})
 
 
 def counterexample_experiment(

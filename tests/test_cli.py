@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,92 @@ def test_cli_sweep_refuses_noisy_data(tmp_path, monkeypatch, capsys):
     assert synthesized == []
 
 
+# a small config for each subcommand
+RUNS = {"sinogram": None, "reconstruct": None, "slice": SLICE,
+        "sweep": SWEEP, "counterexample": COUNTEREXAMPLE, "verify": None,
+        "kernels": {"weight": FROM_AB, "kernels": {"k_max": 2, "grid_n": 24}}}
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
+def test_a_run_prints_its_manifest_results(tmp_path, capsys, subcommand):
+    # main is the one place a run reports: one JSON line naming the
+    # manifest and holding its results, and nothing under --quiet
+    cfg = write_config(tmp_path, RUNS[subcommand])
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert capsys.readouterr().out == json.dumps(
+        {"manifest": str(out / "manifest.json"), "results": results},
+        sort_keys=True) + "\n"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_a_one_level_sweep_writes_strict_json(tmp_path, capsys):
+    # one level fits no alpha_hat; strict JSON has no NaN token, so the
+    # manifest, sweep.json and the console line write it as null
+    cfg = write_config(tmp_path, {"noise_levels": [1.0e-8]})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    for text in ((out / "manifest.json").read_text(),
+                 (out / "sweep.json").read_text(), capsys.readouterr().out):
+        report = json.loads(text, parse_constant=refuse)
+        assert report.get("results", report)["alpha_hat"] is None
+
+
+def test_a_sweep_with_a_data_norm_over_one_says_why(tmp_path):
+    # amplitude 100 lifts H to 1.24, where log(1/H) < 0 has no log: the
+    # fit is NaN with its reason, and no RuntimeWarning is raised
+    phantom = dict(BASE_CONFIG["phantom"], amplitude=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, res = run_cli(tmp_path, "sweep", dict(SWEEP, phantom=phantom))
+    report = json.loads((out / "sweep.json").read_text())
+    assert min(r["H"] for r in report["rows"]) > 1
+    assert res["alpha_hat"] is None and report["alpha_hat"] is None
+    assert "H >= 1" in report["fit"]["reason"]
+
+
+def test_sweep_refusal_names_its_worst_row(tmp_path, monkeypatch, capsys):
+    curve, reports = cli.stability_curve, []
+
+    def over(*args, **kwargs):
+        # both rows over their bounds, the second by more
+        report = curve(*args, **kwargs)
+        for row, factor in zip(report.rows, (2.0, 3.0)):
+            row["l2_error"] = factor * row["bound"]
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "stability_curve", over)
+    cfg = write_config(tmp_path, SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    row = reports[0].rows[1]
+    assert err.startswith("sweep failed: sweep: some row exceeds the "
+                          "estimate bound")
+    assert (f"sigma {row['sigma']:.1e}, l2 error {row['l2_error']:.3e} > "
+            f"bound {row['bound']:.3e}") in err
+
+
+def test_kernels_refusal_names_its_worst_ratio(tmp_path, monkeypatch,
+                                               capsys):
+    verify = cli.verify_kernel_bounds
+    monkeypatch.setattr(cli, "verify_kernel_bounds", lambda *args: replace(
+        verify(*args), worst=1.25))
+    cfg = write_config(tmp_path, RUNS["kernels"])
+    assert main(["kernels", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 1
+    assert "kernel bound ratio exceeds one: worst ratio 1.2500" in \
+        capsys.readouterr().err
+
+
 def test_cli_slice(tmp_path):
     f = build_phantom(_check(BASE_CONFIG))
     out, res = run_cli(tmp_path, "slice", SLICE)
@@ -382,18 +469,26 @@ def test_cli_slice(tmp_path):
 
 def test_cli_slice_refuses_an_error_over_its_bound(tmp_path, monkeypatch,
                                                    capsys):
-    slice_ = cli.reconstruct_slice
+    slice_, profile_errors = cli.reconstruct_slice, cli.profile_errors
+    recs, errors = [], []
 
     def shifted(*args, **kwargs):
         rec = slice_(*args, **kwargs)
+        recs.append(rec)
         return replace(rec, profile=replace(
             rec.profile, values=rec.profile.values + rec.bound))
 
     monkeypatch.setattr(cli, "reconstruct_slice", shifted)
+    monkeypatch.setattr(cli, "profile_errors", lambda *args: errors.append(
+        profile_errors(*args)) or errors[-1])
     cfg = write_config(tmp_path, SLICE)
     assert main(["slice", "--config", str(cfg), "--out",
                  str(tmp_path / "o"), "--quiet"]) == 1
-    assert "error exceeds the estimate bound" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error exceeds the estimate bound" in err
+    # the refusal carries the numbers it compared
+    [(l2, _)], [rec] = errors, recs
+    assert f"l2 error {l2:.3e} > bound {rec.bound:.3e}" in err
 
 
 @pytest.mark.parametrize("subcommand", ["reconstruct", "sweep"])
@@ -477,7 +572,8 @@ def test_cli_verify(tmp_path):
         hormander_sequence(8), 8) > 0
 
 
-def test_cli_verify_fails_a_wrong_legendre_map(tmp_path, monkeypatch):
+def test_cli_verify_fails_a_wrong_legendre_map(tmp_path, monkeypatch,
+                                               capsys):
     # the series is taken back to moments, so a map that returns wrong
     # coefficients fails; projecting its own series would return them
     right = cli.moments_to_coefficients
@@ -489,6 +585,9 @@ def test_cli_verify_fails_a_wrong_legendre_map(tmp_path, monkeypatch):
                  "--quiet"]) == 1
     report = json.loads((out / "verify.json").read_text())
     assert not report["ok"] and report["results"]["legendre_roundtrip"] > 1
+    # the refusal names the failing check, and only that one
+    assert capsys.readouterr().err == \
+        "verify failed: verification suite failed: legendre_roundtrip\n"
 
 
 def test_amplitude_scales_estimate_truth_and_c0(tmp_path):

@@ -147,6 +147,28 @@ def test_truncation_order_noise_guards():
         truncation_order(0.0, c, c_env, 0.1)
 
 
+@pytest.mark.parametrize("rule", [
+    lambda H, c: mean_bound(H, c, 3.0, 0.1),
+    lambda H, c: mean_bound(H, replace(c, sigma=2.0), 3.0, 0.1),
+    lambda H, c: slice_bound(H, c, 3.0),
+    lambda H, c: slice_bound(H, replace(c, sigma=2.0), 3.0),
+], ids=["mean_bound", "mean_bound_gevrey", "slice_bound",
+        "slice_bound_gevrey"])
+def test_bounds_refuse_data_outside_zero_to_M(rule):
+    # the README bump's c0 gives M = 181.31: at 1e6 and 1.01 M the mean
+    # bound would read -286.3 and -247 894, at 0 divide by zero, and a
+    # slice at 2 M raise a bare math domain error; both bounds read
+    # log(M/H) through truncation_order's checks
+    c = BoundConstants(c0=smooth_bump((0.0, 0.45), 0.3).holder_bound)
+    for H in (1e6, 1.01 * c.M, c.M, 2.0 * c.M):
+        with pytest.raises(ValueError, match=r"data too noisy for method "
+                                             r"\(H >= M\)"):
+            rule(H, c)
+    for H in (0.0, -1.0):
+        with pytest.raises(ValueError, match="H must be positive"):
+            rule(H, c)
+
+
 def test_bound_formulas_plugin():
     c, c_env = BoundConstants(c0=1.0, alpha=1.0), 1.0
     H = c.M * math.exp(-math.e**2)
